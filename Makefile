@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test check cover fuzz-smoke trace-smoke failover-smoke proc-smoke scenario-smoke health-smoke replica-smoke shard-smoke bench bench-smoke clean
+.PHONY: all build vet test check cover fuzz-smoke trace-smoke failover-smoke proc-smoke scenario-smoke health-smoke replica-smoke shard-smoke bench bench-smoke bench-quick clean
 
 all: check
 
@@ -98,6 +98,15 @@ bench:
 # scripts/bench_compare.sh.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkServerThroughput' -benchtime 1x .
+
+# Served-workload smoke for CI: builds dbserve from this checkout and runs
+# all four BENCHMARK.json workloads with 2-s phases, so only the
+# correctness gates count (every reply checked against the golden copy,
+# every shot joined, clean final sweep, clean child exit). A front-end
+# change that breaks a served workload fails here, not at the next ledger
+# run.
+bench-quick:
+	bash bench/run.sh -quick
 
 clean:
 	$(GO) clean ./...

@@ -389,10 +389,15 @@ func loadRun(out io.Writer, addrs []string, opts loadOptions) error {
 	if err != nil {
 		return fmt.Errorf("final sweep: %w", err)
 	}
-	stats, err := ctl.Stats()
+	doc, err := ctl.Stats2()
 	if err != nil {
 		return fmt.Errorf("stats: %w", err)
 	}
+	snap, err := metrics.ParseSnapshot(doc)
+	if err != nil {
+		return fmt.Errorf("stats: %w", err)
+	}
+	liveFindings := snap.Gauges["server.audit.findings"]
 
 	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
 	mode := ""
@@ -413,7 +418,7 @@ func loadRun(out io.Writer, addrs []string, opts loadOptions) error {
 	fmt.Fprintf(out, "  latency p50=%v p95=%v p99=%v max=%v\n",
 		pct(lats, 50), pct(lats, 95), pct(lats, 99), pct(lats, 100))
 	fmt.Fprintf(out, "  server: %d requests dropped, %d audit sweeps, %d findings\n",
-		stats[wire.StatReqDropped], stats[wire.StatAuditSweeps], stats[wire.StatAuditFindings])
+		snap.Gauges["server.queue.dropped"], snap.Counters["audit.sweeps"], liveFindings)
 	fmt.Fprintf(out, "  final sweep: %d findings\n", findings)
 	if reconnects > 0 {
 		fmt.Fprintf(out, "  failover: %d reconnects\n", reconnects)
@@ -436,7 +441,7 @@ func loadRun(out io.Writer, addrs []string, opts loadOptions) error {
 	}
 	if expectFindings {
 		fmt.Fprintf(out, "  tolerated: %d golden-copy mismatches, %d live findings (-expect-findings)\n",
-			mismatches, stats[wire.StatAuditFindings])
+			mismatches, liveFindings)
 		return nil
 	}
 	if stale != 0 {
@@ -445,8 +450,8 @@ func loadRun(out io.Writer, addrs []string, opts loadOptions) error {
 	if findings != 0 {
 		return fmt.Errorf("final audit sweep found %d errors", findings)
 	}
-	if n := stats[wire.StatAuditFindings]; n != 0 {
-		return fmt.Errorf("live audits produced %d findings during the run", n)
+	if liveFindings != 0 {
+		return fmt.Errorf("live audits produced %d findings during the run", liveFindings)
 	}
 	return nil
 }

@@ -87,7 +87,7 @@ func run(args []string, out io.Writer, ready chan<- string, stop <-chan struct{}
 	addr := fs.String("addr", "127.0.0.1:7420", "listen address")
 	metricsAddr := fs.String("metrics-addr", "", "serve metrics snapshots over HTTP on this address (GET /statsz, ?format=text for the line format)")
 	img := fs.String("img", "", "serve this dbctl image instead of a pristine database")
-	shards := fs.Int("shards", 1, "partition the database into N audited shards, each with its own executor, audit scheduler, and WAL stream (1 = classic single core)")
+	shards := fs.Int("shards", 1, "partition the database into N audited shards, each with its own executor, audit scheduler, and WAL stream")
 	queue := fs.Int("queue", 0, "request queue depth (0 = default)")
 	auditPeriod := fs.Duration("audit-period", time.Second, "periodic audit sweep interval; negative disables audits")
 	injectPeriod := fs.Duration("inject-period", 0, "flip one random database bit per interval and journal the shot (fault-injection demo; 0 disables)")
@@ -125,26 +125,16 @@ func run(args []string, out io.Writer, ready chan<- string, stop <-chan struct{}
 		return fmt.Errorf("-img serves a single-region image; a sharded core starts pristine or recovers from -wal-dir")
 	}
 
-	var db *memdb.DB        // single core
-	var dbs []*memdb.DB     // sharded core: one region per shard
-	var walLogs []*wal.Log  // per shard; one entry when unsharded
+	// One region per shard; -shards 1 is the schema unchanged.
+	schemas, err := memdb.ShardSchemas(schema, *shards)
+	if err != nil {
+		return err
+	}
+	dbs := make([]*memdb.DB, *shards)
+	var walLogs []*wal.Log // one per shard when durable
 	var rec *trace.Recorder
-	var err error
 	switch {
-	case *shards > 1:
-		schemas, serr := memdb.ShardSchemas(schema, *shards)
-		if serr != nil {
-			return serr
-		}
-		dbs = make([]*memdb.DB, *shards)
-		if *walDir == "" {
-			for k := range dbs {
-				if dbs[k], err = memdb.New(schemas[k]); err != nil {
-					return err
-				}
-			}
-			break
-		}
+	case *walDir != "":
 		if err := checkShardMarker(*walDir, *shards); err != nil {
 			return err
 		}
@@ -156,18 +146,20 @@ func run(args []string, out io.Writer, ready chan<- string, stop <-chan struct{}
 		results := make([]*wal.RecoverResult, *shards)
 		errs := make([]error, *shards)
 		var wg sync.WaitGroup
-		for k := 0; k < *shards; k++ {
+		for k := range dbs {
 			wg.Add(1)
 			go func(k int) {
 				defer wg.Done()
-				dir := shardWALDir(*walDir, k)
+				dir := shardWALDir(*walDir, k, *shards)
 				res, rerr := wal.Recover(dir, schemas[k])
 				if rerr != nil {
-					errs[k] = fmt.Errorf("shard %d: wal recover: %w", k, rerr)
+					errs[k] = fmt.Errorf("%swal recover: %w", shardTag(k, *shards), rerr)
 					return
 				}
 				results[k], dbs[k] = res, res.DB
-				walLogs[k], errs[k] = wal.Open(wal.Config{Dir: dir, SegmentCap: *walSegment}, res.LastSeq)
+				if walLogs[k], rerr = wal.Open(wal.Config{Dir: dir, SegmentCap: *walSegment}, res.LastSeq); rerr != nil {
+					errs[k] = fmt.Errorf("%swal open: %w", shardTag(k, *shards), rerr)
+				}
 			}(k)
 		}
 		wg.Wait()
@@ -176,6 +168,8 @@ func run(args []string, out io.Writer, ready chan<- string, stop <-chan struct{}
 				return e
 			}
 		}
+		// Journal the recovery so a post-start TRACE shows how each region
+		// came to be (Code 1 = a torn record was truncated).
 		rec = trace.New()
 		ring := rec.Ring("wal", 0)
 		for k, res := range results {
@@ -183,57 +177,29 @@ func run(args []string, out io.Writer, ready chan<- string, stop <-chan struct{}
 			if res.Truncated {
 				torn, code = " (torn tail truncated)", 1
 			}
-			fmt.Fprintf(out, "dbserve: shard %d: WAL recovered from %s: checkpoint seq %d, replayed %d records to seq %d%s\n",
-				k, shardWALDir(*walDir, k), res.CheckpointSeq, res.Replayed, res.LastSeq, torn)
+			fmt.Fprintf(out, "dbserve: %sWAL recovered from %s: checkpoint seq %d, replayed %d records to seq %d%s\n",
+				shardTag(k, *shards), shardWALDir(*walDir, k, *shards), res.CheckpointSeq, res.Replayed, res.LastSeq, torn)
 			ring.Emit(trace.Event{
 				Kind: trace.KindWALRecover, Code: code, Op: fmt.Sprintf("shard-%d", k),
 				Arg: int64(res.Replayed), Aux: int64(res.LastSeq),
 			})
 		}
-	case *walDir != "":
-		if err := checkShardMarker(*walDir, 1); err != nil {
-			return err
-		}
-		res, rerr := wal.Recover(*walDir, schema)
-		if rerr != nil {
-			return fmt.Errorf("wal recover: %w", rerr)
-		}
-		db = res.DB
-		torn := ""
-		if res.Truncated {
-			torn = " (torn tail truncated)"
-		}
-		fmt.Fprintf(out, "dbserve: WAL recovered from %s: checkpoint seq %d, replayed %d records to seq %d%s\n",
-			*walDir, res.CheckpointSeq, res.Replayed, res.LastSeq, torn)
-		var walLog *wal.Log
-		walLog, err = wal.Open(wal.Config{Dir: *walDir, SegmentCap: *walSegment}, res.LastSeq)
-		if err != nil {
-			return fmt.Errorf("wal open: %w", err)
-		}
-		walLogs = []*wal.Log{walLog}
-		// Journal the recovery so a post-start TRACE shows how this region
-		// came to be (Code 1 = a torn record was truncated).
-		rec = trace.New()
-		code := int64(0)
-		if res.Truncated {
-			code = 1
-		}
-		rec.Ring("wal", 0).Emit(trace.Event{
-			Kind: trace.KindWALRecover, Code: code,
-			Arg: int64(res.Replayed), Aux: int64(res.LastSeq),
-		})
 	case *img != "":
 		f, oerr := os.Open(*img)
 		if oerr != nil {
 			return oerr
 		}
-		db, err = memdb.NewFromImage(schema, f)
+		dbs[0], err = memdb.NewFromImage(schema, f)
 		f.Close()
+		if err != nil {
+			return err
+		}
 	default:
-		db, err = memdb.New(schema)
-	}
-	if err != nil {
-		return err
+		for k := range dbs {
+			if dbs[k], err = memdb.New(schemas[k]); err != nil {
+				return err
+			}
+		}
 	}
 
 	// The listener is bound before the server exists so a standby can
@@ -263,26 +229,14 @@ func run(args []string, out io.Writer, ready chan<- string, stop <-chan struct{}
 		ReplFailLimit:    *replFailLimit,
 		CheckpointCap:    *walCheckpoint,
 	}
-	var srv core
+	srv, err := server.NewSharded(dbs, walLogs, cfg)
+	if err != nil {
+		ln.Close()
+		return err
+	}
 	if *shards > 1 {
-		s, nerr := server.NewSharded(dbs, walLogs, cfg)
-		if nerr != nil {
-			ln.Close()
-			return nerr
-		}
-		srv = s
 		fmt.Fprintf(out, "dbserve: sharded core: %d shards, %d executors, %d audit schedulers\n",
 			*shards, *shards, *shards)
-	} else {
-		if walLogs != nil {
-			cfg.WAL = walLogs[0]
-		}
-		s, nerr := server.New(db, cfg)
-		if nerr != nil {
-			ln.Close()
-			return nerr
-		}
-		srv = s
 	}
 	if *replicaOf != "" {
 		mode := ""
@@ -328,16 +282,8 @@ func run(args []string, out io.Writer, ready chan<- string, stop <-chan struct{}
 	drainErr := srv.Shutdown(*shutdownTimeout)
 	printSummary(out, srv.Stats())
 	for k, wl := range walLogs {
-		if wl == nil {
-			continue
-		}
-		if len(walLogs) == 1 {
-			fmt.Fprintf(out, "  wal: synced through seq %d, checkpoint at seq %d\n",
-				wl.SyncedSeq(), wl.CheckpointSeq())
-		} else {
-			fmt.Fprintf(out, "  wal shard %d: synced through seq %d, checkpoint at seq %d\n",
-				k, wl.SyncedSeq(), wl.CheckpointSeq())
-		}
+		fmt.Fprintf(out, "  %swal synced through seq %d, checkpoint at seq %d\n",
+			shardTag(k, *shards), wl.SyncedSeq(), wl.CheckpointSeq())
 	}
 	if serveErr != nil {
 		return serveErr
@@ -345,28 +291,23 @@ func run(args []string, out io.Writer, ready chan<- string, stop <-chan struct{}
 	return drainErr
 }
 
-// core is the serving surface shared by the single server and the sharded
-// coordinator — everything the daemon needs to serve, observe, and drain
-// either one.
-type core interface {
-	Serve(net.Listener) error
-	Shutdown(time.Duration) error
-	Stats() server.Stats
-	SnapshotMetrics() (metrics.Snapshot, error)
-	SnapshotMetricsFull() (metrics.Snapshot, error)
-	Health() (health.Status, bool)
-	Trace() *trace.Recorder
-	TraceEvents(trace.Kind, int) []trace.Event
+// shardWALDir is shard k's stream directory under the WAL root: the root
+// itself for an unsharded database, whose layout predates shards, else
+// shard-<k>.
+func shardWALDir(root string, k, n int) string {
+	if n == 1 {
+		return root
+	}
+	return filepath.Join(root, fmt.Sprintf("shard-%d", k))
 }
 
-var (
-	_ core = (*server.Server)(nil)
-	_ core = (*server.Sharded)(nil)
-)
-
-// shardWALDir is shard k's stream directory under a sharded WAL root.
-func shardWALDir(root string, k int) string {
-	return filepath.Join(root, fmt.Sprintf("shard-%d", k))
+// shardTag prefixes a per-shard log line ("shard 2: "); empty when there is
+// one shard, whose lines keep their unsharded wording.
+func shardTag(k, n int) string {
+	if n == 1 {
+		return ""
+	}
+	return fmt.Sprintf("shard %d: ", k)
 }
 
 // checkShardMarker enforces that a WAL directory's durable shard layout
@@ -407,7 +348,7 @@ func checkShardMarker(dir string, n int) error {
 // recorder journal (?n= caps the event count, ?kind= filters by journal
 // name like "req-reply" or "finding", ?format=text for the line format),
 // and /debug/pprof/ the standard Go profiles.
-func statszMux(srv core) *http.ServeMux {
+func statszMux(srv *server.Server) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/statsz", func(w http.ResponseWriter, r *http.Request) {
 		switch r.URL.Query().Get("format") {

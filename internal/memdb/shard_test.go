@@ -1,6 +1,9 @@
 package memdb
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 func TestShardMappingRoundTrip(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 4, 7} {
@@ -85,6 +88,11 @@ func TestShardSchemas(t *testing.T) {
 	shards[0].Tables[0].NumRecords = 1
 	if schema.Tables[0].NumRecords != 16 {
 		t.Fatal("ShardSchemas aliased the input schema")
+	}
+	// One shard is the schema itself: a one-region server is built from it.
+	one, err := ShardSchemas(schema, 1)
+	if err != nil || len(one) != 1 || !reflect.DeepEqual(one[0], schema) {
+		t.Fatalf("ShardSchemas(schema, 1) = %+v (%v), want the schema unchanged", one, err)
 	}
 	// Too many shards for the smallest table.
 	if _, err := ShardSchemas(schema, 17); err == nil {

@@ -1,0 +1,1110 @@
+package server
+
+import (
+	"fmt"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"repro/internal/audit"
+	"repro/internal/health"
+	"repro/internal/inject"
+	"repro/internal/ipc"
+	"repro/internal/manager"
+	"repro/internal/memdb"
+	"repro/internal/metrics"
+	"repro/internal/proc"
+	"repro/internal/replica"
+	"repro/internal/sim"
+	"repro/internal/trace"
+	"repro/internal/wal"
+	"repro/internal/wire"
+)
+
+// core is one region and everything that may touch it: the single-writer
+// executor with its bounded request queue, the audit process and manager on
+// the executor's discrete-event clock, the fault injectors, the procedure
+// registry, the operation log with its shipper or applier, and the fast-lane
+// read view. It owns no socket; the Server front end decides which core a
+// request reaches and hands it over through submit, tryFastLane, or
+// onExecutor.
+//
+// memdb.DB is not safe for concurrent use, so the executor goroutine is the
+// only code that touches db, the audit process, and the manager. A full
+// queue sheds the request at once with CodeOverload (backpressure, never
+// unbounded buffering), with drop accounting in internal/ipc's DropStats
+// shape. Audits sweep the live region between requests, never during one.
+type core struct {
+	srv *Server
+	// id is the core's position in srv.cores: the region's shard id on the
+	// wire and in "shard.<id>." gauge names.
+	id int
+
+	db    *memdb.DB
+	env   *sim.Env
+	audit *ipc.Queue
+	mgr   *manager.Manager
+
+	// checks are the audit techniques run by both the periodic element
+	// and forced sweeps; executor-only after construction. The concrete
+	// checker pointers are retained so promotion can flip them out of
+	// shadow mode and wire the mirror hook.
+	checks    []audit.FullChecker
+	staticChk *audit.StaticCheck
+	structChk *audit.StructuralCheck
+	rangeChk  *audit.RangeCheck
+
+	// Durability & failover. walLog is executor-owned except for its
+	// thread-safe tail ring, which shipper serves replication from off
+	// the executor. standby flips exactly once, at promotion. walErr is the
+	// first durability failure; executor-only until done closes.
+	walLog     *wal.Log
+	walErr     error
+	shipper    *replica.Shipper
+	applier    *replica.Applier
+	standby    atomic.Bool
+	replTicker *sim.Ticker
+	mirrorConn *wire.Conn  // executor-only cached conn to the standby
+	replRing   *trace.Ring // repl.*/wal.* events (nil when tracing off)
+
+	// gauges mirrors single-writer counters into the registry (nil when
+	// metrics are off); greg is the view uniquely-named gauges bind into:
+	// the plain registry with one core, "shard.<id>." with several.
+	gauges   *coreGauges
+	auditTel *audit.Telemetry
+	procTel  *procTelemetry
+	greg     *metrics.Registry
+
+	// debt is the audit-debt meter the periodic element reports into (shared
+	// by every core; the front end's health plane reads it), hbMisses the
+	// manager's cumulative heartbeat-miss count for the plane's rate
+	// objective, and onRefresh the front end's ride on this core's metrics
+	// refresh (set on core 0 only).
+	debt      *health.DebtMeter
+	hbMisses  atomic.Uint64
+	onRefresh func()
+
+	// view is the fast-lane read view (nil when Config.DisableFastLane);
+	// fastSeq drives the 1-in-N trace sampling.
+	view    *memdb.View
+	fastSeq atomic.Uint64
+
+	// Rings on the shared flight recorder (nil when tracing is off).
+	injRing     *trace.Ring
+	procRing    *trace.Ring
+	auditTracer *audit.Tracer
+
+	// Fault injector state; executor thread only. shots retains the most
+	// recent injections so resolveShot can join audit findings back to the
+	// shot that caused them. The tickers are retained so OpInjectCtl can
+	// re-arm the injectors at runtime; injMode selects the targeting policy
+	// (wire.InjectMode*), and the walk cursor plus cached static extents
+	// drive the detectable-byte stride walk.
+	injRNG        *sim.RNG
+	shots         []shot
+	injTicker     *sim.Ticker
+	procInjTicker *sim.Ticker
+	injMode       int
+	injWalk       int
+	injStride     int
+	injTargets    []memdb.Extent
+
+	// Procedure subsystem (executor thread only). PROC_EXEC runs on core 0,
+	// so only its registry is ever executed from. procTID carries the
+	// current PROC request's trace ID across noteFinding so resolveShot can
+	// join a control-flow finding to the request that detected it.
+	procs    *proc.Registry
+	procEng  *proc.Engine
+	procFlip *inject.TextFlipper
+	procRNG  *sim.RNG
+	procTID  uint64
+
+	// Audit-process elements of the most recent buildAuditProcess run,
+	// retained so refreshExecutorMetrics can publish their counters.
+	hbElem   *audit.HeartbeatElement
+	progElem *audit.ProgressElement
+	periodic *audit.PeriodicElement
+
+	reqs     chan task
+	ctrl     chan func()   // executor-thread closures (session teardown, snapshots)
+	stopping chan struct{} // closed: executor drains and exits
+	done     chan struct{} // closed: executor has exited
+
+	// Written by the executor or connection goroutines, read by Stats().
+	perOpOK  [wire.NumOps]atomic.Uint64
+	perOpErr [wire.NumOps]atomic.Uint64
+	executed atomic.Uint64
+	findings atomic.Uint64
+	sweeps   atomic.Uint64
+	restarts atomic.Int64
+
+	// Request-queue drop accounting (ipc.DropStats semantics): written by
+	// connection goroutines under dropMu.
+	dropMu    sync.Mutex
+	dropped   uint64
+	curBurst  uint64
+	maxBurst  uint64
+	highWater int
+}
+
+// execFn is the work a task does on the executor thread.
+type execFn func(c *core, cn *conn, q wire.Request, tid uint64) wire.Response
+
+// task is one request in flight from a connection goroutine to the
+// executor. reply has capacity 1 so the executor never blocks delivering,
+// even to a connection that timed out and walked away.
+type task struct {
+	cn    *conn
+	req   wire.Request
+	do    execFn
+	tid   uint64    // request trace ID (0: tracing off or untraced op)
+	t0    time.Time // enqueue instant (zero when metrics are off)
+	reply chan wire.Response
+}
+
+// shot is one injection: the correlation ID journaled with the inject-shot
+// event, and the region offset it corrupted.
+type shot struct {
+	id  uint64
+	off int
+}
+
+// maxRecentShots bounds the executor's shot history used for
+// finding → shot correlation.
+const maxRecentShots = 64
+
+// coreGauges are the executor-refreshed gauges mirroring single-writer
+// counters that live in the manager and the audit-process elements.
+type coreGauges struct {
+	mgrProbes, mgrReplies, mgrAlive      *metrics.Gauge
+	hbReplies, progRecoveries, perSweeps *metrics.Gauge
+}
+
+// newCore builds core id of srv over db and its optional log. The executor
+// is not started: the front end starts every core once its own wiring (the
+// health plane in particular) is complete.
+func newCore(srv *Server, id int, db *memdb.DB, walLog *wal.Log, debt *health.DebtMeter) (*core, error) {
+	cfg := &srv.cfg
+	c := &core{
+		srv: srv, id: id, db: db, walLog: walLog, debt: debt,
+		// Distinct executor and injector streams per core; identical seeds
+		// would corrupt the same stripe offsets in lockstep.
+		env:      sim.NewEnv(cfg.Seed + int64(id)),
+		reqs:     make(chan task, cfg.QueueDepth),
+		ctrl:     make(chan func(), 16),
+		stopping: make(chan struct{}),
+		done:     make(chan struct{}),
+	}
+	db.SetClock(c.env.Now)
+	if cfg.Guard {
+		db.EnableConcurrencyCheck(nil)
+	}
+	if !cfg.DisableFastLane {
+		c.view = db.ReadView()
+	}
+	if reg := srv.reg; reg != nil {
+		// With several cores, uniquely-named gauges live under the core's own
+		// prefix so they cannot clobber a sibling's; counters and histograms
+		// keep plain names and merge into registry-wide aggregates.
+		c.greg = reg
+		if len(srv.cores) > 1 {
+			c.greg = reg.WithPrefix(fmt.Sprintf("shard.%d.", id))
+		}
+		c.auditTel = audit.NewTelemetry(reg)
+		c.procTel = newProcTelemetry(reg, c.greg)
+		c.gauges = &coreGauges{
+			mgrProbes:      c.greg.Gauge("manager.probes"),
+			mgrReplies:     c.greg.Gauge("manager.replies"),
+			mgrAlive:       c.greg.Gauge("manager.alive"),
+			hbReplies:      c.greg.Gauge("audit.heartbeat.replies"),
+			progRecoveries: c.greg.Gauge("audit.progress.recoveries"),
+			perSweeps:      c.greg.Gauge("audit.triggers.periodic"),
+		}
+	}
+	if r := srv.rec; r != nil {
+		c.auditTracer = audit.NewTracer(r, cfg.TraceRingSize)
+		c.auditTracer.Resolve = c.resolveShot
+		// Shadow-audit attribution: a finding journaled on a standby is
+		// DetectOnly evidence from the replica's copy, not the primary's —
+		// the role tag keeps a read-serving standby's findings from being
+		// misread as primary corruption in merged journals.
+		c.auditTracer.Role = func() string { return roleTag(c.standby.Load(), cfg.ServeReads) }
+		// The inject ring exists whenever tracing does — OpInjectCtl can
+		// arm the injectors at runtime long after construction.
+		c.injRing = r.Ring("inject", cfg.TraceRingSize)
+		c.procRing = r.Ring("proc", cfg.TraceRingSize)
+	}
+
+	// Procedure subsystem: registry preloaded with the built-in library so
+	// PROC traffic works against a fresh server, engine wired to the proc
+	// ring so violation events join request trace IDs.
+	c.procs = proc.NewRegistry()
+	for _, b := range proc.Library() {
+		if _, err := c.procs.Load(b.Name, b.Source); err != nil {
+			return nil, fmt.Errorf("server: builtin procedure %s: %w", b.Name, err)
+		}
+	}
+	c.procEng = proc.NewEngine()
+	c.procEng.Ring = c.procRing
+
+	// Durability & failover wiring. The shipper exists whenever there is a
+	// log — a promoted standby ships to the next standby with no rebuild.
+	c.standby.Store(cfg.Standby)
+	if walLog != nil {
+		c.shipper = replica.NewShipper(walLog, 0)
+	}
+	if cfg.Standby {
+		startSeq := uint64(0)
+		if walLog != nil {
+			startSeq = walLog.LastSeq()
+		}
+		c.applier = replica.NewApplier(db, walLog, startSeq, replica.ApplierConfig{
+			Primary:   cfg.PrimaryAddr,
+			Shard:     id,
+			Advertise: cfg.AdvertiseAddr,
+			Timeout:   cfg.ReplTimeout,
+			FailLimit: cfg.ReplFailLimit,
+		})
+	}
+	if srv.rec != nil && (walLog != nil || cfg.Standby) {
+		c.replRing = srv.rec.Ring("repl", cfg.TraceRingSize)
+		if c.shipper != nil {
+			c.shipper.SetRing(c.replRing)
+		}
+		if c.applier != nil {
+			c.applier.SetRing(c.replRing)
+		}
+	}
+
+	rec := audit.Recovery{OnFinding: c.noteFinding}
+	c.staticChk = audit.NewStaticCheck(db, rec)
+	c.structChk = audit.NewStructuralCheck(db, rec)
+	c.rangeChk = audit.NewRangeCheck(db, rec)
+	// Shadow mode: a standby's audits diagnose and journal, but recovery
+	// stays with the primary until promotion.
+	c.setDetectOnly(cfg.Standby)
+	if c.shipper != nil {
+		// Mirror-sourced repair: when the range audit finds a corrupted
+		// dynamic field, the standby's copy is the only source holding the
+		// true value (the static image cannot help).
+		c.rangeChk.Mirror = c.fetchMirror
+	}
+	c.checks = []audit.FullChecker{c.staticChk, c.structChk, c.rangeChk}
+	if c.auditTel != nil {
+		for i, ch := range c.checks {
+			c.checks[i] = c.auditTel.WrapFull(ch)
+		}
+	}
+	if c.auditTracer != nil {
+		for i, ch := range c.checks {
+			c.checks[i] = c.auditTracer.WrapFull(ch)
+		}
+	}
+	// The first check is wrapped to count completed sweeps: every full
+	// pass (periodic or forced) runs each check exactly once.
+	c.checks[0] = countedCheck{FullChecker: c.checks[0], n: &c.sweeps, tel: c.auditTel}
+
+	if cfg.AuditPeriod > 0 {
+		q, err := ipc.NewQueue(cfg.AuditQueueDepth)
+		if err != nil {
+			return nil, fmt.Errorf("server: audit queue: %w", err)
+		}
+		c.audit = q
+		db.EnableAudit(q)
+		c.mgr = manager.New(c.env, q, c.buildAuditProcess,
+			manager.WithHeartbeat(cfg.HeartbeatPeriod, cfg.HeartbeatTimeout),
+			manager.WithOnRestart(func(n int) {
+				c.restarts.Store(int64(n))
+				if c.auditTracer != nil {
+					c.auditTracer.Ring().Emit(trace.Event{Kind: trace.KindRestart, Aux: int64(n)})
+				}
+			}),
+			manager.WithOnMiss(func(n int) {
+				c.hbMisses.Store(uint64(n))
+				if c.auditTracer != nil {
+					c.auditTracer.Ring().Emit(trace.Event{Kind: trace.KindHeartbeatMiss, Aux: int64(n)})
+				}
+			}))
+	}
+	if c.greg != nil {
+		c.registerMetrics()
+	}
+	return c, nil
+}
+
+// setDetectOnly flips the three checkers in or out of shadow mode.
+func (c *core) setDetectOnly(on bool) {
+	c.staticChk.DetectOnly = on
+	c.structChk.DetectOnly = on
+	c.rangeChk.DetectOnly = on
+}
+
+// noteFinding observes every audit finding: the aggregate counter, the
+// per-class/per-action telemetry, and the journal (where the finding is
+// joined to the injected shot that caused it, when one covers it).
+func (c *core) noteFinding(f audit.Finding) {
+	c.findings.Add(1)
+	if c.auditTel != nil {
+		c.auditTel.Note(f)
+	}
+	if c.auditTracer != nil {
+		c.auditTracer.Note(f)
+	}
+}
+
+// resolveShot joins an audit finding back to the most recent injected
+// shot whose offset it covers. Executor thread only — findings are only
+// produced by executor-run checks, and shots only by the executor's
+// injector ticker.
+func (c *core) resolveShot(f audit.Finding) uint64 {
+	if f.Class == audit.ClassControlFlow {
+		// Control-flow findings carry no region offset: they join the
+		// PROC request whose execution tripped the assertion.
+		return c.procTID
+	}
+	for i := len(c.shots) - 1; i >= 0; i-- {
+		if f.Covers(c.shots[i].off) {
+			return c.shots[i].id
+		}
+	}
+	return 0
+}
+
+// countedCheck wraps one audit technique with a sweep counter.
+type countedCheck struct {
+	audit.FullChecker
+	n   *atomic.Uint64
+	tel *audit.Telemetry
+}
+
+// CheckAll counts one sweep and delegates.
+func (c countedCheck) CheckAll() []audit.Finding {
+	c.n.Add(1)
+	if c.tel != nil {
+		c.tel.NoteSweep()
+	}
+	return c.FullChecker.CheckAll()
+}
+
+// registerMetrics wires the gauge functions that read the core's own
+// lock-protected or atomic state, binds the memdb activity gauges, and
+// exports the audit notification queue, all through c.greg.
+func (c *core) registerMetrics() {
+	reg := c.greg
+	drops := func(pick func() int64) func() int64 {
+		return func() int64 {
+			c.dropMu.Lock()
+			defer c.dropMu.Unlock()
+			return pick()
+		}
+	}
+	reg.GaugeFunc("server.queue.depth", func() int64 { return int64(len(c.reqs)) })
+	reg.GaugeFunc("server.queue.capacity", func() int64 { return int64(cap(c.reqs)) })
+	reg.GaugeFunc("server.queue.dropped", drops(func() int64 { return int64(c.dropped) }))
+	reg.GaugeFunc("server.queue.drop_burst", drops(func() int64 { return int64(c.maxBurst) }))
+	reg.GaugeFunc("server.queue.high_water", drops(func() int64 { return int64(c.highWater) }))
+	reg.GaugeFunc("server.executed", func() int64 { return int64(c.executed.Load()) })
+	reg.GaugeFunc("server.audit.restarts", func() int64 { return c.restarts.Load() })
+	reg.GaugeFunc("server.audit.findings", func() int64 { return int64(c.findings.Load()) })
+	if c.audit != nil {
+		c.audit.RegisterMetrics(reg, "audit.queue")
+	}
+	reg.GaugeFunc("repl.role", func() int64 { return int64(role(c.standby.Load())) })
+	reg.GaugeFunc("repl.serve_reads", func() int64 {
+		return b2i(!c.standby.Load() || c.srv.cfg.ServeReads)
+	})
+	if c.walLog != nil {
+		c.walLog.BindMetrics(reg)
+	}
+	if c.shipper != nil {
+		c.shipper.BindMetrics(reg)
+	}
+	if c.applier != nil {
+		c.applier.BindMetrics(reg)
+	}
+	if c.view != nil {
+		// Fastlane counters are plain: every core's view merges into one tally.
+		c.view.BindMetrics(c.srv.reg)
+	}
+	c.db.BindMetrics(reg)
+}
+
+func b2i(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// refreshExecutorMetrics publishes every single-writer counter — memdb
+// table activity, manager probe accounting, audit element progress — into
+// the registry's atomic gauges. Executor thread only; called on each clock
+// tick, before STATS2 snapshots, and at drain.
+func (c *core) refreshExecutorMetrics() {
+	g := c.gauges
+	if g == nil {
+		return
+	}
+	c.db.RefreshMetrics()
+	if c.mgr != nil {
+		g.mgrProbes.Set(int64(c.mgr.Probes()))
+		g.mgrReplies.Set(int64(c.mgr.Replies()))
+		p := c.mgr.Process()
+		g.mgrAlive.Set(b2i(p != nil && p.Alive()))
+	}
+	if c.hbElem != nil {
+		g.hbReplies.Set(int64(c.hbElem.Replies()))
+	}
+	if c.progElem != nil {
+		g.progRecoveries.Set(int64(c.progElem.Recoveries()))
+	}
+	if c.periodic != nil {
+		g.perSweeps.Set(int64(c.periodic.Sweeps()))
+	}
+	c.procTel.registered.Set(int64(c.procs.Len()))
+	if c.onRefresh != nil {
+		c.onRefresh()
+	}
+}
+
+// onExecutor runs f on the executor thread and waits for it to finish,
+// returning false when the executor has already exited (or exits before
+// running f). Safe from any goroutine; the executor's drain loop runs
+// queued control closures before it exits, so a successful send almost
+// always means f ran.
+func (c *core) onExecutor(f func()) bool {
+	ran := make(chan struct{})
+	select {
+	case c.ctrl <- func() { f(); close(ran) }:
+		select {
+		case <-ran:
+			return true
+		case <-c.done:
+			return false
+		}
+	case <-c.done:
+		return false
+	}
+}
+
+// buildAuditProcess is the manager's factory: heartbeat responder,
+// progress indicator, and the periodic full-sweep element over the
+// static/structural/range checks. Called at start and on every restart.
+func (c *core) buildAuditProcess(q *ipc.Queue) (*audit.Process, error) {
+	p := audit.NewProcess(c.env, c.db, q)
+	hb := audit.NewHeartbeatElement()
+	if err := p.Register(hb); err != nil {
+		return nil, err
+	}
+	prog := audit.NewProgressElement(audit.Recovery{OnFinding: c.noteFinding})
+	if err := p.Register(prog); err != nil {
+		return nil, err
+	}
+	checkers := make([]audit.Checker, len(c.checks))
+	for i, ch := range c.checks {
+		checkers[i] = ch
+	}
+	per := audit.NewPeriodicElement(c.srv.cfg.AuditPeriod, audit.FullSweep, nil, checkers...)
+	if c.debt != nil {
+		// Re-attached on every restart, so schedule accounting survives a
+		// heartbeat-driven rebuild of the audit process.
+		per.SetDebt(c.debt)
+	}
+	if err := p.Register(per); err != nil {
+		return nil, err
+	}
+	// Retained for refreshExecutorMetrics; buildAuditProcess runs only on
+	// the executor thread (manager start/restart), same as the refresher.
+	c.hbElem, c.progElem, c.periodic = hb, prog, per
+	return p, nil
+}
+
+// --- Executor -------------------------------------------------------------
+
+// executor is the single writer: the only goroutine that touches the DB,
+// the audit process, and the manager. It interleaves request execution
+// with advancing the audit clock, so sweeps and heartbeats run in the
+// gaps between requests.
+func (c *core) executor() {
+	defer close(c.done)
+	cfg := &c.srv.cfg
+	if c.mgr != nil {
+		if err := c.mgr.Start(); err != nil {
+			// Audits are wired in but cannot start; serve unaudited
+			// rather than not at all. The condition is visible via
+			// Stats (zero sweeps, zero restarts).
+			c.mgr = nil
+		}
+	}
+	if cfg.InjectPeriod > 0 || cfg.ProcInjectPeriod > 0 {
+		// The injectors ride the executor clock: flips land between
+		// requests (and between procedure executions), never during one,
+		// like every other executor action.
+		c.setInjectPeriods(cfg.InjectPeriod, cfg.ProcInjectPeriod, wire.InjectModeRandom)
+	}
+	if c.applier != nil {
+		// Replication rides the executor clock too: the applier is the
+		// standby region's single writer, interleaved with audits.
+		if tk, err := c.env.NewTicker(cfg.ReplPoll, c.replStep); err == nil {
+			c.replTicker = tk
+		}
+	}
+	tick := time.NewTicker(cfg.ClockTick)
+	defer tick.Stop()
+	for {
+		select {
+		case t := <-c.reqs:
+			c.executeBatch(t)
+		case f := <-c.ctrl:
+			f()
+		case <-tick.C:
+			c.advanceClock()
+		case <-c.stopping:
+			c.drainAndStop()
+			return
+		}
+	}
+}
+
+// executeBatch drains up to Config.BatchSize queued requests in one
+// executor wakeup, starting with the task that woke it. A batch runs
+// back-to-back with no channel round trips between requests, and because
+// the WAL buffers appends until the clock-tick Sync, the whole batch's
+// appends coalesce into the same buffered write. The audit clock is
+// untouched here: sweeps fire on the tick select arm, between batches,
+// never inside one.
+func (c *core) executeBatch(first task) {
+	c.execute(first)
+	n := 1
+drain:
+	for n < c.srv.cfg.BatchSize {
+		select {
+		case t := <-c.reqs:
+			c.execute(t)
+			n++
+		default:
+			break drain
+		}
+	}
+	if tel := c.srv.tel; tel != nil {
+		tel.batchSize.Observe(int64(n))
+	}
+	if ring := c.srv.srvRing; ring != nil && n > 1 {
+		ring.Emit(trace.Event{Kind: trace.KindBatchExec, Arg: int64(n)})
+	}
+}
+
+// advanceClock runs the discrete-event environment up to the wall-clock
+// elapsed time, firing due audit sweeps, heartbeats, and timeouts.
+func (c *core) advanceClock() {
+	target := time.Since(c.srv.start)
+	if d := target - c.env.Now(); d > 0 {
+		_ = c.env.Run(d)
+	}
+	c.syncWAL()
+	c.refreshExecutorMetrics()
+}
+
+// drainAndStop finishes every queued request and control action, runs one
+// final certifying sweep, and stops the audit stack.
+func (c *core) drainAndStop() {
+	for {
+		select {
+		case t := <-c.reqs:
+			c.execute(t)
+			continue
+		case f := <-c.ctrl:
+			f()
+			continue
+		default:
+		}
+		break
+	}
+	// The WAL tail must be durable BEFORE the certifying sweep: the sweep
+	// may repair the region, and a crash after repairs but before fsync
+	// would otherwise lose acknowledged writes that the repairs were
+	// validated against.
+	if c.walLog != nil {
+		c.walFault("sync-error", c.walLog.Sync())
+	}
+	c.runSweep()
+	if c.mgr != nil {
+		c.mgr.Stop()
+	}
+	if c.audit != nil {
+		c.db.DisableAudit()
+	}
+	if c.applier != nil {
+		c.applier.Close()
+	}
+	if c.mirrorConn != nil {
+		c.mirrorConn.Close()
+		c.mirrorConn = nil
+	}
+	if c.walLog != nil {
+		// The final checkpoint captures the swept, certified region, so
+		// the next start replays nothing.
+		c.checkpointNow()
+		c.walFault("close-error", c.walLog.Close())
+	}
+	c.refreshExecutorMetrics()
+}
+
+// setInjectPeriods stops the running injector tickers and re-arms them
+// with the given periods (zero or negative leaves the respective injector
+// off) and targeting mode. Called on the executor thread only: at startup
+// for the Config.InjectPeriod/ProcInjectPeriod knobs, and from OpInjectCtl
+// when a scenario timeline ramps a fault storm. Every core arms its data
+// injector, so the aggregate shot rate scales with the core count; the text
+// injector arms on core 0 only — a text shot into a registry nothing
+// executes from could never be detected and would sit as false open debt.
+func (c *core) setInjectPeriods(data, text time.Duration, mode int) {
+	cfg := &c.srv.cfg
+	c.injMode = mode
+	if c.injTicker != nil {
+		c.injTicker.Stop()
+		c.injTicker = nil
+	}
+	if data > 0 {
+		if c.injRNG == nil {
+			c.injRNG = sim.NewRNG(cfg.InjectSeed + int64(c.id))
+		}
+		if tk, err := c.env.NewTicker(data, c.injectOnce); err == nil {
+			c.injTicker = tk
+		}
+	}
+	if c.procInjTicker != nil {
+		c.procInjTicker.Stop()
+		c.procInjTicker = nil
+	}
+	if text > 0 && c.id == 0 {
+		if c.procFlip == nil {
+			c.procRNG = sim.NewRNG(cfg.ProcInjectSeed)
+			c.procFlip = inject.NewTextFlipper(c.procRNG)
+		}
+		if tk, err := c.env.NewTicker(text, c.procInjectOnce); err == nil {
+			c.procInjTicker = tk
+		}
+	}
+}
+
+// injectOnce is the data fault injector: flip one bit in the live region
+// and journal the shot, so the next audit pass demonstrably detects and
+// recovers a known corruption. Executor thread only (env ticker).
+func (c *core) injectOnce() {
+	if c.injMode == wire.InjectModeStatic {
+		if off, ok := c.nextStaticTarget(); ok {
+			c.injectAt(off, uint(c.injRNG.Intn(8)))
+		}
+		return
+	}
+	c.injectAt(c.injRNG.Intn(c.db.Size()), uint(c.injRNG.Intn(8)))
+}
+
+// nextStaticTarget walks the non-catalog static extents with a stride
+// coprime to their total length, so consecutive shots land on distinct,
+// non-adjacent bytes: each one becomes its own damaged run for the static
+// checksum audit, and every shot joins exactly one finding. The catalog is
+// excluded so injection never turns live requests into catalog errors.
+// Executor thread only.
+func (c *core) nextStaticTarget() (int, bool) {
+	if c.injTargets == nil {
+		c.injTargets = []memdb.Extent{} // computed, possibly empty
+		for _, e := range c.db.StaticExtents() {
+			if e.Name == "catalog" || e.Len <= 0 {
+				continue
+			}
+			c.injTargets = append(c.injTargets, e)
+		}
+	}
+	total := 0
+	for _, e := range c.injTargets {
+		total += e.Len
+	}
+	if total == 0 {
+		return 0, false
+	}
+	if c.injStride == 0 {
+		c.injStride = 5
+		for gcd(c.injStride, total) != 1 {
+			c.injStride++
+		}
+	}
+	pos := (c.injWalk * c.injStride) % total
+	c.injWalk++
+	for _, e := range c.injTargets {
+		if pos < e.Len {
+			return e.Off + pos, true
+		}
+		pos -= e.Len
+	}
+	return 0, false
+}
+
+func gcd(a, b int) int {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
+}
+
+// injectAt flips one bit at a region offset and journals the shot,
+// returning the shot's correlation ID (0 when tracing is off or the flip
+// failed). Executor thread only; tests use it for targeted shots.
+func (c *core) injectAt(off int, bit uint) uint64 {
+	if err := c.db.FlipBit(off, bit); err != nil {
+		return 0
+	}
+	if c.injRing == nil {
+		return 0
+	}
+	id := c.srv.rec.NextTrace()
+	c.shots = append(c.shots, shot{id: id, off: off})
+	if len(c.shots) > maxRecentShots {
+		c.shots = c.shots[len(c.shots)-maxRecentShots:]
+	}
+	c.injRing.Emit(trace.Event{
+		Kind: trace.KindShot, Trace: id, Op: "dbflip",
+		Arg: int64(off), Code: int64(bit),
+	})
+	return id
+}
+
+// runSweep executes every audit technique over the whole region and
+// returns the number of findings. Executor thread only.
+func (c *core) runSweep() int {
+	if tel := c.srv.tel; tel != nil {
+		tel.forcedSweeps.Inc()
+	}
+	n := 0
+	for _, ch := range c.checks {
+		n += len(ch.CheckAll())
+	}
+	return n
+}
+
+// execute runs one task and delivers its response. Executor thread only.
+func (c *core) execute(t task) {
+	if t.tid != 0 {
+		c.srv.srvRing.Emit(trace.Event{Kind: trace.KindReqExecute, Trace: t.tid, Op: t.req.Op.String()})
+	}
+	// Stage decomposition: everything before this instant was queue wait,
+	// t.do is the execute stage (reply_write is observed in connWriter).
+	tel := c.srv.tel
+	staged := tel != nil && !t.t0.IsZero()
+	var e0 time.Time
+	if staged {
+		e0 = time.Now()
+		tel.stageQueueWait.Observe(int64(e0.Sub(t.t0)))
+	}
+	resp := t.do(c, t.cn, t.req, t.tid)
+	if staged {
+		tel.stageExecute.Observe(int64(time.Since(e0)))
+	}
+	resp.Seq = t.req.Seq
+	if seq := c.logMutation(t.req, resp, t.tid); seq != 0 {
+		// The WAL position of an acknowledged write doubles as the
+		// client's read-your-writes lease token.
+		resp.SetToken(seq)
+	}
+	c.count(t.req.Op, resp.Code)
+	c.executed.Add(1)
+	t.reply <- resp
+}
+
+// count books one answered request in the per-op counters.
+func (c *core) count(op wire.Op, code wire.Code) {
+	if !op.Valid() {
+		return
+	}
+	if code == wire.CodeOK {
+		c.perOpOK[int(op)].Add(1)
+	} else {
+		c.perOpErr[int(op)].Add(1)
+	}
+}
+
+// ok builds a success response carrying vals.
+func ok(vals ...uint32) wire.Response { return wire.Response{Vals: vals} }
+
+// fail builds the error response for q.
+func fail(q wire.Request, err error) wire.Response { return wire.ErrorResponse(q.Seq, err) }
+
+// record executes one record-addressed Table 1 call (or DBalloc) against the
+// connection's session on this core; q.Record is already core-local.
+func (c *core) record(cn *conn, q wire.Request, _ uint64) wire.Response {
+	if c.standby.Load() {
+		// Routed reads on a serve-reads standby are session-less (a standby
+		// refuses DBinit), answered by direct region reads: the fast lane's
+		// executor fallback. Anything else reaching a standby core is a
+		// request that raced this core's promotion.
+		return c.handleStandbyRead(q)
+	}
+	sess := cn.on[c.id].sess.Load()
+	if sess == nil {
+		return fail(q, wire.ErrNoSession)
+	}
+	table, rec, field := int(q.Table), int(q.Record), int(q.Field)
+	var vals []uint32
+	var err error
+	switch q.Op {
+	case wire.OpReadRec:
+		vals, err = sess.ReadRec(table, rec)
+	case wire.OpReadFld:
+		vals = []uint32{0}
+		vals[0], err = sess.ReadFld(table, rec, field)
+	case wire.OpWriteRec:
+		err = sess.WriteRec(table, rec, q.Vals)
+	case wire.OpWriteFld:
+		if len(q.Vals) != 1 {
+			return fail(q, fmt.Errorf("%w: DBwrite_fld carries %d values", wire.ErrBadFrame, len(q.Vals)))
+		}
+		err = sess.WriteFld(table, rec, field, q.Vals[0])
+	case wire.OpMove:
+		err = sess.Move(table, rec, int(q.Aux))
+	case wire.OpAlloc:
+		var ri int
+		ri, err = sess.Alloc(table, int(q.Aux))
+		vals = []uint32{uint32(ri)}
+	case wire.OpFree:
+		err = sess.Free(table, rec)
+	case wire.OpStatus:
+		var st int
+		st, err = sess.Status(table, rec)
+		vals = []uint32{uint32(st)}
+	default:
+		err = wire.ErrUnknownOp
+	}
+	if err != nil {
+		return fail(q, err)
+	}
+	return ok(vals...)
+}
+
+// session executes this core's leg of a session call: DBinit, DBclose,
+// DBbegin, DBcommit. A successful DBbegin answers [1] when the lock was
+// newly taken here, [0] when the session already held it, so the front end
+// knows what to undo if a later core refuses.
+func (c *core) session(cn *conn, q wire.Request, _ uint64) wire.Response {
+	if c.standby.Load() {
+		return fail(q, wire.ErrStandby)
+	}
+	slot := &cn.on[c.id].sess
+	sess := slot.Load()
+	if q.Op == wire.OpInit {
+		if sess != nil {
+			return fail(q, wire.ErrSessionExists)
+		}
+		cl, err := c.db.Connect()
+		if err != nil {
+			return fail(q, err)
+		}
+		slot.Store(cl)
+		return ok(uint32(cl.PID()))
+	}
+	if sess == nil {
+		return fail(q, wire.ErrNoSession)
+	}
+	var err error
+	switch q.Op {
+	case wire.OpClose:
+		err = sess.Close()
+		slot.Store(nil)
+	case wire.OpBegin:
+		held := sess.InTxn(int(q.Table))
+		if err = sess.Begin(int(q.Table)); err == nil {
+			return ok(uint32(b2i(!held)))
+		}
+	case wire.OpCommit:
+		err = sess.Commit()
+	}
+	if err != nil {
+		return fail(q, err)
+	}
+	return ok()
+}
+
+// closeSession retires the connection's session here, releasing its locks.
+// Executor thread only.
+func (c *core) closeSession(cn *conn) {
+	slot := &cn.on[c.id].sess
+	if sess := slot.Load(); sess != nil {
+		_ = sess.Close() // the session is gone either way
+		slot.Store(nil)
+	}
+}
+
+// unlock drops the session's transaction lock on table and nothing else.
+// Commit releases every lock, so the others are taken again; they cannot be
+// lost in between, because the executor runs nothing else meanwhile.
+// Executor thread only.
+func (c *core) unlock(cn *conn, table int) {
+	sess := cn.on[c.id].sess.Load()
+	if sess == nil {
+		return
+	}
+	var keep []int
+	for ti := range c.db.Schema().Tables {
+		if ti != table && sess.InTxn(ti) {
+			keep = append(keep, ti)
+		}
+	}
+	_ = sess.Commit()
+	for _, ti := range keep {
+		_ = sess.Begin(ti)
+	}
+}
+
+// sweep, refresh and promoteLeg are this core's legs of SWEEP, STATS2 and
+// REPL_PROMOTE.
+func (c *core) sweep(*conn, wire.Request, uint64) wire.Response {
+	return ok(uint32(c.runSweep()))
+}
+
+func (c *core) refresh(_ *conn, q wire.Request, _ uint64) wire.Response {
+	if c.gauges == nil {
+		return fail(q, errMetricsDisabled)
+	}
+	c.refreshExecutorMetrics()
+	return ok()
+}
+
+func (c *core) promoteLeg(_ *conn, q wire.Request, _ uint64) wire.Response {
+	if !c.standby.Load() {
+		return fail(q, wire.ErrNotStandby)
+	}
+	c.promote(operatorPromotion)
+	return ok()
+}
+
+// handleInjectCtl decodes one OpInjectCtl request and retimes the
+// injectors. Runs on the executor thread, so the ticker swap cannot race a
+// flip in progress.
+func (c *core) handleInjectCtl(_ *conn, q wire.Request, _ uint64) wire.Response {
+	if len(q.Vals) < 4 {
+		return fail(q, fmt.Errorf("%w: InjectCtl carries %d values, want 4", wire.ErrBadFrame, len(q.Vals)))
+	}
+	data := time.Duration(wire.JoinU64(q.Vals[0], q.Vals[1]))
+	text := time.Duration(wire.JoinU64(q.Vals[2], q.Vals[3]))
+	if data < 0 || text < 0 {
+		return fail(q, fmt.Errorf("%w: InjectCtl period must be >= 0", wire.ErrBadFrame))
+	}
+	mode := int(q.Aux)
+	if mode != wire.InjectModeRandom && mode != wire.InjectModeStatic {
+		return fail(q, fmt.Errorf("%w: InjectCtl mode %d", wire.ErrBadFrame, mode))
+	}
+	c.setInjectPeriods(data, text, mode)
+	return ok()
+}
+
+// --- Queue ------------------------------------------------------------------
+
+// submit funnels one request into the executor queue, applying
+// backpressure and the reply deadline; do runs on the executor thread.
+func (c *core) submit(cn *conn, req wire.Request, do execFn) wire.Response {
+	s := c.srv
+	select {
+	case <-s.quit:
+		return fail(req, wire.ErrShutdown)
+	default:
+	}
+	// Latency is measured from enqueue to reply delivery: queue wait plus
+	// execution. Shed and timed-out requests are not observed — they would
+	// fold two failure modes into the service-time distribution.
+	rec := s.tel != nil && req.Op.Valid()
+	tr := s.srvRing != nil && req.Op.Valid()
+	var t0 time.Time
+	if rec || tr {
+		t0 = time.Now()
+	}
+	if cn.reply == nil {
+		cn.reply = make(chan wire.Response, 1)
+	}
+	t := task{cn: cn, req: req, do: do, reply: cn.reply}
+	if rec {
+		t.t0 = t0
+	}
+	if tr {
+		// The enqueue event is journaled before the send so its sequence
+		// number precedes the executor's req-execute for the same trace.
+		t.tid = s.rec.NextTrace()
+		s.srvRing.Emit(trace.Event{
+			Kind: trace.KindReqEnqueue, Trace: t.tid,
+			Op: req.Op.String(), Aux: int64(cn.id),
+		})
+	}
+	select {
+	case c.reqs <- t:
+		c.noteAdmit(len(c.reqs))
+	default:
+		// Queue full: shed immediately rather than buffer or block —
+		// the same discipline as the audit notification queue.
+		c.noteDrop()
+		if tr {
+			s.srvRing.Emit(trace.Event{
+				Kind: trace.KindReqDrop, Trace: t.tid,
+				Op: req.Op.String(), Aux: int64(cn.id),
+			})
+		}
+		return fail(req, wire.ErrOverload)
+	}
+	// One timer per connection instead of a time.After allocation per
+	// request; stop-and-drain before Reset per pre-1.23 timer semantics.
+	if cn.rtimer == nil {
+		cn.rtimer = time.NewTimer(s.cfg.ReplyTimeout)
+	} else {
+		if !cn.rtimer.Stop() {
+			select {
+			case <-cn.rtimer.C:
+			default:
+			}
+		}
+		cn.rtimer.Reset(s.cfg.ReplyTimeout)
+	}
+	select {
+	case resp := <-t.reply:
+		if rec {
+			s.tel.latency[req.Op].Observe(int64(time.Since(t0)))
+		}
+		if tr {
+			s.srvRing.Emit(trace.Event{
+				Kind: trace.KindReqReply, Trace: t.tid, Op: req.Op.String(),
+				Code: int64(resp.Code), Arg: int64(time.Since(t0)), Aux: int64(cn.id),
+			})
+		}
+		return resp
+	case <-cn.rtimer.C:
+		// The executor is wedged or far behind. The buffered reply
+		// channel lets it finish without blocking; this connection
+		// reports the timeout — and abandons the channel, because the
+		// executor still owes it the late reply.
+		cn.reply = nil
+		return fail(req, wire.ErrTimeout)
+	}
+}
+
+func (c *core) noteAdmit(depth int) {
+	c.dropMu.Lock()
+	c.curBurst = 0
+	if depth > c.highWater {
+		c.highWater = depth
+	}
+	c.dropMu.Unlock()
+}
+
+func (c *core) noteDrop() {
+	c.dropMu.Lock()
+	c.dropped++
+	c.curBurst++
+	if c.curBurst > c.maxBurst {
+		c.maxBurst = c.curBurst
+	}
+	c.dropMu.Unlock()
+}
+
+// reqDrops snapshots the queue's drop accounting.
+func (c *core) reqDrops() ipc.DropStats {
+	c.dropMu.Lock()
+	defer c.dropMu.Unlock()
+	return ipc.DropStats{Dropped: c.dropped, Burst: c.maxBurst, HighWater: c.highWater}
+}

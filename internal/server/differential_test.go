@@ -410,18 +410,6 @@ func diffScript(r *diffRun, primary, standby, serving string) {
 	r.do(req("R", wire.OpReplStatus, 0))
 }
 
-// newDiffServer serves n fresh controller-schema regions and returns the
-// bound address.
-func newDiffServer(t *testing.T, n int, cfg Config) string {
-	t.Helper()
-	if n == 1 {
-		_, addr := startServer(t, cfg)
-		return addr
-	}
-	_, addr := startSharded(t, n, nil, cfg)
-	return addr
-}
-
 func runDiff(t *testing.T, n int) (raw, sym string) {
 	t.Helper()
 	// No periodic sweep fires inside the script, so the health and metrics
@@ -432,7 +420,11 @@ func runDiff(t *testing.T, n int) (raw, sym string) {
 	serving := sb
 	serving.ServeReads = true
 	r := &diffRun{t: t, n: n, conns: map[string]*wire.Conn{}, recs: map[[2]int]int{}}
-	diffScript(r, newDiffServer(t, n, base), newDiffServer(t, n, sb), newDiffServer(t, n, serving))
+	addr := func(cfg Config) string {
+		_, a := newTestServer(t, n, cfg)
+		return a
+	}
+	diffScript(r, addr(base), addr(sb), addr(serving))
 	return r.raw.String(), r.sym.String()
 }
 
@@ -456,9 +448,7 @@ func TestDifferentialTranscripts(t *testing.T) {
 	for _, n := range []int{2, 4} {
 		_, sym := runDiff(t, n)
 		if d := firstDiff(sym1, sym); d != "" {
-			// Logged, not failed, at this commit: these are the divergences
-			// between the two front ends that merging them resolves.
-			t.Logf("n=%d transcript differs from n=1:\n%s", n, d)
+			t.Errorf("n=%d transcript differs from n=1:\n%s", n, d)
 		}
 	}
 }

@@ -94,7 +94,7 @@ func TestFailoverEndToEnd(t *testing.T) {
 
 	// Workload before the standby can have seen anything: with a 16-record
 	// tail ring this forces the snapshot bootstrap, then incremental polls.
-	d := &walDriver{conn: connP}
+	d := newWALDriver(connP, 1)
 	d.runCycles(t, 10)
 
 	connS, err := wire.Dial(addrS)
@@ -110,7 +110,7 @@ func TestFailoverEndToEnd(t *testing.T) {
 
 	waitFor(t, "standby catch-up", 5*time.Second, func() bool {
 		st, err := connS.ReplStatus()
-		return err == nil && st.Role == wire.RoleStandby && st.Applied == primary.walLog.LastSeq()
+		return err == nil && st.Role == wire.RoleStandby && st.Applied == primary.cores[0].walLog.LastSeq()
 	})
 
 	// The replicated copy holds the client's data: cycle 9 left record
@@ -133,14 +133,14 @@ func TestFailoverEndToEnd(t *testing.T) {
 	// true value — so the audit must restore goldenQ from the standby and
 	// spare the record the preemptive free.
 	shotID := make(chan uint64, 1)
-	primary.ctrl <- func() {
-		off, err := primary.db.TrueRecordOffset(callproc.TblRes, lastRi)
+	primary.cores[0].ctrl <- func() {
+		off, err := primary.cores[0].db.TrueRecordOffset(callproc.TblRes, lastRi)
 		if err != nil {
 			shotID <- 0
 			return
 		}
 		fOff := off + memdb.RecordHeaderSize + memdb.FieldSize*callproc.FldResQuality
-		shotID <- primary.injectAt(fOff+3, 7)
+		shotID <- primary.cores[0].injectAt(fOff+3, 7)
 	}
 	tid := <-shotID
 	if tid == 0 {

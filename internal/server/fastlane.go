@@ -27,38 +27,22 @@ import (
 // enough to show in a TRACE tail, cheap enough to leave the hot path alone.
 const fastTraceSample = 64
 
-// tryFastLane answers req from the connection goroutine when it is a read
-// opcode the view can serve. served=false means the caller must submit the
-// request to the executor as usual.
-func (s *Server) tryFastLane(c *conn, req wire.Request) (wire.Response, bool) {
-	switch req.Op {
-	case wire.OpReadRec, wire.OpReadFld, wire.OpStatus:
-	default:
+// tryFastLane answers a read opcode from the connection goroutine through
+// the view; req.Record is core-local and the front end has already checked
+// the session and the global bounds. served=false means the caller must
+// submit the request to the executor as usual.
+func (c *core) tryFastLane(cn *conn, req wire.Request) (wire.Response, bool) {
+	if c.view == nil {
 		return wire.Response{}, false
 	}
-	if s.view == nil {
-		return wire.Response{}, false
-	}
-	if s.standby.Load() {
-		// A standby outside serve-reads mode refuses reads with
-		// CodeStandby; let the executor say so.
-		if !s.serveReads.Load() {
-			return wire.Response{}, false
-		}
-		// Serve-reads standby: routed reads are session-less. Check the
-		// lease floor first — the applied sequence is stored only after a
-		// record's effects reach the region, so applied >= floor here
-		// guarantees the view read below observes everything up to the
-		// floor (it may observe newer state; the bound is one-sided).
-		if s.behindLease(req) {
-			resp := wire.ErrorResponse(req.Seq, wire.ErrStale)
-			s.noteFastLane(c, req, resp, time.Now())
-			return resp, true
-		}
-	} else if c.sess.Load() == nil {
-		// Deterministic and database-independent: answer without a hop.
-		resp := wire.ErrorResponse(req.Seq, wire.ErrNoSession)
-		s.noteFastLane(c, req, resp, time.Now())
+	// Serve-reads standby: check the lease floor first — the applied
+	// sequence is stored only after a record's effects reach the region, so
+	// applied >= floor here guarantees the view read below observes
+	// everything up to the floor (it may observe newer state; the bound is
+	// one-sided).
+	if c.standby.Load() && c.behindLease(req) {
+		resp := fail(req, wire.ErrStale)
+		c.noteFastLane(cn, req, resp, time.Now())
 		return resp, true
 	}
 	t0 := time.Now()
@@ -66,60 +50,57 @@ func (s *Server) tryFastLane(c *conn, req wire.Request) (wire.Response, bool) {
 	var resp wire.Response
 	switch req.Op {
 	case wire.OpReadRec:
-		vals, err := s.view.ReadRec(table, rec)
+		vals, err := c.view.ReadRec(table, rec)
 		if errors.Is(err, memdb.ErrContended) {
 			return wire.Response{}, false
 		}
 		if err != nil {
-			resp = wire.ErrorResponse(req.Seq, err)
+			resp = fail(req, err)
 		} else {
 			resp = ok(vals...)
 		}
 	case wire.OpReadFld:
-		v, err := s.view.ReadFld(table, rec, field)
+		v, err := c.view.ReadFld(table, rec, field)
 		if errors.Is(err, memdb.ErrContended) {
 			return wire.Response{}, false
 		}
 		if err != nil {
-			resp = wire.ErrorResponse(req.Seq, err)
+			resp = fail(req, err)
 		} else {
 			resp = ok(v)
 		}
 	case wire.OpStatus:
-		st, err := s.view.Status(table, rec)
+		st, err := c.view.Status(table, rec)
 		if errors.Is(err, memdb.ErrContended) {
 			return wire.Response{}, false
 		}
 		if err != nil {
-			resp = wire.ErrorResponse(req.Seq, err)
+			resp = fail(req, err)
 		} else {
 			resp = ok(uint32(st))
 		}
 	}
 	resp.Seq = req.Seq
-	s.noteFastLane(c, req, resp, t0)
+	c.noteFastLane(cn, req, resp, t0)
 	return resp, true
 }
 
 // noteFastLane applies the same accounting a queued request gets from
 // submit/execute — per-op counters, executed total, latency histogram —
 // plus the sampled fast-read trace event.
-func (s *Server) noteFastLane(c *conn, req wire.Request, resp wire.Response, t0 time.Time) {
+func (c *core) noteFastLane(cn *conn, req wire.Request, resp wire.Response, t0 time.Time) {
 	op := req.Op
-	if resp.Code == wire.CodeOK {
-		s.perOpOK[int(op)].Add(1)
-	} else {
-		s.perOpErr[int(op)].Add(1)
-	}
-	s.executed.Add(1)
+	c.count(op, resp.Code)
+	c.executed.Add(1)
+	s := c.srv
 	if s.tel != nil {
 		s.tel.latency[op].Observe(int64(time.Since(t0)))
 	}
-	if s.srvRing != nil && s.fastSeq.Add(1)%fastTraceSample == 1 {
+	if s.srvRing != nil && c.fastSeq.Add(1)%fastTraceSample == 1 {
 		s.srvRing.Emit(trace.Event{
 			Kind: trace.KindFastRead, Trace: s.rec.NextTrace(),
 			Op: op.String(), Code: int64(resp.Code),
-			Arg: int64(time.Since(t0)), Aux: int64(c.id),
+			Arg: int64(time.Since(t0)), Aux: int64(cn.id),
 		})
 	}
 }

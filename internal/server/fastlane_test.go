@@ -16,7 +16,7 @@ import (
 // releasing the stall must drain them in one wakeup — observable as a
 // batch-exec trace event with the batch size.
 func TestExecutorBatchDrain(t *testing.T) {
-	srv, addr := startServer(t, Config{})
+	srv, addr := newTestServer(t, 1, Config{})
 
 	const writers = 3
 	conns := make([]*wire.Conn, writers)
@@ -39,7 +39,7 @@ func TestExecutorBatchDrain(t *testing.T) {
 
 	// Stall the executor so the writes below pile up in the request queue.
 	release := make(chan struct{})
-	srv.ctrl <- func() { <-release }
+	srv.cores[0].ctrl <- func() { <-release }
 
 	var wg sync.WaitGroup
 	errs := make([]error, writers)
@@ -78,7 +78,7 @@ func TestExecutorBatchDrain(t *testing.T) {
 // checks the fastlane.* counters and batch-size histogram reach the STATS2
 // snapshot clients poll.
 func TestFastLaneCountersInSnapshot(t *testing.T) {
-	_, addr := startServer(t, Config{})
+	_, addr := newTestServer(t, 1, Config{})
 	c, err := wire.Dial(addr)
 	if err != nil {
 		t.Fatal(err)

@@ -7,36 +7,39 @@ import (
 )
 
 // buildHealthPlane assembles the health & SLO plane: the detection-latency
-// tracker tapped into the trace recorder, the audit-debt meter the periodic
-// element reports into, and the SLO evaluator over the serving, audit, and
-// replication subsystems. Called once from New, before registerMetrics and
-// before the executor starts, so every objective is declared before the
-// first evaluation. The plane requires both metrics and tracing: the
-// detector is fed by the recorder's live tap, and the gauges ride STATS2.
-func (s *Server) buildHealthPlane() {
+// tracker tapped into the trace recorder (trace IDs are unique across
+// cores, so shot/finding joins work whichever core's audit detected the
+// damage), the audit-debt meter every core's periodic element reports into,
+// and the SLO evaluator over the serving, audit, and replication
+// subsystems, each objective reading the cores in aggregate. Called once
+// from NewSharded, before any executor starts, so every objective is
+// declared before the first evaluation. The plane requires both metrics and
+// tracing: the detector is fed by the recorder's live tap, and the gauges
+// ride STATS2.
+func (s *Server) buildHealthPlane(debt *health.DebtMeter) {
 	if s.cfg.DisableHealth || s.tel == nil || s.rec == nil {
 		return
 	}
 	p := health.NewPlane(s.cfg.SLO, s.rec.Now)
 	slo := p.SLO()
-
-	if s.cfg.AuditPeriod > 0 {
-		s.healthDebt = health.NewDebtMeter(s.cfg.AuditPeriod)
-		p.SetDebt(s.healthDebt)
+	sum := func(per func(*core) uint64) func() float64 {
+		return func() float64 {
+			var t uint64
+			for _, c := range s.cores {
+				t += per(c)
+			}
+			return float64(t)
+		}
 	}
 
-	// serving: request sheds per second at the bounded executor queue.
+	// serving: request sheds per second at the bounded executor queues.
 	p.AddObjective(health.Objective{
 		Name: "shed-rate", Subsystem: "serving", Bound: slo.MaxShedRate,
-		Value: health.Rate(func() float64 {
-			s.dropMu.Lock()
-			defer s.dropMu.Unlock()
-			return float64(s.dropped)
-		}, time.Second),
+		Value: health.Rate(sum(func(c *core) uint64 { return c.reqDrops().Dropped }), time.Second),
 	})
 
-	// audit: is corruption still found fast enough, and is the periodic
-	// scheduler keeping its own cadence?
+	// audit: is corruption still found fast enough, and are the periodic
+	// schedulers keeping their own cadence?
 	det := p.Detect()
 	p.AddObjective(health.Objective{
 		Name: "detect-p99", Subsystem: "audit",
@@ -52,73 +55,79 @@ func (s *Server) buildHealthPlane() {
 			return float64(det.Snapshot(now).OldestOpen.Milliseconds())
 		},
 	})
-	if s.cfg.AuditPeriod > 0 {
-		debt := s.healthDebt
+	if debt != nil {
+		p.SetDebt(debt)
 		p.AddObjective(health.Objective{
 			Name: "audit-behind", Subsystem: "audit", Bound: slo.MaxAuditBehind,
 			Value: func(time.Duration) float64 { return float64(debt.Behind()) },
 		})
 		p.AddObjective(health.Objective{
 			Name: "heartbeat-miss", Subsystem: "audit", Bound: slo.MaxHeartbeatMissPerMin,
-			Value: health.Rate(func() float64 {
-				return float64(s.hbMisses.Load())
-			}, time.Minute),
+			Value: health.Rate(sum(func(c *core) uint64 { return c.hbMisses.Load() }), time.Minute),
 		})
 	}
 
-	// replication: only when this node participates in replication at
-	// all. The value is role-aware: a standby reports its own distance
-	// behind the primary (its applier's estimate), a primary the distance
-	// of its slowest live standby (zero with no live peers — a lone
-	// primary is not "behind"). A WAL-backed standby also has a shipper,
-	// whose LastSeq grows with every applied record while no peer ever
-	// acks; reading the shipper there would charge the standby's entire
-	// log length against the primary-facing SLO — a false CRITICAL.
-	if s.shipper != nil || s.applier != nil {
+	// replication: only when this node participates in replication at all.
+	if c := s.cores[0]; c.shipper != nil || c.applier != nil {
 		p.AddObjective(health.Objective{
 			Name: "repl-lag", Subsystem: "replication", Bound: slo.MaxReplLag,
-			Value: func(time.Duration) float64 {
-				if s.standby.Load() {
-					if s.applier != nil {
-						return float64(s.applier.Lag())
-					}
-					return 0
-				}
-				if s.shipper != nil {
-					return float64(s.shipper.Lag())
-				}
-				return 0
-			},
+			Value: func(time.Duration) float64 { return float64(s.replLag()) },
 		})
 	}
 
+	p.RegisterMetrics(s.reg)
 	// Register the recorder tap last: objectives are wired, so a shot
 	// arriving immediately is accounted against a complete plane.
 	s.rec.Observe(p.OnTraceEvent)
 	s.health = p
+	// The plane evaluates on core 0's metrics refresh: every clock tick,
+	// before STATS2 snapshots, and at drain.
+	s.cores[0].onRefresh = p.Tick
 }
 
-// Health returns the current health status document. Safe from any
-// goroutine — the plane's state is read lock-free or under its own short
-// locks, never via the executor. ok is false when the plane is disabled.
+// replLag is the role-aware lag estimate: a standby reports its own
+// distance behind the primary (its appliers' estimate), a primary the
+// distance of its slowest live standby (zero with no live peers — a lone
+// primary is not "behind"); with several streams the worst one counts,
+// because one stalled stream is one unrecoverable region. A WAL-backed
+// standby also has a shipper, whose LastSeq grows with every applied record
+// while no peer ever acks; reading the shipper there would charge the
+// standby's entire log length against the primary-facing SLO — a false
+// CRITICAL.
+func (s *Server) replLag() uint64 {
+	var worst uint64
+	standby := s.standby.Load()
+	for _, c := range s.cores {
+		var v uint64
+		if standby {
+			if c.applier != nil {
+				v = c.applier.Lag()
+			}
+		} else if c.shipper != nil {
+			v = c.shipper.Lag()
+		}
+		if v > worst {
+			worst = v
+		}
+	}
+	return worst
+}
+
+// Health returns the current health status document, decorated with this
+// node's replication role so /healthz and the HEALTH op attribute a
+// read-serving standby's shadow-audit state to the standby rather than the
+// primary's SLOs. Safe from any goroutine — the plane's state is read
+// lock-free or under its own short locks, never via the executor. ok is
+// false when the plane is disabled.
 func (s *Server) Health() (health.Status, bool) {
 	if s.health == nil {
 		return health.Status{}, false
 	}
-	return s.healthStatus(), true
-}
-
-// healthStatus decorates the plane's snapshot with this node's replication
-// role, so /healthz and the HEALTH op attribute a read-serving standby's
-// shadow-audit state to the standby rather than the primary's SLOs.
-func (s *Server) healthStatus() health.Status {
 	st := s.health.Status()
-	if tag := s.roleTag(); tag != "" {
-		st.Role = tag
-	} else {
+	if st.Role = roleTag(s.standby.Load(), s.cfg.ServeReads); st.Role == "" {
 		st.Role = "primary"
 	}
-	return st
+	return st, true
 }
 
 // HealthPlane exposes the plane itself (nil when disabled) for tests and

@@ -15,7 +15,7 @@ import (
 // must account sweeps, and the HEALTH wire op must carry a parseable Status
 // document reporting all of it.
 func TestHealthEndToEnd(t *testing.T) {
-	srv, addr := startServer(t, Config{
+	srv, addr := newTestServer(t, 1, Config{
 		AuditPeriod:  20 * time.Millisecond,
 		InjectPeriod: 15 * time.Millisecond,
 		InjectSeed:   3,
@@ -103,7 +103,7 @@ func TestHealthDisabled(t *testing.T) {
 		"no-metrics": {DisableMetrics: true},
 		"no-trace":   {DisableTrace: true},
 	} {
-		srv, addr := startServer(t, cfg)
+		srv, addr := newTestServer(t, 1, cfg)
 		if srv.HealthPlane() != nil {
 			t.Fatalf("%s: health plane built", name)
 		}

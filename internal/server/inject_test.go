@@ -14,7 +14,7 @@ import (
 // a forced sweep must join every shot to a finding by trace ID, and
 // disarming must stop the shots.
 func TestInjectCtlArmsStaticInjector(t *testing.T) {
-	srv, addr := startServer(t, Config{AuditPeriod: 10 * time.Millisecond})
+	srv, addr := newTestServer(t, 1, Config{AuditPeriod: 10 * time.Millisecond})
 
 	c, err := wire.Dial(addr)
 	if err != nil {
@@ -36,7 +36,7 @@ func TestInjectCtlArmsStaticInjector(t *testing.T) {
 	}
 
 	// Static mode must only ever hit the non-catalog static extents.
-	catalog := srv.db.CatalogExtent()
+	catalog := srv.cores[0].db.CatalogExtent()
 	for _, s := range shots {
 		if s.Op != "dbflip" {
 			t.Fatalf("unexpected shot model %q", s.Op)
@@ -46,7 +46,7 @@ func TestInjectCtlArmsStaticInjector(t *testing.T) {
 			t.Fatalf("static-mode shot hit the catalog at %d", off)
 		}
 		in := false
-		for _, e := range srv.db.StaticExtents() {
+		for _, e := range srv.cores[0].db.StaticExtents() {
 			if e.Name != "catalog" && off >= e.Off && off < e.Off+e.Len {
 				in = true
 			}
@@ -86,7 +86,7 @@ func TestInjectCtlArmsStaticInjector(t *testing.T) {
 
 // TestInjectCtlValidates rejects malformed control requests.
 func TestInjectCtlValidates(t *testing.T) {
-	_, addr := startServer(t, Config{})
+	_, addr := newTestServer(t, 1, Config{})
 	c, err := wire.Dial(addr)
 	if err != nil {
 		t.Fatal(err)

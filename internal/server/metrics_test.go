@@ -15,7 +15,7 @@ import (
 // histograms, audit check runtimes and sweep/finding counters, queue
 // gauges, and the memdb table activity bridge.
 func TestStats2Snapshot(t *testing.T) {
-	_, addr := startServer(t, Config{QueueDepth: 64, AuditPeriod: 20 * time.Millisecond})
+	_, addr := newTestServer(t, 1, Config{QueueDepth: 64, AuditPeriod: 20 * time.Millisecond})
 	c, err := wire.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -119,7 +119,7 @@ func TestStats2Snapshot(t *testing.T) {
 // the server's metrics and that Server.Metrics returns it.
 func TestStats2SharedRegistry(t *testing.T) {
 	reg := metrics.NewRegistry()
-	srv, addr := startServer(t, Config{Metrics: reg})
+	srv, addr := newTestServer(t, 1, Config{Metrics: reg})
 	if srv.Metrics() != reg {
 		t.Fatal("Server.Metrics() did not return the supplied registry")
 	}
@@ -140,7 +140,7 @@ func TestStats2SharedRegistry(t *testing.T) {
 // TestStats2Disabled checks the off switch: no registry, and STATS2
 // answers an error instead of a document.
 func TestStats2Disabled(t *testing.T) {
-	srv, addr := startServer(t, Config{DisableMetrics: true})
+	srv, addr := newTestServer(t, 1, Config{DisableMetrics: true})
 	if srv.Metrics() != nil {
 		t.Fatal("Server.Metrics() non-nil with DisableMetrics")
 	}

@@ -67,34 +67,26 @@ func (t *procTelemetry) histFor(name string) *metrics.Histogram {
 // abort surfaces to the client, the damage becomes a control-flow finding
 // joined to this request's trace ID, and the registry reloads the pristine
 // text so the next invocation runs clean.
-func (s *Server) handleProcExec(sess proc.Session, q wire.Request, tid uint64) wire.Response {
-	p := s.procs.Get(q.Detail)
+func (c *core) handleProcExec(sess proc.Session, q wire.Request, tid uint64) wire.Response {
+	p := c.procs.Get(q.Detail)
 	if p == nil {
 		return wire.ErrorResponse(q.Seq, fmt.Errorf("%s: %w", q.Detail, wire.ErrUnknownProc))
 	}
 	t0 := time.Now()
-	res := s.procEng.Exec(p, sess, q.Vals, tid)
-	if s.procTel != nil {
-		s.procTel.execs.Inc()
-		s.procTel.histFor(p.Name).ObserveSince(t0)
+	res := c.procEng.Exec(p, sess, q.Vals, tid)
+	if c.procTel != nil {
+		c.procTel.execs.Inc()
+		c.procTel.histFor(p.Name).ObserveSince(t0)
 	}
-	if len(res.Applied) > 0 {
-		if s.cfg.procLog != nil {
-			// Sharded: the coordinator owns the mutation log, routing each
-			// applied mutation to the shard whose WAL stream owns the record.
-			s.cfg.procLog(res.Applied, tid)
-		} else {
-			s.logProcMutations(res.Applied, tid)
-		}
-	}
+	c.srv.logProcMutations(res.Applied, tid)
 	switch res.Status {
 	case proc.StatusOK:
 		return ok(res.Out...)
 	case proc.StatusViolation:
-		if s.procTel != nil {
-			s.procTel.violations.Inc()
+		if c.procTel != nil {
+			c.procTel.violations.Inc()
 		}
-		s.noteProcDamage(p, tid,
+		c.noteProcDamage(p, tid,
 			fmt.Sprintf("proc %s: assert pc=%d target=%d", p.Name, res.AssertPC, res.Target))
 		return wire.ErrorResponse(q.Seq,
 			fmt.Errorf("%s: %s: %w", p.Name, res.Reason, wire.ErrProcViolation))
@@ -106,18 +98,18 @@ func (s *Server) handleProcExec(sess proc.Session, q wire.Request, tid uint64) w
 		if len(res.Applied) == 0 && errors.Is(res.Err, memdb.ErrLocked) && !p.Damaged() {
 			return wire.ErrorResponse(q.Seq, fmt.Errorf("%s: %w", p.Name, res.Err))
 		}
-		if s.procTel != nil {
-			s.procTel.faults.Inc()
+		if c.procTel != nil {
+			c.procTel.faults.Inc()
 		}
 		if p.Damaged() {
-			s.noteProcDamage(p, tid,
+			c.noteProcDamage(p, tid,
 				fmt.Sprintf("proc %s: commit: %v (text damaged)", p.Name, res.Err))
 		}
 		return wire.ErrorResponse(q.Seq,
 			fmt.Errorf("%s: commit: %v: %w", p.Name, res.Err, wire.ErrProcFault))
 	default: // StatusFault
-		if s.procTel != nil {
-			s.procTel.faults.Inc()
+		if c.procTel != nil {
+			c.procTel.faults.Inc()
 		}
 		// A fault in a procedure whose live text differs from the pristine
 		// image is detected text damage even when no PECOS assertion fired
@@ -125,7 +117,7 @@ func (s *Server) handleProcExec(sess proc.Session, q wire.Request, tid uint64) w
 		// it rides the same finding/reload ladder so the registry keeps
 		// serving.
 		if p.Damaged() {
-			s.noteProcDamage(p, tid,
+			c.noteProcDamage(p, tid,
 				fmt.Sprintf("proc %s: %s (text damaged)", p.Name, res.Reason))
 		}
 		return wire.ErrorResponse(q.Seq,
@@ -140,21 +132,21 @@ func (s *Server) handleProcExec(sess proc.Session, q wire.Request, tid uint64) w
 // instrumented image. procTID is set around noteFinding so resolveShot
 // joins the finding (and its recovery event) to the PROC request whose
 // execution tripped the detection.
-func (s *Server) noteProcDamage(p *proc.Procedure, tid uint64, detail string) {
+func (c *core) noteProcDamage(p *proc.Procedure, tid uint64, detail string) {
 	f := audit.Finding{
 		Class: audit.ClassControlFlow, Action: audit.ActionReloadText,
 		Table: -1, Record: -1, Field: -1, Offset: -1,
 		Detail: detail,
 	}
-	s.procTID = tid
-	s.noteFinding(f)
-	s.procTID = 0
-	s.procs.Reload(p.Name)
-	if s.procTel != nil {
-		s.procTel.reloads.Inc()
+	c.procTID = tid
+	c.noteFinding(f)
+	c.procTID = 0
+	c.procs.Reload(p.Name)
+	if c.procTel != nil {
+		c.procTel.reloads.Inc()
 	}
-	if s.procRing != nil {
-		s.procRing.Emit(trace.Event{
+	if c.procRing != nil {
+		c.procRing.Emit(trace.Event{
 			Kind: trace.KindProcLoad, Trace: tid, Op: "reload",
 			Detail: p.Name, Code: int64(p.Version),
 		})
@@ -164,18 +156,18 @@ func (s *Server) noteProcDamage(p *proc.Procedure, tid uint64, detail string) {
 // handleProcLoad registers (or replaces) a procedure from wire-supplied
 // source: Detail is name + "\n" + source. Session-less, like the other
 // control-plane ops.
-func (s *Server) handleProcLoad(q wire.Request) wire.Response {
+func (c *core) handleProcLoad(_ *conn, q wire.Request, _ uint64) wire.Response {
 	name, source, found := strings.Cut(q.Detail, "\n")
 	if !found || source == "" {
 		return wire.ErrorResponse(q.Seq,
 			fmt.Errorf("%w: ProcLoad detail must be name + newline + source", wire.ErrBadFrame))
 	}
-	p, err := s.procs.Load(name, source)
+	p, err := c.procs.Load(name, source)
 	if err != nil {
-		return wire.ErrorResponse(q.Seq, err)
+		return fail(q, err)
 	}
-	if s.procRing != nil {
-		s.procRing.Emit(trace.Event{
+	if c.procRing != nil {
+		c.procRing.Emit(trace.Event{
 			Kind: trace.KindProcLoad, Op: "load",
 			Detail: p.Name, Code: int64(p.Version), Arg: int64(p.Words()),
 		})
@@ -184,44 +176,45 @@ func (s *Server) handleProcLoad(q wire.Request) wire.Response {
 }
 
 // handleProcList serves the registry inventory as a JSON document.
-func (s *Server) handleProcList(q wire.Request) wire.Response {
-	data, err := proc.EncodeInfos(s.procs.Infos())
+func (c *core) handleProcList(_ *conn, q wire.Request, _ uint64) wire.Response {
+	data, err := proc.EncodeInfos(c.procs.Infos())
 	if err != nil {
-		return wire.ErrorResponse(q.Seq, err)
+		return fail(q, err)
 	}
 	return wire.Response{Detail: string(data)}
 }
 
 // logProcMutations appends a committed procedure's mutations to the
-// operation log so procedure effects replicate and replay like any other
-// write. The PROC request itself is not logged (walRecordFor returns nil
-// for it): replaying the program could diverge — only its applied effects
-// are deterministic.
+// operation log of the core that owns each record, so procedure effects
+// replicate and replay like any other write. The PROC request itself is not
+// logged (walRecordFor returns nil for it): replaying the program could
+// diverge — only its applied effects are deterministic. Runs under the
+// procedure barrier, which makes the caller every log's only writer.
 func (s *Server) logProcMutations(applied []proc.Mutation, tid uint64) {
-	if s.walLog == nil || s.standby.Load() {
+	if s.standby.Load() {
 		return
 	}
+	n := len(s.cores)
 	for _, m := range applied {
-		var rec wal.Record
+		c := s.cores[memdb.ShardOf(m.Rec, n)]
+		if c.walLog == nil {
+			continue
+		}
+		rec := wal.Record{Table: int32(m.Table), Rec: int32(memdb.LocalIndex(m.Rec, n)), Trace: tid}
 		switch m.Kind {
 		case proc.MutWriteFld:
-			rec = wal.Record{Op: wal.OpWriteFld, Table: int32(m.Table), Rec: int32(m.Rec),
-				Field: int32(m.Field), Vals: []uint32{m.Val}}
+			rec.Op, rec.Field, rec.Vals = wal.OpWriteFld, int32(m.Field), []uint32{m.Val}
 		case proc.MutAlloc:
-			rec = wal.Record{Op: wal.OpAlloc, Table: int32(m.Table), Rec: int32(m.Rec),
-				Aux: int32(m.Group)}
+			rec.Op, rec.Aux = wal.OpAlloc, int32(m.Group)
 		case proc.MutFree:
-			rec = wal.Record{Op: wal.OpFree, Table: int32(m.Table), Rec: int32(m.Rec)}
+			rec.Op = wal.OpFree
 		case proc.MutMove:
-			rec = wal.Record{Op: wal.OpMove, Table: int32(m.Table), Rec: int32(m.Rec),
-				Aux: int32(m.Group)}
+			rec.Op, rec.Aux = wal.OpMove, int32(m.Group)
 		default:
 			continue
 		}
-		rec.Trace = tid
-		if _, err := s.walLog.Append(rec); err != nil && s.replRing != nil {
-			s.replRing.Emit(trace.Event{Kind: trace.KindWALRecover,
-				Op: "append-error", Detail: err.Error()})
+		if _, err := c.walLog.Append(rec); err != nil {
+			c.walFault("append-error", err)
 		}
 	}
 }
@@ -229,28 +222,28 @@ func (s *Server) logProcMutations(applied []proc.Mutation, tid uint64) {
 // procInjectOnce is the procedure text injector (Config.ProcInjectPeriod):
 // flip one bit in a random registered procedure's control words while real
 // connections invoke it. Executor thread only (env ticker).
-func (s *Server) procInjectOnce() {
-	if s.procFlip == nil || s.procs.Len() == 0 {
+func (c *core) procInjectOnce() {
+	if c.procFlip == nil || c.procs.Len() == 0 {
 		return
 	}
-	names := s.procs.Names()
-	name := names[s.procRNG.Intn(len(names))]
-	p := s.procs.Get(name)
-	addr, mask, flipped := s.procFlip.Flip(p.Text(), p.ControlWords())
+	names := c.procs.Names()
+	name := names[c.procRNG.Intn(len(names))]
+	p := c.procs.Get(name)
+	addr, mask, flipped := c.procFlip.Flip(p.Text(), p.ControlWords())
 	if !flipped {
 		return
 	}
-	s.journalProcShot(p.Name, addr, mask)
+	c.journalProcShot(p.Name, addr, mask)
 }
 
 // procInjectAt flips one bit of one registered procedure's live text — the
 // deterministic variant for targeted tests. Executor thread only.
-func (s *Server) procInjectAt(name string, addr uint32, bit uint) bool {
-	p := s.procs.Get(name)
+func (c *core) procInjectAt(name string, addr uint32, bit uint) bool {
+	p := c.procs.Get(name)
 	if p == nil {
 		return false
 	}
-	flip := s.procFlip
+	flip := c.procFlip
 	if flip == nil {
 		flip = &inject.TextFlipper{}
 	}
@@ -258,7 +251,7 @@ func (s *Server) procInjectAt(name string, addr uint32, bit uint) bool {
 	if !flipped {
 		return false
 	}
-	s.journalProcShot(name, addr, mask)
+	c.journalProcShot(name, addr, mask)
 	return true
 }
 
@@ -266,15 +259,96 @@ func (s *Server) procInjectAt(name string, addr uint32, bit uint) bool {
 // shot deliberately does NOT join s.shots: those offsets are region byte
 // offsets matched by Finding.Covers, and a VM text address would falsely
 // join database findings.
-func (s *Server) journalProcShot(name string, addr, mask uint32) {
-	if s.procTel != nil {
-		s.procTel.shots.Inc()
+func (c *core) journalProcShot(name string, addr, mask uint32) {
+	if c.procTel != nil {
+		c.procTel.shots.Inc()
 	}
-	if s.rec == nil || s.injRing == nil {
+	if c.injRing == nil {
 		return
 	}
-	s.injRing.Emit(trace.Event{
-		Kind: trace.KindShot, Trace: s.rec.NextTrace(), Op: "textflip",
+	c.injRing.Emit(trace.Event{
+		Kind: trace.KindShot, Trace: c.srv.rec.NextTrace(), Op: "textflip",
 		Detail: name, Arg: int64(addr), Code: int64(mask),
 	})
+}
+
+// spanSession is the proc.Session a procedure runs against: each call
+// translates the global record index and runs on the owning core's session
+// client. Only valid on core 0's executor while every other executor is
+// parked (see Server.procExec).
+type spanSession struct {
+	s    *Server
+	sess []*memdb.Client
+}
+
+func (ss *spanSession) locate(table, rec int) (*memdb.Client, int, error) {
+	n, recs := len(ss.sess), ss.s.globalRecs
+	if table < 0 || table >= len(recs) {
+		// Bad table: any core produces the identical table bounds error.
+		return ss.sess[0], rec, nil
+	}
+	if rec < 0 || rec >= recs[table] {
+		return nil, 0, &memdb.BoundsError{What: "record", Index: rec, Limit: recs[table]}
+	}
+	return ss.sess[memdb.ShardOf(rec, n)], memdb.LocalIndex(rec, n), nil
+}
+
+// global restates a not-active error with the record's global index; the
+// owning core's client names its own, local one.
+func global(err error, table, rec int) error {
+	if errors.Is(err, memdb.ErrNotActive) {
+		return fmt.Errorf("table %d record %d: %w", table, rec, memdb.ErrNotActive)
+	}
+	return err
+}
+
+func (ss *spanSession) ReadFld(table, rec, field int) (uint32, error) {
+	cl, l, err := ss.locate(table, rec)
+	if err != nil {
+		return 0, err
+	}
+	return cl.ReadFld(table, l, field)
+}
+
+func (ss *spanSession) WriteFld(table, rec, field int, val uint32) error {
+	cl, l, err := ss.locate(table, rec)
+	if err != nil {
+		return err
+	}
+	return global(cl.WriteFld(table, l, field, val), table, rec)
+}
+
+func (ss *spanSession) Free(table, rec int) error {
+	cl, l, err := ss.locate(table, rec)
+	if err != nil {
+		return err
+	}
+	return cl.Free(table, l)
+}
+
+func (ss *spanSession) Move(table, rec, group int) error {
+	cl, l, err := ss.locate(table, rec)
+	if err != nil {
+		return err
+	}
+	return global(cl.Move(table, l, group), table, rec)
+}
+
+// Alloc rotates over the cores like the front end's DBalloc routing; only
+// table exhaustion moves on to the next stripe.
+func (ss *spanSession) Alloc(table, group int) (int, error) {
+	n := len(ss.sess)
+	start := int(ss.s.allocSeq.Add(1)-1) % n
+	var err error
+	for i := 0; i < n; i++ {
+		k := (start + i) % n
+		var ri int
+		if ri, err = ss.sess[k].Alloc(table, group); err == nil {
+			return memdb.GlobalIndex(ri, k, n), nil
+		}
+		if !errors.Is(err, memdb.ErrNoFreeRecord) {
+			break
+		}
+	}
+	return 0, err
 }

@@ -21,7 +21,7 @@ import (
 // recovery on the audit ladder carrying the same ID, (4) a recovered
 // procedure on the next call, and (5) a clean certifying sweep.
 func TestProcExecDetectionJoinRecovery(t *testing.T) {
-	srv, addr := startServer(t, Config{})
+	srv, addr := newTestServer(t, 1, Config{})
 	c, err := wire.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -78,14 +78,14 @@ func TestProcExecDetectionJoinRecovery(t *testing.T) {
 	// Targeted shot: flip the critical valid-target word of res_touch on
 	// the executor thread, exactly as the injector ticker would.
 	flipped := make(chan bool, 1)
-	srv.ctrl <- func() {
-		p := srv.procs.Get("res_touch")
+	srv.cores[0].ctrl <- func() {
+		p := srv.cores[0].procs.Get("res_touch")
 		addr, ok := p.CriticalWord()
 		if !ok {
 			flipped <- false
 			return
 		}
-		flipped <- srv.procInjectAt("res_touch", addr, 3)
+		flipped <- srv.cores[0].procInjectAt("res_touch", addr, 3)
 	}
 	if !<-flipped {
 		t.Fatal("targeted text flip failed")
@@ -169,7 +169,7 @@ func TestProcExecDetectionJoinRecovery(t *testing.T) {
 // trace IDs, recovery keeps the registry serving, committed writes match
 // the client-side golden copy, and the final sweep is clean.
 func TestProcConcurrentTrafficWithInjection(t *testing.T) {
-	srv, addr := startServer(t, Config{
+	srv, addr := newTestServer(t, 1, Config{
 		ProcInjectPeriod: 2 * time.Millisecond,
 		ProcInjectSeed:   7,
 	})

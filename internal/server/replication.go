@@ -44,13 +44,29 @@ const mirrorTimeout = 250 * time.Millisecond
 // wire.MaxDetail.
 const snapChunk = 24 * 1024
 
-// Role reports whether the server currently serves as primary or standby.
-// Safe from any goroutine.
-func (s *Server) Role() int {
-	if s.standby.Load() {
+const operatorPromotion = "operator-ordered promotion"
+
+// role is the wire role code of a standby flag.
+func role(standby bool) int {
+	if standby {
 		return wire.RoleStandby
 	}
 	return wire.RolePrimary
+}
+
+// walFault records a failed durability step: an event on the repl ring named
+// for the step, and the first such error kept for Shutdown to return. A nil
+// err is not a fault. Executor thread only.
+func (c *core) walFault(step string, err error) {
+	if err == nil {
+		return
+	}
+	if c.walErr == nil {
+		c.walErr = fmt.Errorf("server: wal %s: %w", step, err)
+	}
+	if c.replRing != nil {
+		c.replRing.Emit(trace.Event{Kind: trace.KindWALRecover, Op: step, Detail: err.Error()})
+	}
 }
 
 // logMutation appends one successfully executed mutating request to the
@@ -58,8 +74,8 @@ func (s *Server) Role() int {
 // was logged) — the write-acknowledgement token the client's router uses
 // as its read-your-writes lease floor. Alloc logs the index the executor
 // chose (resp.Vals[0]), so replay is deterministic. Executor thread only.
-func (s *Server) logMutation(q wire.Request, resp wire.Response, tid uint64) uint64 {
-	if s.walLog == nil || resp.Code != wire.CodeOK || s.standby.Load() {
+func (c *core) logMutation(q wire.Request, resp wire.Response, tid uint64) uint64 {
+	if c.walLog == nil || resp.Code != wire.CodeOK || c.standby.Load() {
 		return 0
 	}
 	rec := walRecordFor(q, resp)
@@ -67,11 +83,9 @@ func (s *Server) logMutation(q wire.Request, resp wire.Response, tid uint64) uin
 		return 0
 	}
 	rec.Trace = tid
-	seq, err := s.walLog.Append(*rec)
+	seq, err := c.walLog.Append(*rec)
 	if err != nil {
-		if s.replRing != nil {
-			s.replRing.Emit(trace.Event{Kind: trace.KindWALRecover, Op: "append-error", Detail: err.Error()})
-		}
+		c.walFault("append-error", err)
 		return 0
 	}
 	return seq
@@ -101,40 +115,41 @@ func walRecordFor(q wire.Request, resp wire.Response) *wal.Record {
 
 // syncWAL batches pending appends into one fsync and writes a fresh
 // checkpoint once enough log has accumulated. Executor clock tick only.
-func (s *Server) syncWAL() {
-	if s.walLog == nil {
+func (c *core) syncWAL() {
+	if c.walLog == nil {
 		return
 	}
-	if s.walLog.Pending() > 0 {
-		_ = s.walLog.Sync()
+	if c.walLog.Pending() > 0 {
+		c.walFault("sync-error", c.walLog.Sync())
 	}
-	if !s.standby.Load() && s.cfg.CheckpointCap > 0 &&
-		s.walLog.SizeSinceCheckpoint() >= s.cfg.CheckpointCap {
-		s.checkpointNow()
+	if capBytes := c.srv.cfg.CheckpointCap; !c.standby.Load() && capBytes > 0 &&
+		c.walLog.SizeSinceCheckpoint() >= capBytes {
+		c.checkpointNow()
 	}
 }
 
 // checkpointNow captures the live region as the log's new recovery base.
 // Executor thread only.
-func (s *Server) checkpointNow() {
-	if err := s.walLog.Checkpoint(s.db.SnapshotInto); err != nil {
+func (c *core) checkpointNow() {
+	if err := c.walLog.Checkpoint(c.db.SnapshotInto); err != nil {
+		c.walFault("checkpoint-error", err)
 		return
 	}
-	if s.replRing != nil {
-		s.replRing.Emit(trace.Event{Kind: trace.KindWALCheckpoint,
-			Aux: int64(s.walLog.CheckpointSeq())})
+	if c.replRing != nil {
+		c.replRing.Emit(trace.Event{Kind: trace.KindWALCheckpoint,
+			Aux: int64(c.walLog.CheckpointSeq())})
 	}
 }
 
 // replStep is the standby's poll tick: one Applier round, promoting when
 // the primary has been unreachable for the configured streak. Executor
 // thread only (env ticker).
-func (s *Server) replStep() {
-	if !s.standby.Load() || s.applier == nil {
+func (c *core) replStep() {
+	if !c.standby.Load() || c.applier == nil {
 		return
 	}
-	if s.applier.Step() {
-		s.promote(fmt.Sprintf("primary unreachable for %d polls", s.cfg.ReplFailLimit))
+	if c.applier.Step() {
+		c.promote(fmt.Sprintf("primary unreachable for %d polls", c.srv.cfg.ReplFailLimit))
 	}
 }
 
@@ -143,65 +158,54 @@ func (s *Server) replStep() {
 // escalation level of the recovery ladder — beyond field reset, record
 // free, extent reload, and full reload, the service itself moves to the
 // mirror. Executor thread only (poll ticker or OpReplPromote).
-func (s *Server) promote(reason string) {
-	if !s.standby.CompareAndSwap(true, false) {
+func (c *core) promote(reason string) {
+	if !c.standby.CompareAndSwap(true, false) {
 		return
 	}
-	if s.replTicker != nil {
-		s.replTicker.Stop()
+	if c.replTicker != nil {
+		c.replTicker.Stop()
 	}
-	if s.applier != nil {
-		s.applier.Close()
+	if c.applier != nil {
+		c.applier.Close()
 	}
-	if s.staticChk != nil {
-		s.staticChk.DetectOnly = false
-	}
-	if s.structChk != nil {
-		s.structChk.DetectOnly = false
-	}
-	if s.rangeChk != nil {
-		s.rangeChk.DetectOnly = false
-	}
+	c.setDetectOnly(false)
 	f := audit.Finding{
 		Class: audit.ClassFailover, Action: audit.ActionPromote,
 		Table: -1, Record: -1, Field: -1, Offset: -1,
 		Detail: reason,
 	}
-	s.noteFinding(f)
-	if s.replRing != nil {
-		s.replRing.Emit(trace.Event{Kind: trace.KindReplPromote, Detail: reason})
+	c.noteFinding(f)
+	if c.replRing != nil {
+		c.replRing.Emit(trace.Event{Kind: trace.KindReplPromote, Detail: reason})
 	}
-	if s.cfg.onPromote != nil {
-		// Role coherence under a sharded coordinator: one shard's promotion
-		// (self-triggered or requested) promotes the whole group. The CAS
-		// above makes the resulting fan-out converge.
-		s.cfg.onPromote(reason)
-	}
+	// Role coherence: one core's promotion (self-triggered or requested)
+	// promotes the whole group. The CAS above makes the fan-out converge.
+	c.srv.notePromote(reason)
 }
 
 // fetchMirror reads the standby's copy of a record for mirror-sourced audit
 // repair (audit.RangeCheck.Mirror). Executor thread only; the cached
 // connection is dropped on any error so the next sweep redials.
-func (s *Server) fetchMirror(table, rec int) ([]uint32, bool) {
-	if s.shipper == nil || s.standby.Load() {
+func (c *core) fetchMirror(table, rec int) ([]uint32, bool) {
+	if c.shipper == nil || c.standby.Load() {
 		return nil, false
 	}
-	addr := s.shipper.MirrorAddr()
+	addr := c.shipper.MirrorAddr()
 	if addr == "" {
 		return nil, false
 	}
-	if s.mirrorConn == nil {
+	if c.mirrorConn == nil {
 		nc, err := net.DialTimeout("tcp", addr, mirrorTimeout)
 		if err != nil {
 			return nil, false
 		}
-		s.mirrorConn = wire.NewConn(nc)
-		s.mirrorConn.Timeout = mirrorTimeout
+		c.mirrorConn = wire.NewConn(nc)
+		c.mirrorConn.Timeout = mirrorTimeout
 	}
-	st, vals, err := s.mirrorConn.ReplFetchShard(s.cfg.shardID, table, rec)
+	st, vals, err := c.mirrorConn.ReplFetchShard(c.id, table, rec)
 	if err != nil {
-		s.mirrorConn.Close()
-		s.mirrorConn = nil
+		c.mirrorConn.Close()
+		c.mirrorConn = nil
 		return nil, false
 	}
 	if st != memdb.StatusActive {
@@ -213,105 +217,74 @@ func (s *Server) fetchMirror(table, rec int) ([]uint32, bool) {
 // handleReplicate answers a standby poll off the executor: the shipper
 // reads the WAL tail ring, which is safe from any goroutine, so shipping
 // never costs the request path anything (resource isolation).
-func (s *Server) handleReplicate(q wire.Request) wire.Response {
-	if s.shipper == nil || s.standby.Load() {
-		return wire.ErrorResponse(q.Seq, wire.ErrNotPrimary)
+func (c *core) handleReplicate(q wire.Request) wire.Response {
+	if c.shipper == nil || c.standby.Load() {
+		return fail(q, wire.ErrNotPrimary)
 	}
 	if len(q.Vals) < 2 {
 		return wire.ErrorResponse(q.Seq,
 			fmt.Errorf("%w: Replicate carries %d values", wire.ErrBadFrame, len(q.Vals)))
 	}
 	after := wire.JoinU64(q.Vals[0], q.Vals[1])
-	blob, lastSeq, err := s.shipper.Serve(after, q.Detail)
+	blob, lastSeq, err := c.shipper.Serve(after, q.Detail)
 	if errors.Is(err, replica.ErrGap) {
-		return wire.ErrorResponse(q.Seq, wire.ErrReplGap)
+		return fail(q, wire.ErrReplGap)
 	}
 	if err != nil {
-		return wire.ErrorResponse(q.Seq, err)
+		return fail(q, err)
 	}
 	lo, hi := wire.SplitU64(lastSeq)
 	return wire.Response{Seq: q.Seq, Detail: string(blob), Vals: []uint32{lo, hi}}
-}
-
-// handleReplStatus reports role, log positions, and the router extension:
-// whether this node answers routed reads, and its own lag estimate (a
-// standby's distance behind its primary; a primary's distance ahead of its
-// slowest live standby). Executor thread.
-func (s *Server) handleReplStatus() wire.Response {
-	vals := make([]uint32, wire.NumReplStatusVals)
-	vals[wire.ReplRole] = uint32(s.Role())
-	var last, applied, lag uint64
-	if s.walLog != nil {
-		last = s.walLog.LastSeq()
-	}
-	if s.standby.Load() {
-		if s.applier != nil {
-			applied = s.applier.Applied()
-			lag = s.applier.Lag()
-		}
-		if s.serveReads.Load() {
-			vals[wire.ReplServeReads] = 1
-		}
-	} else {
-		if s.shipper != nil {
-			applied = s.shipper.Acked()
-			lag = s.shipper.Lag()
-		}
-		vals[wire.ReplServeReads] = 1 // a primary always serves reads
-	}
-	vals[wire.ReplLastLo], vals[wire.ReplLastHi] = wire.SplitU64(last)
-	vals[wire.ReplAppliedLo], vals[wire.ReplAppliedHi] = wire.SplitU64(applied)
-	vals[wire.ReplLagLo], vals[wire.ReplLagHi] = wire.SplitU64(lag)
-	return ok(vals...)
 }
 
 // handleReplSnap serves one chunk of the bootstrap snapshot. The snapshot
 // is captured atomically on the executor at offset 0 — log position and
 // region image taken together — and retained per connection so every chunk
 // comes from the same image. Executor thread only.
-func (s *Server) handleReplSnap(c *conn, q wire.Request) wire.Response {
-	if s.walLog == nil {
-		return wire.ErrorResponse(q.Seq, errors.New("server: replication disabled (no WAL)"))
+func (c *core) handleReplSnap(cn *conn, q wire.Request, _ uint64) wire.Response {
+	slot := &cn.on[c.id]
+	if c.walLog == nil {
+		return fail(q, errors.New("server: replication disabled (no WAL)"))
 	}
 	off := int(q.Record)
-	if off == 0 || c.snap == nil {
+	if off == 0 || slot.snap == nil {
 		var buf bytes.Buffer
-		if err := s.db.SnapshotInto(&buf); err != nil {
-			return wire.ErrorResponse(q.Seq, err)
+		if err := c.db.SnapshotInto(&buf); err != nil {
+			return fail(q, err)
 		}
-		c.snap = buf.Bytes()
-		c.snapSeq = s.walLog.LastSeq()
+		slot.snap = buf.Bytes()
+		slot.snapSeq = c.walLog.LastSeq()
 	}
-	if off < 0 || off > len(c.snap) {
+	if off < 0 || off > len(slot.snap) {
 		return wire.ErrorResponse(q.Seq,
-			fmt.Errorf("%w: snapshot offset %d of %d", wire.ErrBadFrame, off, len(c.snap)))
+			fmt.Errorf("%w: snapshot offset %d of %d", wire.ErrBadFrame, off, len(slot.snap)))
 	}
 	end := off + snapChunk
-	if end > len(c.snap) {
-		end = len(c.snap)
+	if end > len(slot.snap) {
+		end = len(slot.snap)
 	}
-	lo, hi := wire.SplitU64(c.snapSeq)
+	lo, hi := wire.SplitU64(slot.snapSeq)
 	return wire.Response{
-		Detail: string(c.snap[off:end]),
-		Vals:   []uint32{uint32(len(c.snap)), lo, hi},
+		Detail: string(slot.snap[off:end]),
+		Vals:   []uint32{uint32(len(slot.snap)), lo, hi},
 	}
 }
 
 // handleReplFetch reads a record's status and fields directly from the
 // region for the primary's mirror-sourced repair. Executor thread only.
-func (s *Server) handleReplFetch(q wire.Request) wire.Response {
+func (c *core) handleReplFetch(_ *conn, q wire.Request, _ uint64) wire.Response {
 	table, rec := int(q.Table), int(q.Record)
-	st, err := s.db.StatusDirect(table, rec)
+	st, err := c.db.StatusDirect(table, rec)
 	if err != nil {
-		return wire.ErrorResponse(q.Seq, err)
+		return fail(q, err)
 	}
-	nf := len(s.db.Schema().Tables[table].Fields)
+	nf := len(c.db.Schema().Tables[table].Fields)
 	vals := make([]uint32, 1, 1+nf)
 	vals[0] = uint32(st)
 	for fi := 0; fi < nf; fi++ {
-		v, err := s.db.ReadFieldDirect(table, rec, fi)
+		v, err := c.db.ReadFieldDirect(table, rec, fi)
 		if err != nil {
-			return wire.ErrorResponse(q.Seq, err)
+			return fail(q, err)
 		}
 		vals = append(vals, v)
 	}
@@ -333,12 +306,12 @@ func leaseFloor(q wire.Request) uint64 {
 // only after the record's effects are in the region, so applied >= floor
 // here guarantees the subsequent region read observes everything up to the
 // floor — the staleness bound's load-bearing comparison.
-func (s *Server) behindLease(q wire.Request) bool {
+func (c *core) behindLease(q wire.Request) bool {
 	floor := leaseFloor(q)
 	if floor == 0 {
 		return false
 	}
-	return s.applier == nil || s.applier.Applied() < floor
+	return c.applier == nil || c.applier.Applied() < floor
 }
 
 // handleStandbyRead answers a routed read on a serve-reads standby with
@@ -346,41 +319,41 @@ func (s *Server) behindLease(q wire.Request) bool {
 // This is the executor half of the standby read path (the fastlane view
 // serves the common case); semantics match the view: raw reads with bounds
 // checks, no table-lock interaction. Executor thread only.
-func (s *Server) handleStandbyRead(q wire.Request) wire.Response {
-	if s.behindLease(q) {
-		return wire.ErrorResponse(q.Seq, wire.ErrStale)
+func (c *core) handleStandbyRead(q wire.Request) wire.Response {
+	if c.behindLease(q) {
+		return fail(q, wire.ErrStale)
 	}
 	table, rec := int(q.Table), int(q.Record)
 	switch q.Op {
 	case wire.OpReadRec:
-		nt := s.db.Schema().Tables
+		nt := c.db.Schema().Tables
 		if table < 0 || table >= len(nt) {
-			return wire.ErrorResponse(q.Seq, &memdb.BoundsError{What: "table", Index: table, Limit: len(nt)})
+			return fail(q, &memdb.BoundsError{What: "table", Index: table, Limit: len(nt)})
 		}
 		nf := len(nt[table].Fields)
 		vals := make([]uint32, 0, nf)
 		for fi := 0; fi < nf; fi++ {
-			v, err := s.db.ReadFieldDirect(table, rec, fi)
+			v, err := c.db.ReadFieldDirect(table, rec, fi)
 			if err != nil {
-				return wire.ErrorResponse(q.Seq, err)
+				return fail(q, err)
 			}
 			vals = append(vals, v)
 		}
 		return ok(vals...)
 	case wire.OpReadFld:
-		v, err := s.db.ReadFieldDirect(table, rec, int(q.Field))
+		v, err := c.db.ReadFieldDirect(table, rec, int(q.Field))
 		if err != nil {
-			return wire.ErrorResponse(q.Seq, err)
+			return fail(q, err)
 		}
 		return ok(v)
 	case wire.OpStatus:
-		st, err := s.db.StatusDirect(table, rec)
+		st, err := c.db.StatusDirect(table, rec)
 		if err != nil {
-			return wire.ErrorResponse(q.Seq, err)
+			return fail(q, err)
 		}
 		return ok(uint32(st))
 	}
-	return wire.ErrorResponse(q.Seq, wire.ErrStandby)
+	return fail(q, wire.ErrStandby)
 }
 
 // standbyAllowed reports whether a standby answers op at all; everything
@@ -388,23 +361,24 @@ func (s *Server) handleStandbyRead(q wire.Request) wire.Response {
 // mode additionally admits the read opcodes for the replica router.
 func (s *Server) standbyAllowed(op wire.Op) bool {
 	switch op {
-	case wire.OpPing, wire.OpSweep, wire.OpStats, wire.OpStats2, wire.OpTrace,
+	case wire.OpPing, wire.OpSweep, wire.OpStats2, wire.OpTrace,
 		wire.OpHealth, wire.OpReplStatus, wire.OpReplPromote, wire.OpReplSnap,
-		wire.OpReplFetch:
+		wire.OpReplFetch, wire.OpReplicate:
 		return true
 	case wire.OpReadRec, wire.OpReadFld, wire.OpStatus:
-		return s.serveReads.Load()
+		return s.cfg.ServeReads
 	}
 	return false
 }
 
-// roleTag names this node's replication role for shadow-audit attribution
-// in trace events; empty on a primary, whose findings need no tag.
-func (s *Server) roleTag() string {
-	if !s.standby.Load() {
+// roleTag names a standby's replication role for shadow-audit attribution
+// in trace events and the health document; empty on a primary, whose
+// findings need no tag.
+func roleTag(standby, serveReads bool) string {
+	switch {
+	case !standby:
 		return ""
-	}
-	if s.serveReads.Load() {
+	case serveReads:
 		return "standby-serving"
 	}
 	return "standby"

@@ -6,26 +6,20 @@
 //
 // # Architecture
 //
-// memdb.DB is documented as not safe for concurrent use — the controller's
-// database is one shared memory region with audits running live against
-// it. The server preserves that single-writer contract while still serving
-// many connections concurrently:
-//
-//   - one goroutine per accepted connection decodes requests and encodes
-//     responses (all parsing/serialization is parallel);
-//   - decoded requests funnel through a bounded queue into a single
-//     executor goroutine, the only code that touches the DB;
-//   - when the queue is full the request is dropped immediately with a
-//     CodeOverload response (backpressure, never unbounded buffering),
-//     with drop accounting in the shape of internal/ipc's DropStats;
-//   - the executor also owns a discrete-event clock paced by wall time, on
-//     which the audit process (internal/audit) and the manager heartbeat
-//     (internal/manager) run exactly as they do in the simulator — audits
-//     sweep the live region between requests, never during one.
+// The package has two halves. A core (core.go) is one database region and
+// its single writer: memdb.DB is documented as not safe for concurrent use —
+// the controller's database is one shared memory region with audits running
+// live against it — so one executor goroutine per region is the only code
+// that touches it, fed by a bounded queue, with the audit process and the
+// manager heartbeat on the executor's clock exactly as in the simulator.
+// The Server (this file) is the front end over N >= 1 cores: listener,
+// connections, sessions, routing, the control plane, and shutdown. New
+// serves one region; NewSharded stripes the database over several, and is
+// the same code with a longer core list.
 //
 // Shutdown is drain-then-stop: the listener closes, connection goroutines
 // finish their in-flight request, queued work executes, a final audit
-// sweep certifies the region, and only then does the executor exit.
+// sweep certifies each region, and only then do the executors exit.
 package server
 
 import (
@@ -38,16 +32,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/audit"
 	"repro/internal/health"
-	"repro/internal/inject"
 	"repro/internal/ipc"
-	"repro/internal/manager"
 	"repro/internal/memdb"
 	"repro/internal/metrics"
-	"repro/internal/proc"
-	"repro/internal/replica"
-	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/wal"
 	"repro/internal/wire"
@@ -128,7 +116,8 @@ type Config struct {
 	// WAL, when set, is the operation log: every successful mutating
 	// request is appended, fsync batched on the executor clock tick. The
 	// server owns it from here on — Shutdown syncs, checkpoints, and
-	// closes it. Build it with wal.Open after wal.Recover.
+	// closes it. Build it with wal.Open after wal.Recover. New only;
+	// NewSharded takes one log per region instead.
 	WAL *wal.Log
 	// Standby starts the server as a hot standby of PrimaryAddr: sessions
 	// are refused (CodeStandby), the database is fed by replication, and
@@ -176,27 +165,6 @@ type Config struct {
 	ProcInjectPeriod time.Duration
 	// ProcInjectSeed seeds the procedure text injector RNG.
 	ProcInjectSeed int64
-
-	// Sharding wiring, set only by NewSharded (same package). shardCount > 1
-	// marks this server as one shard of a sharded coordinator: its uniquely-
-	// named gauges register under a "shard.<id>." registry prefix (counters
-	// and histograms stay unprefixed and merge across shards), and the
-	// coordinator-owned registrations (trace recorder, health plane) are
-	// skipped.
-	shardID    int
-	shardCount int
-	// shardDebt is the shared audit-debt meter every shard's periodic
-	// element reports into; the coordinator's health plane reads it.
-	shardDebt *health.DebtMeter
-	// onPromote is called after this shard promotes itself so the
-	// coordinator can promote the remaining shards (role coherence).
-	onPromote func(reason string)
-	// procLog replaces logProcMutations for procedure commits: the
-	// coordinator routes each applied mutation to the owning shard's WAL.
-	procLog func(applied []proc.Mutation, tid uint64)
-	// onRefresh is called at the end of every executor metrics refresh;
-	// the coordinator rides shard 0's tick to drive its health plane.
-	onRefresh func()
 }
 
 func (c *Config) applyDefaults() {
@@ -247,454 +215,39 @@ func (c *Config) applyDefaults() {
 	}
 }
 
-// task is one decoded request in flight from a connection goroutine to the
-// executor. reply has capacity 1 so the executor never blocks delivering,
-// even to a connection that timed out and walked away.
-type task struct {
-	c     *conn
-	req   wire.Request
-	tid   uint64    // request trace ID (0: tracing off or untraced op)
-	t0    time.Time // enqueue instant (zero when metrics are off)
-	reply chan wire.Response
-}
-
 // OpStat is the per-operation counter pair.
 type OpStat struct {
 	OK   uint64
 	Errs uint64
 }
 
-// Stats is a point-in-time snapshot of the server's counters.
+// Stats is a point-in-time snapshot of the server's counters, summed (drop
+// bursts and high-water marks: maxed) over the cores.
 type Stats struct {
 	// PerOp is indexed by wire.Op.
 	PerOp [wire.NumOps]OpStat
-	// ReqDrops accounts requests shed at the bounded executor queue,
+	// ReqDrops accounts requests shed at the bounded executor queues,
 	// in internal/ipc's DropStats shape.
 	ReqDrops ipc.DropStats
-	// AuditDrops accounts DB→audit notifications shed by the ipc queue.
+	// AuditDrops accounts DB→audit notifications shed by the ipc queues.
 	AuditDrops ipc.DropStats
 	// AuditFindings counts findings produced by live audits; Sweeps
 	// counts completed full sweeps (periodic + forced).
 	AuditFindings uint64
 	Sweeps        uint64
-	// Restarts counts audit-process restarts by the manager.
+	// Restarts counts audit-process restarts by the managers.
 	Restarts int
 	// ActiveConns / TotalConns track connections.
 	ActiveConns int
 	TotalConns  uint64
-	// Executed counts requests the executor completed.
+	// Executed counts requests the server answered.
 	Executed uint64
 }
 
-// Server serves one memdb.DB over TCP.
-type Server struct {
-	cfg   Config
-	db    *memdb.DB
-	env   *sim.Env
-	audit *ipc.Queue
-	mgr   *manager.Manager
-
-	// checks are the audit techniques run by both the periodic element
-	// and forced sweeps; executor-only after construction. The concrete
-	// checker pointers are retained so promotion can flip them out of
-	// shadow mode and wire the mirror hook.
-	checks    []audit.FullChecker
-	staticChk *audit.StaticCheck
-	structChk *audit.StructuralCheck
-	rangeChk  *audit.RangeCheck
-
-	// Durability & failover. walLog is executor-owned except for its
-	// thread-safe tail ring, which shipper serves replication from off
-	// the executor. standby flips exactly once, at promotion.
-	walLog     *wal.Log
-	shipper    *replica.Shipper
-	applier    *replica.Applier
-	standby    atomic.Bool
-	serveReads atomic.Bool // standby answers routed reads (Config.ServeReads)
-	replTicker *sim.Ticker
-	mirrorConn *wire.Conn  // executor-only cached conn to the standby
-	replRing   *trace.Ring // repl.*/wal.* events (nil when tracing off)
-
-	// tel is the server-level telemetry (nil when Config.DisableMetrics);
-	// auditTel publishes audit-layer metrics into the same registry. greg
-	// is the registry view uniquely-named gauges bind into — the plain
-	// registry normally, a "shard.<id>." prefix view under a sharded
-	// coordinator.
-	tel      *telemetry
-	auditTel *audit.Telemetry
-	greg     *metrics.Registry
-
-	// Health & SLO plane (nil when Config.DisableHealth, or when metrics
-	// or tracing are off). healthDebt is the audit scheduler's debt sink;
-	// hbMisses mirrors the manager's cumulative heartbeat-miss count into
-	// an atomic the plane's rate objective can read from any goroutine.
-	health     *health.Plane
-	healthDebt *health.DebtMeter
-	hbMisses   atomic.Uint64
-
-	// view is the fast-lane read view (nil when Config.DisableFastLane):
-	// connection goroutines serve read opcodes through it without an
-	// executor round trip. fastSeq drives the 1-in-N trace sampling.
-	view    *memdb.View
-	fastSeq atomic.Uint64
-
-	// Flight recorder (all nil when Config.DisableTrace): the server ring
-	// carries connection/request lifecycle events, the audit tracer's ring
-	// the check/finding/recovery/supervision events, and the inject ring
-	// the server-side injector's shots.
-	rec         *trace.Recorder
-	srvRing     *trace.Ring
-	injRing     *trace.Ring
-	auditTracer *audit.Tracer
-
-	// Server-side fault injector state; executor thread only. shots
-	// retains the most recent injections so resolveShot can join audit
-	// findings back to the shot that caused them. The tickers are retained
-	// so OpInjectCtl can stop and re-arm the injectors at runtime; injMode
-	// selects the targeting policy (wire.InjectMode*), and the walk cursor
-	// plus cached static extents drive the detectable-byte stride walk.
-	injRNG        *sim.RNG
-	shots         []shot
-	injTicker     *sim.Ticker
-	procInjTicker *sim.Ticker
-	injMode       int
-	injWalk       int
-	injStride     int
-	injTargets    []memdb.Extent
-
-	// Procedure subsystem (executor thread only): the registry of
-	// PECOS-instrumented programs, the engine that runs them against the
-	// live region, and the text injector that corrupts them. procTID
-	// carries the current PROC request's trace ID across noteFinding so
-	// resolveShot can join a control-flow finding to the request that
-	// detected it.
-	procs    *proc.Registry
-	procEng  *proc.Engine
-	procRing *trace.Ring
-	procFlip *inject.TextFlipper
-	procRNG  *sim.RNG
-	procTel  *procTelemetry
-	procTID  uint64
-
-	// Audit-process elements of the most recent buildAuditProcess run,
-	// retained so refreshExecutorMetrics can publish their counters.
-	// Executor-thread only.
-	hbElem   *audit.HeartbeatElement
-	progElem *audit.ProgressElement
-	periodic *audit.PeriodicElement
-
-	reqs chan task
-	ctrl chan func() // executor-thread closures (session teardown, snapshots)
-
-	quit     chan struct{} // closed: stop accepting/reading
-	stopping chan struct{} // closed: executor drains and exits
-	done     chan struct{} // closed: executor has exited
-
-	listener net.Listener
-	acceptWG sync.WaitGroup
-	connWG   sync.WaitGroup
-
-	mu       sync.Mutex
-	conns    map[*conn]struct{}
-	shutdown bool
-
-	// Counters. perOp and the scalar counters below are written by the
-	// executor or connection goroutines and read by Stats(); all atomic.
-	perOpOK    [wire.NumOps]atomic.Uint64
-	perOpErr   [wire.NumOps]atomic.Uint64
-	executed   atomic.Uint64
-	totalConns atomic.Uint64
-	findings   atomic.Uint64
-	sweeps     atomic.Uint64
-	restarts   atomic.Int64
-
-	// Request-queue drop accounting (ipc.DropStats semantics): written by
-	// connection goroutines under dropMu.
-	dropMu    sync.Mutex
-	dropped   uint64
-	curBurst  uint64
-	maxBurst  uint64
-	highWater int
-
-	start time.Time
-}
-
-// conn is the per-connection state. sess is created and destroyed only by
-// executor-thread code (OpInit/OpClose/teardown), but the fast lane reads
-// it from the connection goroutine to answer ErrNoSession without a queue
-// hop — hence the atomic pointer. The bootstrap-snapshot fields stay
-// executor-only (ReplSnap chunks are served one request at a time through
-// the executor).
-type conn struct {
-	nc   net.Conn
-	id   uint64 // connection ordinal, tags this conn's trace events
-	sess atomic.Pointer[memdb.Client]
-
-	snap    []byte // retained bootstrap snapshot being chunked out
-	snapSeq uint64 // WAL position the snapshot captured
-
-	// submit scratch, reused across requests (the conn goroutine is the
-	// only user). reply is dropped after a timeout — the executor still
-	// owes the orphaned channel a late send — and reallocated on demand.
-	reply  chan wire.Response
-	rtimer *time.Timer
-}
-
-// shot is one server-side injection: the correlation ID journaled with
-// the inject-shot event, and the region offset it corrupted.
-type shot struct {
-	id  uint64
-	off int
-}
-
-// maxRecentShots bounds the executor's shot history used for
-// finding → shot correlation.
-const maxRecentShots = 64
-
-// defaultTraceTail is the TRACE reply's event cap when the request does
-// not name one.
-const defaultTraceTail = 256
-
-// New builds a server over db. The database must not be touched by anyone
-// else while the server runs — the server is its single writer (enable
-// cfg.Guard to have violations fail loudly).
-func New(db *memdb.DB, cfg Config) (*Server, error) {
-	if db == nil {
-		return nil, errors.New("server: nil database")
-	}
-	if cfg.Standby && cfg.PrimaryAddr == "" {
-		return nil, errors.New("server: standby requires a primary address")
-	}
-	cfg.applyDefaults()
-	s := &Server{
-		cfg:      cfg,
-		db:       db,
-		env:      sim.NewEnv(cfg.Seed),
-		reqs:     make(chan task, cfg.QueueDepth),
-		ctrl:     make(chan func(), 16),
-		quit:     make(chan struct{}),
-		stopping: make(chan struct{}),
-		done:     make(chan struct{}),
-		conns:    make(map[*conn]struct{}),
-	}
-	db.SetClock(s.env.Now)
-	if cfg.Guard {
-		db.EnableConcurrencyCheck(nil)
-	}
-	if !cfg.DisableFastLane {
-		s.view = db.ReadView()
-	}
-
-	if !cfg.DisableMetrics {
-		reg := cfg.Metrics
-		if reg == nil {
-			reg = metrics.NewRegistry()
-		}
-		// A shard's uniquely-named gauges live under its own prefix view so
-		// they cannot clobber a sibling shard's; counters and histograms keep
-		// plain names and merge into registry-wide aggregates.
-		s.greg = reg
-		if cfg.shardCount > 1 {
-			s.greg = reg.WithPrefix(fmt.Sprintf("shard.%d.", cfg.shardID))
-		}
-		s.auditTel = audit.NewTelemetry(reg)
-		s.tel = newTelemetry(reg, s.greg)
-		s.procTel = newProcTelemetry(reg, s.greg)
-	}
-
-	if !cfg.DisableTrace {
-		r := cfg.Trace
-		if r == nil {
-			r = trace.New()
-		}
-		s.rec = r
-		s.srvRing = r.Ring("server", cfg.TraceRingSize)
-		s.auditTracer = audit.NewTracer(r, cfg.TraceRingSize)
-		s.auditTracer.Resolve = s.resolveShot
-		// Shadow-audit attribution: a finding journaled on a standby is
-		// DetectOnly evidence from the replica's copy, not the primary's —
-		// the role tag keeps a read-serving standby's findings from being
-		// misread as primary corruption in merged journals.
-		s.auditTracer.Role = s.roleTag
-		// The inject ring exists whenever tracing does — OpInjectCtl can
-		// arm the injectors at runtime long after New.
-		s.injRing = r.Ring("inject", cfg.TraceRingSize)
-		s.procRing = r.Ring("proc", cfg.TraceRingSize)
-	}
-	if cfg.InjectPeriod > 0 {
-		s.injRNG = sim.NewRNG(cfg.InjectSeed)
-	}
-
-	// Procedure subsystem: registry preloaded with the built-in library so
-	// PROC traffic works against a fresh server, engine wired to the proc
-	// ring so violation events join request trace IDs.
-	s.procs = proc.NewRegistry()
-	for _, b := range proc.Library() {
-		if _, err := s.procs.Load(b.Name, b.Source); err != nil {
-			return nil, fmt.Errorf("server: builtin procedure %s: %w", b.Name, err)
-		}
-	}
-	s.procEng = proc.NewEngine()
-	s.procEng.Ring = s.procRing
-	if cfg.ProcInjectPeriod > 0 {
-		s.procRNG = sim.NewRNG(cfg.ProcInjectSeed)
-		s.procFlip = inject.NewTextFlipper(s.procRNG)
-	}
-
-	// Durability & failover wiring. The shipper exists whenever there is a
-	// log — a promoted standby ships to the next standby with no rebuild.
-	s.walLog = cfg.WAL
-	s.standby.Store(cfg.Standby)
-	s.serveReads.Store(cfg.Standby && cfg.ServeReads)
-	if s.walLog != nil {
-		s.shipper = replica.NewShipper(s.walLog, 0)
-	}
-	if cfg.Standby {
-		startSeq := uint64(0)
-		if s.walLog != nil {
-			startSeq = s.walLog.LastSeq()
-		}
-		s.applier = replica.NewApplier(db, s.walLog, startSeq, replica.ApplierConfig{
-			Primary:   cfg.PrimaryAddr,
-			Shard:     cfg.shardID,
-			Advertise: cfg.AdvertiseAddr,
-			Timeout:   cfg.ReplTimeout,
-			FailLimit: cfg.ReplFailLimit,
-		})
-	}
-	if s.rec != nil && (s.walLog != nil || cfg.Standby) {
-		s.replRing = s.rec.Ring("repl", cfg.TraceRingSize)
-		if s.shipper != nil {
-			s.shipper.SetRing(s.replRing)
-		}
-		if s.applier != nil {
-			s.applier.SetRing(s.replRing)
-		}
-	}
-
-	rec := audit.Recovery{OnFinding: s.noteFinding}
-	s.staticChk = audit.NewStaticCheck(db, rec)
-	s.structChk = audit.NewStructuralCheck(db, rec)
-	s.rangeChk = audit.NewRangeCheck(db, rec)
-	if cfg.Standby {
-		// Shadow mode: the standby's audits diagnose and journal, but
-		// recovery stays with the primary until promotion.
-		s.staticChk.DetectOnly = true
-		s.structChk.DetectOnly = true
-		s.rangeChk.DetectOnly = true
-	}
-	if s.shipper != nil {
-		// Mirror-sourced repair: when the range audit finds a corrupted
-		// dynamic field, the standby's copy is the only source holding the
-		// true value (the static image cannot help).
-		s.rangeChk.Mirror = s.fetchMirror
-	}
-	s.checks = []audit.FullChecker{s.staticChk, s.structChk, s.rangeChk}
-	if s.auditTel != nil {
-		for i, c := range s.checks {
-			s.checks[i] = s.auditTel.WrapFull(c)
-		}
-	}
-	if s.auditTracer != nil {
-		for i, c := range s.checks {
-			s.checks[i] = s.auditTracer.WrapFull(c)
-		}
-	}
-	// The first check is wrapped to count completed sweeps: every full
-	// pass (periodic or forced) runs each check exactly once.
-	s.checks[0] = countedCheck{FullChecker: s.checks[0], n: &s.sweeps, tel: s.auditTel}
-
-	if cfg.AuditPeriod > 0 {
-		q, err := ipc.NewQueue(cfg.AuditQueueDepth)
-		if err != nil {
-			return nil, fmt.Errorf("server: audit queue: %w", err)
-		}
-		s.audit = q
-		db.EnableAudit(q)
-		mopts := []manager.Option{
-			manager.WithHeartbeat(cfg.HeartbeatPeriod, cfg.HeartbeatTimeout),
-			manager.WithOnRestart(func(n int) {
-				s.restarts.Store(int64(n))
-				if s.auditTracer != nil {
-					s.auditTracer.Ring().Emit(trace.Event{Kind: trace.KindRestart, Aux: int64(n)})
-				}
-			}),
-		}
-		mopts = append(mopts, manager.WithOnMiss(func(n int) {
-			s.hbMisses.Store(uint64(n))
-			if s.auditTracer != nil {
-				s.auditTracer.Ring().Emit(trace.Event{Kind: trace.KindHeartbeatMiss, Aux: int64(n)})
-			}
-		}))
-		s.mgr = manager.New(s.env, q, s.buildAuditProcess, mopts...)
-	}
-	s.start = time.Now()
-	s.buildHealthPlane()
-	if s.healthDebt == nil && cfg.shardDebt != nil {
-		// Shards run with the plane disabled but still meter audit debt —
-		// into the coordinator's shared meter.
-		s.healthDebt = cfg.shardDebt
-	}
-	if s.tel != nil {
-		s.registerMetrics()
-	}
-	go s.executor()
-	return s, nil
-}
-
-// noteFinding observes every audit finding: the legacy aggregate counter,
-// the per-class/per-action telemetry, and the journal (where the finding
-// is joined to the injected shot that caused it, when one covers it).
-func (s *Server) noteFinding(f audit.Finding) {
-	s.findings.Add(1)
-	if s.auditTel != nil {
-		s.auditTel.Note(f)
-	}
-	if s.auditTracer != nil {
-		s.auditTracer.Note(f)
-	}
-}
-
-// resolveShot joins an audit finding back to the most recent injected
-// shot whose offset it covers. Executor thread only — findings are only
-// produced by executor-run checks, and shots only by the executor's
-// injector ticker.
-func (s *Server) resolveShot(f audit.Finding) uint64 {
-	if f.Class == audit.ClassControlFlow {
-		// Control-flow findings carry no region offset: they join the
-		// PROC request whose execution tripped the assertion.
-		return s.procTID
-	}
-	for i := len(s.shots) - 1; i >= 0; i-- {
-		if f.Covers(s.shots[i].off) {
-			return s.shots[i].id
-		}
-	}
-	return 0
-}
-
-// countedCheck wraps one audit technique with a sweep counter.
-type countedCheck struct {
-	audit.FullChecker
-	n   *atomic.Uint64
-	tel *audit.Telemetry
-}
-
-// CheckAll counts one sweep and delegates.
-func (c countedCheck) CheckAll() []audit.Finding {
-	c.n.Add(1)
-	if c.tel != nil {
-		c.tel.NoteSweep()
-	}
-	return c.FullChecker.CheckAll()
-}
-
-// telemetry is the server-level metric set. The histograms and counters
-// are updated from connection goroutines and the executor; the refreshed
-// gauges are published only by refreshExecutorMetrics (executor thread).
+// telemetry is the metric set shared by every core and connection:
+// histograms and counters keep plain names, so several cores merge into one
+// distribution.
 type telemetry struct {
-	reg *metrics.Registry
-
 	// latency is indexed by wire.Op (index 0, the invalid op, stays nil).
 	// Each histogram observes queue wait + execution, measured in submit;
 	// fast-lane reads observe their in-goroutine service time instead.
@@ -704,7 +257,7 @@ type telemetry struct {
 	batchSize *metrics.Histogram
 
 	// Per-stage request latency: time on the executor queue, time inside
-	// handle, and time spent encoding + buffering the response frame.
+	// the executor, and time spent encoding + buffering the response frame.
 	// Together they decompose the per-op latency histograms, so a latency
 	// regression is attributable to queueing vs execution vs the socket.
 	stageQueueWait  *metrics.Histogram
@@ -714,162 +267,351 @@ type telemetry struct {
 	// forcedSweeps counts OpSweep-driven full sweeps (shutdown's certifying
 	// sweep included); "audit.sweeps" counts all completed sweeps.
 	forcedSweeps *metrics.Counter
-
-	// Executor-refreshed gauges mirroring single-writer counters that live
-	// in the manager and the audit-process elements.
-	mgrProbes, mgrReplies, mgrAlive      *metrics.Gauge
-	hbReplies, progRecoveries, perSweeps *metrics.Gauge
 }
 
-// newTelemetry builds the server's metric handles. Histograms and counters
-// go to reg (plain names: under a sharded coordinator every shard merges
-// into the same distribution); the executor-refreshed gauges go to greg,
-// the possibly shard-prefixed view, since each shard Sets its own values.
-func newTelemetry(reg, greg *metrics.Registry) *telemetry {
-	t := &telemetry{reg: reg}
+func newTelemetry(reg *metrics.Registry) *telemetry {
+	t := &telemetry{}
 	for op := 1; op < wire.NumOps; op++ {
 		t.latency[op] = reg.Histogram("server.latency."+wire.Op(op).String(), nil)
 	}
-	t.batchSize = reg.Histogram("server.batch.size", batchBuckets())
+	// Batches are capped by Config.BatchSize (default 64): power-of-two
+	// buckets up to 256.
+	buckets := make([]int64, 9)
+	for i := range buckets {
+		buckets[i] = 1 << i
+	}
+	t.batchSize = reg.Histogram("server.batch.size", buckets)
 	t.stageQueueWait = reg.Histogram("server.stage.queue_wait", nil)
 	t.stageExecute = reg.Histogram("server.stage.execute", nil)
 	t.stageReplyWrite = reg.Histogram("server.stage.reply_write", nil)
 	t.forcedSweeps = reg.Counter("audit.sweeps.forced")
-	t.mgrProbes = greg.Gauge("manager.probes")
-	t.mgrReplies = greg.Gauge("manager.replies")
-	t.mgrAlive = greg.Gauge("manager.alive")
-	t.hbReplies = greg.Gauge("audit.heartbeat.replies")
-	t.progRecoveries = greg.Gauge("audit.progress.recoveries")
-	t.perSweeps = greg.Gauge("audit.triggers.periodic")
 	return t
 }
 
-// batchBuckets is the power-of-two bucket set for the executor batch-size
-// histogram (batches are capped by Config.BatchSize, default 64).
-func batchBuckets() []int64 {
-	b := make([]int64, 9)
-	for i := range b {
-		b[i] = 1 << i
-	}
-	return b
+// Server is the client-facing front end over one or more cores: it owns the
+// listener, the connections and their sessions, decides which core each
+// request reaches, and answers the control plane from the cores in
+// aggregate. With several cores the database is striped across them —
+// global record g lives on core g mod N at local index g div N
+// (memdb.ShardOf) — so unrelated records never serialize on one executor,
+// while every audit technique runs unchanged per core because each stripe
+// is a complete memdb region.
+//
+// Everything that spans cores follows one ordering discipline: cores are
+// visited in ascending order, and a partial failure rolls back the lower
+// cores before the error surfaces. The memdb table locks are non-blocking
+// (DBbegin answers ErrLocked rather than waiting), so no lock-order
+// deadlock is possible even against an adversarial interleaving; ascending
+// order adds determinism — of two racing transactions, whichever wins core
+// 0 wins everything. A request is queued and accounted on the first core it
+// visits; further cores are reached through their control channels, which
+// never shed, so a fan-out cannot be refused halfway.
+//
+// Semantics that depend on the core count, all conservative:
+//   - Write tokens come from the owning core's WAL sequence space. A client
+//     router keeps the max across cores, so a routed standby read may see a
+//     lease floor from a busier core's space and answer STALE when it is
+//     actually fresh — staleness bounds hold, at the cost of extra primary
+//     fallbacks.
+//   - OpInjectCtl arms every core's data injector at the requested period,
+//     so the aggregate shot rate is N times one core's.
+//
+// A standby must run with the same core count as its primary: each core's
+// applier follows the matching stream (the wire shard id rides the
+// otherwise-unused Table/Field words of the replication ops).
+type Server struct {
+	cfg   Config
+	cores []*core
+
+	// globalRecs[t] is table t's record count across all cores — the
+	// bounds oracle, so out-of-range errors carry global limits.
+	globalRecs []int
+
+	// reg and tel are nil when Config.DisableMetrics; rec and srvRing (the
+	// ring carrying connection/request lifecycle events) when DisableTrace.
+	reg     *metrics.Registry
+	tel     *telemetry
+	rec     *trace.Recorder
+	srvRing *trace.Ring
+
+	// health is nil when Config.DisableHealth, or when metrics or tracing
+	// are off.
+	health *health.Plane
+
+	// standby mirrors the cores' role for the front end's own decisions;
+	// it flips once, with the first core's promotion.
+	standby atomic.Bool
+
+	// procMu serializes procedure barriers: one PROC_EXEC parks the
+	// executors at a time. allocSeq is the DBalloc rotation cursor.
+	procMu   sync.Mutex
+	allocSeq atomic.Uint64
+
+	quit     chan struct{} // closed: stop accepting/reading
+	listener net.Listener
+	acceptWG sync.WaitGroup
+	connWG   sync.WaitGroup
+
+	mu         sync.Mutex
+	conns      map[*conn]struct{}
+	shutdown   bool
+	totalConns atomic.Uint64
+
+	// downErr is Shutdown's result, valid once down is closed.
+	down    chan struct{}
+	downErr error
+
+	start time.Time
 }
 
-// registerMetrics wires the gauge functions that read the server's own
-// lock-protected or atomic state, binds the memdb activity gauges, and
-// exports the audit notification queue. Called once from New. Uniquely-
-// named per-server gauges bind through s.greg so that under a sharded
-// coordinator each shard's land under "shard.<id>."; the coordinator then
-// republishes the plain names as cross-shard aggregates.
+// conn is one client connection. on[k] is its state on core k: sess is
+// created and destroyed only by executor-thread code (session, closeSession)
+// but read from the connection goroutine to answer ErrNoSession without a
+// queue hop — hence the atomic pointer; the bootstrap-snapshot fields stay
+// executor-only (ReplSnap chunks are served one request at a time through
+// the executor).
+type conn struct {
+	nc net.Conn
+	id uint64 // connection ordinal, tags this conn's trace events
+	on []struct {
+		sess    atomic.Pointer[memdb.Client]
+		snap    []byte // retained bootstrap snapshot being chunked out
+		snapSeq uint64 // WAL position the snapshot captured
+	}
+
+	// submit scratch, reused across requests (the conn goroutine is the
+	// only user). reply is dropped after a timeout — the executor still
+	// owes the orphaned channel a late send — and reallocated on demand.
+	reply  chan wire.Response
+	rtimer *time.Timer
+}
+
+func (s *Server) newConn(nc net.Conn) *conn {
+	cn := &conn{nc: nc}
+	cn.on = make([]struct {
+		sess    atomic.Pointer[memdb.Client]
+		snap    []byte
+		snapSeq uint64
+	}, len(s.cores))
+	return cn
+}
+
+// defaultTraceTail is the TRACE reply's event cap when the request does
+// not name one.
+const defaultTraceTail = 256
+
+var errMetricsDisabled = errors.New("server: metrics disabled")
+
+// New builds a server over one region. The database must not be touched by
+// anyone else while the server runs — the server is its single writer
+// (enable cfg.Guard to have violations fail loudly).
+func New(db *memdb.DB, cfg Config) (*Server, error) {
+	var wals []*wal.Log
+	if cfg.WAL != nil {
+		wals, cfg.WAL = []*wal.Log{cfg.WAL}, nil
+	}
+	return NewSharded([]*memdb.DB{db}, wals, cfg)
+}
+
+// NewSharded builds a server over the per-core regions (derive them with
+// memdb.ShardSchemas) and optional per-core WALs (nil, or one entry per
+// core, entries may be nil). Metrics, Trace and the health plane are shared
+// by the cores; Config.WAL must be nil.
+func NewSharded(dbs []*memdb.DB, wals []*wal.Log, cfg Config) (*Server, error) {
+	n := len(dbs)
+	if n == 0 {
+		return nil, errors.New("server: no database")
+	}
+	for _, db := range dbs {
+		if db == nil {
+			return nil, errors.New("server: nil database")
+		}
+	}
+	if wals != nil && len(wals) != n {
+		return nil, fmt.Errorf("server: %d shards but %d WALs", n, len(wals))
+	}
+	if cfg.WAL != nil {
+		return nil, errors.New("server: NewSharded takes per-shard WALs, not Config.WAL")
+	}
+	if cfg.Standby && cfg.PrimaryAddr == "" {
+		return nil, errors.New("server: standby requires a primary address")
+	}
+	cfg.applyDefaults()
+
+	// Every region must be one stripe of the same catalog: the layout
+	// ShardSchemas produces. The second pass catches a full-size region
+	// slipped in next to striped ones.
+	base := dbs[0].Schema()
+	globalRecs := make([]int, len(base.Tables))
+	for k, db := range dbs {
+		sch := db.Schema()
+		if len(sch.Tables) != len(base.Tables) {
+			return nil, fmt.Errorf("server: shard %d has %d tables, shard 0 has %d",
+				k, len(sch.Tables), len(base.Tables))
+		}
+		for ti, t := range sch.Tables {
+			if t.Name != base.Tables[ti].Name {
+				return nil, fmt.Errorf("server: shard %d table %d is %q, shard 0 has %q",
+					k, ti, t.Name, base.Tables[ti].Name)
+			}
+			globalRecs[ti] += t.NumRecords
+		}
+	}
+	for k, db := range dbs {
+		for ti, t := range db.Schema().Tables {
+			if want := memdb.ShardRecords(globalRecs[ti], k, n); t.NumRecords != want {
+				return nil, fmt.Errorf("server: shard %d table %q has %d records, want %d of a %d-record stripe set",
+					k, t.Name, t.NumRecords, want, globalRecs[ti])
+			}
+		}
+	}
+
+	s := &Server{
+		cfg:        cfg,
+		cores:      make([]*core, n),
+		globalRecs: globalRecs,
+		quit:       make(chan struct{}),
+		down:       make(chan struct{}),
+		conns:      make(map[*conn]struct{}),
+		start:      time.Now(),
+	}
+	s.standby.Store(cfg.Standby)
+	if !cfg.DisableMetrics {
+		if s.reg = cfg.Metrics; s.reg == nil {
+			s.reg = metrics.NewRegistry()
+		}
+		s.tel = newTelemetry(s.reg)
+	}
+	if !cfg.DisableTrace {
+		if s.rec = cfg.Trace; s.rec == nil {
+			s.rec = trace.New()
+		}
+		s.srvRing = s.rec.Ring("server", cfg.TraceRingSize)
+	}
+	var debt *health.DebtMeter
+	if cfg.AuditPeriod > 0 {
+		// N schedulers complete N sweeps per period; metering at period/N
+		// makes Behind() the aggregate schedule debt across all cores.
+		debt = health.NewDebtMeter(cfg.AuditPeriod / time.Duration(n))
+	}
+	for k, db := range dbs {
+		var l *wal.Log
+		if wals != nil {
+			l = wals[k]
+		}
+		c, err := newCore(s, k, db, l, debt)
+		if err != nil {
+			return nil, fmt.Errorf("server: shard %d: %w", k, err)
+		}
+		s.cores[k] = c
+	}
+	s.buildHealthPlane(debt)
+	if s.reg != nil {
+		s.registerMetrics()
+	}
+	for _, c := range s.cores {
+		go c.executor()
+	}
+	return s, nil
+}
+
+// registerMetrics publishes the front end's own gauges and, with several
+// cores, republishes the consumer-facing plain gauge names as aggregates of
+// the cores' "shard.<k>." ones: sums for monotonic tallies, max for
+// high-water marks and lag. dbload -watch, /healthz, dbctl and the scenario
+// sampler therefore read any server alike.
 func (s *Server) registerMetrics() {
-	reg := s.greg
-	reg.GaugeFunc("server.queue.depth", func() int64 { return int64(len(s.reqs)) })
-	reg.GaugeFunc("server.queue.capacity", func() int64 { return int64(cap(s.reqs)) })
-	reg.GaugeFunc("server.queue.dropped", func() int64 {
-		s.dropMu.Lock()
-		defer s.dropMu.Unlock()
-		return int64(s.dropped)
-	})
-	reg.GaugeFunc("server.queue.drop_burst", func() int64 {
-		s.dropMu.Lock()
-		defer s.dropMu.Unlock()
-		return int64(s.maxBurst)
-	})
-	reg.GaugeFunc("server.queue.high_water", func() int64 {
-		s.dropMu.Lock()
-		defer s.dropMu.Unlock()
-		return int64(s.highWater)
-	})
+	reg := s.reg
 	reg.GaugeFunc("server.conns.active", func() int64 {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		return int64(len(s.conns))
 	})
 	reg.GaugeFunc("server.conns.total", func() int64 { return int64(s.totalConns.Load()) })
-	reg.GaugeFunc("server.executed", func() int64 { return int64(s.executed.Load()) })
-	reg.GaugeFunc("server.audit.restarts", func() int64 { return s.restarts.Load() })
-	reg.GaugeFunc("server.audit.findings", func() int64 { return int64(s.findings.Load()) })
-	if s.audit != nil {
-		s.audit.RegisterMetrics(reg, "audit.queue")
-	}
-	reg.GaugeFunc("repl.role", func() int64 { return int64(s.Role()) })
-	reg.GaugeFunc("repl.serve_reads", func() int64 {
-		if s.Role() == wire.RolePrimary || s.serveReads.Load() {
-			return 1
-		}
-		return 0
-	})
-	if s.walLog != nil {
-		s.walLog.BindMetrics(reg)
-	}
-	if s.shipper != nil {
-		s.shipper.BindMetrics(reg)
-	}
-	if s.applier != nil {
-		s.applier.BindMetrics(reg)
-	}
-	if s.rec != nil && s.cfg.shardCount <= 1 {
+	if s.rec != nil {
 		// Every ring the server will ever emit on exists by now, so ring
 		// overflow (events lost to the bounded buffers) is first-class
-		// telemetry from the start. Shards share the coordinator's recorder,
-		// which registers these once itself.
+		// telemetry from the start.
 		s.rec.RegisterMetrics(reg)
 	}
-	if s.view != nil {
-		// Fastlane counters are plain: shard views merge into one tally.
-		s.view.BindMetrics(s.tel.reg)
+	if len(s.cores) == 1 {
+		return // the one core's gauges already carry the plain names
 	}
-	if s.health != nil {
-		s.health.RegisterMetrics(reg)
-	}
-	s.db.BindMetrics(reg)
-}
-
-// refreshExecutorMetrics publishes every single-writer counter — memdb
-// table activity, manager probe accounting, audit element progress — into
-// the registry's atomic gauges. Executor thread only; called on each clock
-// tick, before STATS2 snapshots, and at drain.
-func (s *Server) refreshExecutorMetrics() {
-	if s.tel == nil {
-		return
-	}
-	s.db.RefreshMetrics()
-	if s.mgr != nil {
-		s.tel.mgrProbes.Set(int64(s.mgr.Probes()))
-		s.tel.mgrReplies.Set(int64(s.mgr.Replies()))
-		alive := int64(0)
-		if p := s.mgr.Process(); p != nil && p.Alive() {
-			alive = 1
+	sum := func(per func(*core) int64) func() int64 {
+		return func() int64 {
+			var t int64
+			for _, c := range s.cores {
+				t += per(c)
+			}
+			return t
 		}
-		s.tel.mgrAlive.Set(alive)
 	}
-	if s.hbElem != nil {
-		s.tel.hbReplies.Set(int64(s.hbElem.Replies()))
+	max := func(per func(*core) int64) func() int64 {
+		return func() int64 {
+			var m int64
+			for _, c := range s.cores {
+				if v := per(c); v > m {
+					m = v
+				}
+			}
+			return m
+		}
 	}
-	if s.progElem != nil {
-		s.tel.progRecoveries.Set(int64(s.progElem.Recoveries()))
+	reg.GaugeFunc("server.queue.depth", sum(func(c *core) int64 { return int64(len(c.reqs)) }))
+	reg.GaugeFunc("server.queue.capacity", sum(func(c *core) int64 { return int64(cap(c.reqs)) }))
+	reg.GaugeFunc("server.queue.dropped", sum(func(c *core) int64 { return int64(c.reqDrops().Dropped) }))
+	reg.GaugeFunc("server.queue.drop_burst", max(func(c *core) int64 { return int64(c.reqDrops().Burst) }))
+	reg.GaugeFunc("server.queue.high_water", max(func(c *core) int64 { return int64(c.reqDrops().HighWater) }))
+	reg.GaugeFunc("server.executed", sum(func(c *core) int64 { return int64(c.executed.Load()) }))
+	reg.GaugeFunc("server.audit.restarts", sum(func(c *core) int64 { return c.restarts.Load() }))
+	reg.GaugeFunc("server.audit.findings", sum(func(c *core) int64 { return int64(c.findings.Load()) }))
+	reg.GaugeFunc("repl.role", func() int64 { return int64(role(s.standby.Load())) })
+	reg.GaugeFunc("repl.serve_reads", func() int64 { return b2i(!s.standby.Load() || s.cfg.ServeReads) })
+	reg.GaugeFunc("wal.flush_pending", sum(func(c *core) int64 {
+		if c.walLog == nil {
+			return 0
+		}
+		return c.walLog.Pending()
+	}))
+	reg.GaugeFunc("wal.last_seq", sum(func(c *core) int64 {
+		if c.walLog == nil {
+			return 0
+		}
+		return int64(c.walLog.LastSeq())
+	}))
+	reg.GaugeFunc("repl.lag", func() int64 { return int64(s.replLag()) })
+
+	// memdb activity: the cores Set "shard.<k>.memdb..." gauges on their
+	// refresh; the plain names sum those handles (get-or-create returns
+	// the same storage the core binds).
+	sumGauges := func(name string) {
+		hs := make([]*metrics.Gauge, len(s.cores))
+		for k := range hs {
+			hs[k] = reg.Gauge(fmt.Sprintf("shard.%d.%s", k, name))
+		}
+		reg.GaugeFunc(name, func() int64 {
+			var t int64
+			for _, h := range hs {
+				t += h.Load()
+			}
+			return t
+		})
 	}
-	if s.periodic != nil {
-		s.tel.perSweeps.Set(int64(s.periodic.Sweeps()))
+	for _, t := range s.cores[0].db.Schema().Tables {
+		p := "memdb.table." + t.Name
+		sumGauges(p + ".reads")
+		sumGauges(p + ".writes")
+		sumGauges(p + ".errors_last")
+		sumGauges(p + ".errors_all")
 	}
-	if s.procTel != nil && s.procs != nil {
-		s.procTel.registered.Set(int64(s.procs.Len()))
-	}
-	if s.health != nil {
-		s.health.Tick()
-	}
-	if s.cfg.onRefresh != nil {
-		s.cfg.onRefresh()
-	}
+	sumGauges("memdb.locks.held")
+	sumGauges("memdb.clients")
+	sumGauges("memdb.guard.violations")
 }
 
 // Metrics returns the registry the server publishes into, or nil when
 // Config.DisableMetrics was set.
-func (s *Server) Metrics() *metrics.Registry {
-	if s.tel == nil {
-		return nil
-	}
-	return s.tel.reg
-}
+func (s *Server) Metrics() *metrics.Registry { return s.reg }
 
 // Trace returns the flight recorder the server emits into, or nil when
 // Config.DisableTrace was set.
@@ -886,90 +628,28 @@ func (s *Server) TraceEvents(kind trace.Kind, n int) []trace.Event {
 }
 
 // SnapshotMetrics refreshes the executor-owned gauges and snapshots the
-// registry, from any goroutine: the refresh rides the executor's control
+// registry, from any goroutine: the refresh rides each executor's control
 // channel, so the returned snapshot is current rather than one clock tick
 // stale. Returns an error when metrics are disabled.
 func (s *Server) SnapshotMetrics() (metrics.Snapshot, error) {
-	if s.tel == nil {
-		return metrics.Snapshot{}, errors.New("server: metrics disabled")
-	}
-	s.refreshViaExecutor()
-	return s.tel.reg.Snapshot(), nil
+	return s.snapshot((*metrics.Registry).Snapshot)
 }
 
 // SnapshotMetricsFull is SnapshotMetrics with per-histogram bucket arrays
 // included — the Prometheus exposition path. Same freshness contract.
 func (s *Server) SnapshotMetricsFull() (metrics.Snapshot, error) {
-	if s.tel == nil {
-		return metrics.Snapshot{}, errors.New("server: metrics disabled")
-	}
-	s.refreshViaExecutor()
-	return s.tel.reg.SnapshotFull(), nil
+	return s.snapshot((*metrics.Registry).SnapshotFull)
 }
 
-// refreshViaExecutor runs refreshExecutorMetrics on the executor thread
-// and waits for it (or for executor exit, after which the gauges hold
-// their final values). Safe from any goroutine.
-func (s *Server) refreshViaExecutor() {
-	s.onExecutor(s.refreshExecutorMetrics)
+func (s *Server) snapshot(take func(*metrics.Registry) metrics.Snapshot) (metrics.Snapshot, error) {
+	if s.reg == nil {
+		return metrics.Snapshot{}, errMetricsDisabled
+	}
+	for _, c := range s.cores {
+		c.onExecutor(c.refreshExecutorMetrics)
+	}
+	return take(s.reg), nil
 }
-
-// onExecutor runs f on the executor thread and waits for it to finish,
-// returning false when the executor has already exited (or exits before
-// running f). Safe from any goroutine; the executor's drain loop runs
-// queued control closures before it exits, so a successful send almost
-// always means f ran.
-func (s *Server) onExecutor(f func()) bool {
-	ran := make(chan struct{})
-	select {
-	case s.ctrl <- func() { f(); close(ran) }:
-		select {
-		case <-ran:
-			return true
-		case <-s.done:
-			return false
-		}
-	case <-s.done:
-		return false
-	}
-}
-
-// buildAuditProcess is the manager's factory: heartbeat responder,
-// progress indicator, and the periodic full-sweep element over the
-// static/structural/range checks. Called at start and on every restart.
-func (s *Server) buildAuditProcess(q *ipc.Queue) (*audit.Process, error) {
-	p := audit.NewProcess(s.env, s.db, q)
-	hb := audit.NewHeartbeatElement()
-	if err := p.Register(hb); err != nil {
-		return nil, err
-	}
-	rec := audit.Recovery{OnFinding: s.noteFinding}
-	prog := audit.NewProgressElement(rec)
-	if err := p.Register(prog); err != nil {
-		return nil, err
-	}
-	checkers := make([]audit.Checker, len(s.checks))
-	for i, c := range s.checks {
-		checkers[i] = c
-	}
-	per := audit.NewPeriodicElement(s.cfg.AuditPeriod, audit.FullSweep, nil, checkers...)
-	if s.healthDebt != nil {
-		// Re-attached on every restart, so schedule accounting survives a
-		// heartbeat-driven rebuild of the audit process.
-		per.SetDebt(s.healthDebt)
-	}
-	if err := p.Register(per); err != nil {
-		return nil, err
-	}
-	// Retained for refreshExecutorMetrics; buildAuditProcess runs only on
-	// the executor thread (manager start/restart), same as the refresher.
-	s.hbElem, s.progElem, s.periodic = hb, prog, per
-	return p, nil
-}
-
-// DB returns the served database (for tests that inspect the region after
-// shutdown; never touch it while the server runs).
-func (s *Server) DB() *memdb.DB { return s.db }
 
 // Addr returns the bound listener address, or nil before Serve.
 func (s *Server) Addr() net.Addr {
@@ -990,8 +670,8 @@ func (s *Server) ListenAndServe(addr string) error {
 	return s.Serve(ln)
 }
 
-// Serve runs the accept loop on ln and the executor, returning after
-// Shutdown completes or on a fatal accept error.
+// Serve runs the accept loop on ln, returning after Shutdown completes or
+// on a fatal accept error.
 func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Lock()
 	if s.listener != nil {
@@ -1021,557 +701,36 @@ func (s *Server) Serve(ln net.Listener) error {
 			}
 			return fmt.Errorf("server: accept: %w", err)
 		}
-		c := &conn{nc: nc}
+		cn := s.newConn(nc)
 		s.mu.Lock()
 		if s.shutdown {
 			s.mu.Unlock()
 			nc.Close()
 			continue
 		}
-		s.conns[c] = struct{}{}
+		s.conns[cn] = struct{}{}
 		s.mu.Unlock()
-		c.id = s.totalConns.Add(1)
+		cn.id = s.totalConns.Add(1)
 		if s.srvRing != nil {
-			s.srvRing.Emit(trace.Event{Kind: trace.KindConnAccept, Aux: int64(c.id)})
+			s.srvRing.Emit(trace.Event{Kind: trace.KindConnAccept, Aux: int64(cn.id)})
 		}
 		s.connWG.Add(1)
-		go s.serveConn(c)
+		go s.serveConn(cn)
 	}
-}
-
-// --- Executor -------------------------------------------------------------
-
-// executor is the single writer: the only goroutine that touches the DB,
-// the audit process, and the manager. It interleaves request execution
-// with advancing the audit clock, so sweeps and heartbeats run in the
-// gaps between requests.
-func (s *Server) executor() {
-	defer close(s.done)
-	if s.mgr != nil {
-		if err := s.mgr.Start(); err != nil {
-			// Audits are wired in but cannot start; serve unaudited
-			// rather than not at all. The condition is visible via
-			// Stats (zero sweeps, zero restarts).
-			s.mgr = nil
-		}
-	}
-	if s.cfg.InjectPeriod > 0 || s.cfg.ProcInjectPeriod > 0 {
-		// The injectors ride the executor clock: flips land between
-		// requests (and between procedure executions), never during one,
-		// like every other executor action.
-		s.setInjectPeriods(s.cfg.InjectPeriod, s.cfg.ProcInjectPeriod, wire.InjectModeRandom)
-	}
-	if s.applier != nil {
-		// Replication rides the executor clock too: the applier is the
-		// standby region's single writer, interleaved with audits.
-		if tk, err := s.env.NewTicker(s.cfg.ReplPoll, s.replStep); err == nil {
-			s.replTicker = tk
-		}
-	}
-	tick := time.NewTicker(s.cfg.ClockTick)
-	defer tick.Stop()
-	for {
-		select {
-		case t := <-s.reqs:
-			s.executeBatch(t)
-		case f := <-s.ctrl:
-			f()
-		case <-tick.C:
-			s.advanceClock()
-		case <-s.stopping:
-			s.drainAndStop()
-			return
-		}
-	}
-}
-
-// executeBatch drains up to Config.BatchSize queued requests in one
-// executor wakeup, starting with the task that woke it. A batch runs
-// back-to-back with no channel round trips between requests, and because
-// the WAL buffers appends until the clock-tick Sync, the whole batch's
-// appends coalesce into the same buffered write. The audit clock is
-// untouched here: sweeps fire on the tick select arm, between batches,
-// never inside one.
-func (s *Server) executeBatch(first task) {
-	s.execute(first)
-	n := 1
-drain:
-	for n < s.cfg.BatchSize {
-		select {
-		case t := <-s.reqs:
-			s.execute(t)
-			n++
-		default:
-			break drain
-		}
-	}
-	if s.tel != nil {
-		s.tel.batchSize.Observe(int64(n))
-	}
-	if s.srvRing != nil && n > 1 {
-		s.srvRing.Emit(trace.Event{Kind: trace.KindBatchExec, Arg: int64(n)})
-	}
-}
-
-// advanceClock runs the discrete-event environment up to the wall-clock
-// elapsed time, firing due audit sweeps, heartbeats, and timeouts.
-func (s *Server) advanceClock() {
-	target := time.Since(s.start)
-	if d := target - s.env.Now(); d > 0 {
-		_ = s.env.Run(d)
-	}
-	s.syncWAL()
-	s.refreshExecutorMetrics()
-}
-
-// drainAndStop finishes every queued request and control action, runs one
-// final certifying sweep, and stops the audit stack.
-func (s *Server) drainAndStop() {
-	for {
-		select {
-		case t := <-s.reqs:
-			s.execute(t)
-			continue
-		case f := <-s.ctrl:
-			f()
-			continue
-		default:
-		}
-		break
-	}
-	// The WAL tail must be durable BEFORE the certifying sweep: the sweep
-	// may repair the region, and a crash after repairs but before fsync
-	// would otherwise lose acknowledged writes that the repairs were
-	// validated against.
-	if s.walLog != nil {
-		_ = s.walLog.Sync()
-	}
-	s.runSweep()
-	if s.mgr != nil {
-		s.mgr.Stop()
-	}
-	if s.audit != nil {
-		s.db.DisableAudit()
-	}
-	if s.applier != nil {
-		s.applier.Close()
-	}
-	if s.mirrorConn != nil {
-		s.mirrorConn.Close()
-		s.mirrorConn = nil
-	}
-	if s.walLog != nil {
-		// The final checkpoint captures the swept, certified region, so
-		// the next start replays nothing.
-		s.checkpointNow()
-		_ = s.walLog.Close()
-	}
-	s.refreshExecutorMetrics()
-}
-
-// setInjectPeriods stops the running injector tickers and re-arms them
-// with the given periods (zero or negative leaves the respective injector
-// off) and targeting mode. Called on the executor thread only: at startup
-// for the Config.InjectPeriod/ProcInjectPeriod knobs, and from the
-// OpInjectCtl handler when a scenario timeline ramps a fault storm.
-func (s *Server) setInjectPeriods(data, proc time.Duration, mode int) {
-	s.injMode = mode
-	if s.injTicker != nil {
-		s.injTicker.Stop()
-		s.injTicker = nil
-	}
-	if data > 0 {
-		if s.injRNG == nil {
-			s.injRNG = sim.NewRNG(s.cfg.InjectSeed)
-		}
-		if tk, err := s.env.NewTicker(data, s.injectOnce); err == nil {
-			s.injTicker = tk
-		}
-	}
-	if s.procInjTicker != nil {
-		s.procInjTicker.Stop()
-		s.procInjTicker = nil
-	}
-	if proc > 0 {
-		if s.procRNG == nil {
-			s.procRNG = sim.NewRNG(s.cfg.ProcInjectSeed)
-		}
-		if s.procFlip == nil {
-			s.procFlip = inject.NewTextFlipper(s.procRNG)
-		}
-		if tk, err := s.env.NewTicker(proc, s.procInjectOnce); err == nil {
-			s.procInjTicker = tk
-		}
-	}
-}
-
-// injectOnce is the server-side fault injector (Config.InjectPeriod or a
-// runtime OpInjectCtl): flip one bit in the live region and journal the
-// shot, so the next audit pass demonstrably detects and recovers a known
-// corruption. Executor thread only (env ticker).
-func (s *Server) injectOnce() {
-	if s.injRNG == nil {
-		return
-	}
-	if s.injMode == wire.InjectModeStatic {
-		if off, ok := s.nextStaticTarget(); ok {
-			s.injectAt(off, uint(s.injRNG.Intn(8)))
-		}
-		return
-	}
-	s.injectAt(s.injRNG.Intn(s.db.Size()), uint(s.injRNG.Intn(8)))
-}
-
-// nextStaticTarget walks the non-catalog static extents with a stride
-// coprime to their total length, so consecutive shots land on distinct,
-// non-adjacent bytes: each one becomes its own damaged run for the static
-// checksum audit, and every shot joins exactly one finding. The catalog is
-// excluded so injection never turns live requests into catalog errors.
-// Executor thread only.
-func (s *Server) nextStaticTarget() (int, bool) {
-	if s.injTargets == nil {
-		s.injTargets = []memdb.Extent{} // computed, possibly empty
-		for _, e := range s.db.StaticExtents() {
-			if e.Name == "catalog" || e.Len <= 0 {
-				continue
-			}
-			s.injTargets = append(s.injTargets, e)
-		}
-		total := 0
-		for _, e := range s.injTargets {
-			total += e.Len
-		}
-		s.injStride = 5
-		for total > 0 && gcd(s.injStride, total) != 1 {
-			s.injStride++
-		}
-	}
-	total := 0
-	for _, e := range s.injTargets {
-		total += e.Len
-	}
-	if total == 0 {
-		return 0, false
-	}
-	pos := (s.injWalk * s.injStride) % total
-	s.injWalk++
-	for _, e := range s.injTargets {
-		if pos < e.Len {
-			return e.Off + pos, true
-		}
-		pos -= e.Len
-	}
-	return 0, false
-}
-
-func gcd(a, b int) int {
-	for b != 0 {
-		a, b = b, a%b
-	}
-	return a
-}
-
-// injectAt flips one bit at a region offset and journals the shot,
-// returning the shot's correlation ID (0 when tracing is off or the flip
-// failed). Executor thread only; tests use it for targeted shots.
-func (s *Server) injectAt(off int, bit uint) uint64 {
-	if err := s.db.FlipBit(off, bit); err != nil {
-		return 0
-	}
-	if s.rec == nil || s.injRing == nil {
-		return 0
-	}
-	id := s.rec.NextTrace()
-	s.shots = append(s.shots, shot{id: id, off: off})
-	if len(s.shots) > maxRecentShots {
-		s.shots = s.shots[len(s.shots)-maxRecentShots:]
-	}
-	s.injRing.Emit(trace.Event{
-		Kind: trace.KindShot, Trace: id, Op: "dbflip",
-		Arg: int64(off), Code: int64(bit),
-	})
-	return id
-}
-
-// runSweep executes every audit technique over the whole region and
-// returns the number of findings. Executor thread only.
-func (s *Server) runSweep() int {
-	if s.tel != nil {
-		s.tel.forcedSweeps.Inc()
-	}
-	n := 0
-	for _, c := range s.checks {
-		n += len(c.CheckAll())
-	}
-	return n
-}
-
-// execute handles one task and delivers its response. Executor thread only.
-func (s *Server) execute(t task) {
-	if t.tid != 0 {
-		s.srvRing.Emit(trace.Event{Kind: trace.KindReqExecute, Trace: t.tid, Op: t.req.Op.String()})
-	}
-	// Stage decomposition: everything before this instant was queue wait,
-	// handle is the execute stage (reply_write is observed in connWriter).
-	staged := s.tel != nil && !t.t0.IsZero()
-	var e0 time.Time
-	if staged {
-		e0 = time.Now()
-		s.tel.stageQueueWait.Observe(int64(e0.Sub(t.t0)))
-	}
-	resp := s.handle(t.c, t.req, t.tid)
-	if staged {
-		s.tel.stageExecute.Observe(int64(time.Since(e0)))
-	}
-	resp.Seq = t.req.Seq
-	if seq := s.logMutation(t.req, resp, t.tid); seq != 0 {
-		// The WAL position of an acknowledged write doubles as the
-		// client's read-your-writes lease token.
-		resp.SetToken(seq)
-	}
-	op := t.req.Op
-	if op.Valid() {
-		if resp.Code == wire.CodeOK {
-			s.perOpOK[int(op)].Add(1)
-		} else {
-			s.perOpErr[int(op)].Add(1)
-		}
-	}
-	s.executed.Add(1)
-	t.reply <- resp
-}
-
-// ok builds a success response carrying vals.
-func ok(vals ...uint32) wire.Response { return wire.Response{Vals: vals} }
-
-// handle dispatches one request against the session's DB client.
-func (s *Server) handle(c *conn, q wire.Request, tid uint64) wire.Response {
-	// A standby answers only the control/replication plane (plus routed
-	// reads in serve-reads mode); everything else is refused with
-	// CodeStandby so clients re-resolve to the primary.
-	if s.standby.Load() && !s.standbyAllowed(q.Op) {
-		return wire.ErrorResponse(q.Seq, wire.ErrStandby)
-	}
-	// Session-less control ops first.
-	switch q.Op {
-	case wire.OpPing:
-		return ok()
-	case wire.OpReplStatus:
-		return s.handleReplStatus()
-	case wire.OpReplPromote:
-		if !s.standby.Load() {
-			return wire.ErrorResponse(q.Seq, wire.ErrNotStandby)
-		}
-		s.promote("operator-ordered promotion")
-		return ok()
-	case wire.OpReplSnap:
-		return s.handleReplSnap(c, q)
-	case wire.OpReplFetch:
-		return s.handleReplFetch(q)
-	case wire.OpProcLoad:
-		return s.handleProcLoad(q)
-	case wire.OpProcList:
-		return s.handleProcList(q)
-	case wire.OpInjectCtl:
-		return s.handleInjectCtl(q)
-	case wire.OpSweep:
-		return ok(uint32(s.runSweep()))
-	case wire.OpStats:
-		return ok(s.statsVals()...)
-	case wire.OpStats2:
-		if s.tel == nil {
-			return wire.ErrorResponse(q.Seq, errors.New("server: metrics disabled"))
-		}
-		s.refreshExecutorMetrics()
-		data, err := json.Marshal(s.tel.reg.Snapshot())
-		if err != nil {
-			return wire.ErrorResponse(q.Seq, err)
-		}
-		return wire.Response{Detail: string(data)}
-	case wire.OpHealth:
-		if s.health == nil {
-			return wire.ErrorResponse(q.Seq, errors.New("server: health plane disabled"))
-		}
-		data, err := s.healthStatus().MarshalJSON()
-		if err != nil {
-			return wire.ErrorResponse(q.Seq, err)
-		}
-		return wire.Response{Detail: string(data)}
-	case wire.OpTrace:
-		if s.rec == nil {
-			return wire.ErrorResponse(q.Seq, errors.New("server: tracing disabled"))
-		}
-		n := int(q.Aux)
-		if n <= 0 {
-			n = defaultTraceTail
-		}
-		evs := s.TraceEvents(trace.Kind(q.Table), n)
-		data, err := trace.EncodeJSON(evs)
-		for err == nil && len(data) > wire.MaxDetail && len(evs) > 0 {
-			// The frame ceiling is hard: shed the oldest half and retry
-			// until the journal fits. Newest events carry the evidence.
-			evs = evs[(len(evs)+1)/2:]
-			data, err = trace.EncodeJSON(evs)
-		}
-		if err != nil {
-			return wire.ErrorResponse(q.Seq, err)
-		}
-		return wire.Response{Detail: string(data)}
-	case wire.OpInit:
-		if c.sess.Load() != nil {
-			return wire.ErrorResponse(q.Seq, wire.ErrSessionExists)
-		}
-		cl, err := s.db.Connect()
-		if err != nil {
-			return wire.ErrorResponse(q.Seq, err)
-		}
-		c.sess.Store(cl)
-		return ok(uint32(cl.PID()))
-	}
-	if !q.Op.Valid() {
-		return wire.ErrorResponse(q.Seq, wire.ErrUnknownOp)
-	}
-	if s.standby.Load() {
-		// Serve-reads standby: routed reads are session-less (a standby
-		// refuses DBinit), answered by direct region reads. This is the
-		// fastlane's executor fallback path.
-		switch q.Op {
-		case wire.OpReadRec, wire.OpReadFld, wire.OpStatus:
-			return s.handleStandbyRead(q)
-		}
-	}
-	sess := c.sess.Load()
-	if sess == nil {
-		return wire.ErrorResponse(q.Seq, wire.ErrNoSession)
-	}
-	table, rec, field := int(q.Table), int(q.Record), int(q.Field)
-	switch q.Op {
-	case wire.OpClose:
-		err := sess.Close()
-		c.sess.Store(nil)
-		if err != nil {
-			return wire.ErrorResponse(q.Seq, err)
-		}
-		return ok()
-	case wire.OpReadRec:
-		vals, err := sess.ReadRec(table, rec)
-		if err != nil {
-			return wire.ErrorResponse(q.Seq, err)
-		}
-		return ok(vals...)
-	case wire.OpReadFld:
-		v, err := sess.ReadFld(table, rec, field)
-		if err != nil {
-			return wire.ErrorResponse(q.Seq, err)
-		}
-		return ok(v)
-	case wire.OpWriteRec:
-		if err := sess.WriteRec(table, rec, q.Vals); err != nil {
-			return wire.ErrorResponse(q.Seq, err)
-		}
-		return ok()
-	case wire.OpWriteFld:
-		if len(q.Vals) != 1 {
-			return wire.ErrorResponse(q.Seq,
-				fmt.Errorf("%w: DBwrite_fld carries %d values", wire.ErrBadFrame, len(q.Vals)))
-		}
-		if err := sess.WriteFld(table, rec, field, q.Vals[0]); err != nil {
-			return wire.ErrorResponse(q.Seq, err)
-		}
-		return ok()
-	case wire.OpMove:
-		if err := sess.Move(table, rec, int(q.Aux)); err != nil {
-			return wire.ErrorResponse(q.Seq, err)
-		}
-		return ok()
-	case wire.OpAlloc:
-		ri, err := sess.Alloc(table, int(q.Aux))
-		if err != nil {
-			return wire.ErrorResponse(q.Seq, err)
-		}
-		return ok(uint32(ri))
-	case wire.OpFree:
-		if err := sess.Free(table, rec); err != nil {
-			return wire.ErrorResponse(q.Seq, err)
-		}
-		return ok()
-	case wire.OpBegin:
-		if err := sess.Begin(table); err != nil {
-			return wire.ErrorResponse(q.Seq, err)
-		}
-		return ok()
-	case wire.OpCommit:
-		if err := sess.Commit(); err != nil {
-			return wire.ErrorResponse(q.Seq, err)
-		}
-		return ok()
-	case wire.OpStatus:
-		st, err := sess.Status(table, rec)
-		if err != nil {
-			return wire.ErrorResponse(q.Seq, err)
-		}
-		return ok(uint32(st))
-	case wire.OpProcExec:
-		return s.handleProcExec(sess, q, tid)
-	default:
-		return wire.ErrorResponse(q.Seq, wire.ErrUnknownOp)
-	}
-}
-
-// handleInjectCtl decodes one OpInjectCtl request and retimes the
-// injectors. Runs on the executor thread like every control op, so the
-// ticker swap cannot race a flip in progress.
-func (s *Server) handleInjectCtl(q wire.Request) wire.Response {
-	if len(q.Vals) < 4 {
-		return wire.ErrorResponse(q.Seq,
-			fmt.Errorf("%w: InjectCtl carries %d values, want 4", wire.ErrBadFrame, len(q.Vals)))
-	}
-	data := time.Duration(wire.JoinU64(q.Vals[0], q.Vals[1]))
-	proc := time.Duration(wire.JoinU64(q.Vals[2], q.Vals[3]))
-	if data < 0 || proc < 0 {
-		return wire.ErrorResponse(q.Seq,
-			fmt.Errorf("%w: InjectCtl period must be >= 0", wire.ErrBadFrame))
-	}
-	mode := int(q.Aux)
-	if mode != wire.InjectModeRandom && mode != wire.InjectModeStatic {
-		return wire.ErrorResponse(q.Seq,
-			fmt.Errorf("%w: InjectCtl mode %d", wire.ErrBadFrame, mode))
-	}
-	s.setInjectPeriods(data, proc, mode)
-	return ok()
-}
-
-// statsVals builds the OpStats value vector. Executor thread, but all
-// sources are atomics/locked so the same data is available via Stats().
-func (s *Server) statsVals() []uint32 {
-	st := s.Stats()
-	vals := make([]uint32, wire.NumStatVals)
-	vals[wire.StatReqDropped] = uint32(st.ReqDrops.Dropped)
-	vals[wire.StatReqDropBurst] = uint32(st.ReqDrops.Burst)
-	vals[wire.StatReqHighWater] = uint32(st.ReqDrops.HighWater)
-	vals[wire.StatAuditDropped] = uint32(st.AuditDrops.Dropped)
-	vals[wire.StatAuditHighWater] = uint32(st.AuditDrops.HighWater)
-	vals[wire.StatAuditFindings] = uint32(st.AuditFindings)
-	vals[wire.StatAuditSweeps] = uint32(st.Sweeps)
-	vals[wire.StatActiveConns] = uint32(st.ActiveConns)
-	vals[wire.StatTotalConns] = uint32(st.TotalConns)
-	return vals
 }
 
 // --- Connection goroutines ------------------------------------------------
 
-func (s *Server) serveConn(c *conn) {
+// serveConn is one connection's loop: one goroutine per accepted connection
+// decodes requests and encodes responses, so all parsing and serialization
+// is parallel.
+func (s *Server) serveConn(cn *conn) {
 	defer s.connWG.Done()
-	defer s.teardownConn(c)
-	br := bufio.NewReader(c.nc)
-	bw := bufio.NewWriter(c.nc)
-	w := connWriter{s: s, c: c, bw: bw}
+	defer s.teardownConn(cn)
+	br := bufio.NewReader(cn.nc)
+	bw := bufio.NewWriter(cn.nc)
+	w := connWriter{s: s, cn: cn, bw: bw}
 	for {
-		select {
-		case <-s.quit:
-			return
-		default:
-		}
 		// Flush accumulated replies only before blocking for more input:
 		// while a pipelined client's frames are still buffered, responses
 		// pile up in bw and one socket write carries the whole batch back.
@@ -1586,9 +745,16 @@ func (s *Server) serveConn(c *conn) {
 		// frames already buffered (the pipelined case) are covered by the
 		// deadline from the read that fetched them.
 		if br.Buffered() == 0 {
-			if err := c.nc.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout)); err != nil {
+			if err := cn.nc.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout)); err != nil {
 				return
 			}
+		}
+		// Checked after the re-arm: Shutdown closes quit and then pokes the
+		// read deadline, so a poke the re-arm overwrote is still seen here.
+		select {
+		case <-s.quit:
+			return
+		default:
 		}
 		payload, err := wire.ReadFrame(br, s.cfg.MaxFrame)
 		if err != nil {
@@ -1610,114 +776,11 @@ func (s *Server) serveConn(c *conn) {
 			w.write(wire.ErrorResponse(0, err))
 			continue
 		}
-		if resp, served := s.tryFastLane(c, req); served {
-			if !w.write(resp) {
-				return
-			}
-			continue
-		}
-		if req.Op == wire.OpReplicate {
-			// Replication polls bypass the executor entirely: the shipper
-			// reads the WAL's thread-safe tail ring, so a standby catching
-			// up never competes with call processing for executor cycles.
-			resp := s.handleReplicate(req)
-			if resp.Code == wire.CodeOK {
-				s.perOpOK[int(req.Op)].Add(1)
-			} else {
-				s.perOpErr[int(req.Op)].Add(1)
-			}
-			if !w.write(resp) {
-				return
-			}
-			continue
-		}
-		resp := s.submit(c, req)
+		resp := s.handle(cn, req)
+		resp.Seq = req.Seq
 		if !w.write(resp) {
 			return
 		}
-	}
-}
-
-// submit funnels one request into the executor queue, applying
-// backpressure and the reply deadline.
-func (s *Server) submit(c *conn, req wire.Request) wire.Response {
-	select {
-	case <-s.quit:
-		return wire.ErrorResponse(req.Seq, wire.ErrShutdown)
-	default:
-	}
-	// Latency is measured from enqueue to reply delivery: queue wait plus
-	// execution. Shed and timed-out requests are not observed — they would
-	// fold two failure modes into the service-time distribution.
-	rec := s.tel != nil && req.Op.Valid()
-	tr := s.srvRing != nil && req.Op.Valid()
-	var t0 time.Time
-	if rec || tr {
-		t0 = time.Now()
-	}
-	if c.reply == nil {
-		c.reply = make(chan wire.Response, 1)
-	}
-	t := task{c: c, req: req, reply: c.reply}
-	if rec {
-		t.t0 = t0
-	}
-	if tr {
-		// The enqueue event is journaled before the send so its sequence
-		// number precedes the executor's req-execute for the same trace.
-		t.tid = s.rec.NextTrace()
-		s.srvRing.Emit(trace.Event{
-			Kind: trace.KindReqEnqueue, Trace: t.tid,
-			Op: req.Op.String(), Aux: int64(c.id),
-		})
-	}
-	select {
-	case s.reqs <- t:
-		s.noteAdmit(len(s.reqs))
-	default:
-		// Queue full: shed immediately rather than buffer or block —
-		// the same discipline as the audit notification queue.
-		s.noteDrop()
-		if tr {
-			s.srvRing.Emit(trace.Event{
-				Kind: trace.KindReqDrop, Trace: t.tid,
-				Op: req.Op.String(), Aux: int64(c.id),
-			})
-		}
-		return wire.ErrorResponse(req.Seq, wire.ErrOverload)
-	}
-	// One timer per connection instead of a time.After allocation per
-	// request; stop-and-drain before Reset per pre-1.23 timer semantics.
-	if c.rtimer == nil {
-		c.rtimer = time.NewTimer(s.cfg.ReplyTimeout)
-	} else {
-		if !c.rtimer.Stop() {
-			select {
-			case <-c.rtimer.C:
-			default:
-			}
-		}
-		c.rtimer.Reset(s.cfg.ReplyTimeout)
-	}
-	select {
-	case resp := <-t.reply:
-		if rec {
-			s.tel.latency[req.Op].Observe(int64(time.Since(t0)))
-		}
-		if tr {
-			s.srvRing.Emit(trace.Event{
-				Kind: trace.KindReqReply, Trace: t.tid, Op: req.Op.String(),
-				Code: int64(resp.Code), Arg: int64(time.Since(t0)), Aux: int64(c.id),
-			})
-		}
-		return resp
-	case <-c.rtimer.C:
-		// The executor is wedged or far behind. The buffered reply
-		// channel lets it finish without blocking; this connection
-		// reports the timeout — and abandons the channel, because the
-		// executor still owes it the late reply.
-		c.reply = nil
-		return wire.ErrorResponse(req.Seq, wire.ErrTimeout)
 	}
 }
 
@@ -1728,78 +791,430 @@ func (s *Server) submit(c *conn, req wire.Request) wire.Response {
 // buffer — which still bounds every auto-flush the batch can trigger.
 type connWriter struct {
 	s   *Server
-	c   *conn
+	cn  *conn
 	bw  *bufio.Writer
 	buf []byte
 }
 
 func (w *connWriter) write(resp wire.Response) bool {
+	tel := w.s.tel
 	var t0 time.Time
-	if w.s.tel != nil {
+	if tel != nil {
 		t0 = time.Now()
 	}
 	w.buf = wire.AppendResponse(w.buf[:0], resp)
 	if w.bw.Buffered() == 0 {
-		if err := w.c.nc.SetWriteDeadline(time.Now().Add(w.s.cfg.WriteTimeout)); err != nil {
+		if err := w.cn.nc.SetWriteDeadline(time.Now().Add(w.s.cfg.WriteTimeout)); err != nil {
 			return false
 		}
 	}
 	ok := wire.WriteFrame(w.bw, w.buf) == nil
-	if w.s.tel != nil {
-		w.s.tel.stageReplyWrite.Observe(int64(time.Since(t0)))
+	if tel != nil {
+		tel.stageReplyWrite.Observe(int64(time.Since(t0)))
 	}
 	return ok
 }
 
 func (w *connWriter) flush() bool {
-	if err := w.c.nc.SetWriteDeadline(time.Now().Add(w.s.cfg.WriteTimeout)); err != nil {
+	if err := w.cn.nc.SetWriteDeadline(time.Now().Add(w.s.cfg.WriteTimeout)); err != nil {
 		return false
 	}
 	return w.bw.Flush() == nil
 }
 
-// teardownConn unregisters the connection and retires its DB session on
-// the executor thread.
-func (s *Server) teardownConn(c *conn) {
-	c.nc.Close()
+// teardownConn unregisters the connection and retires its DB sessions on
+// each core's executor thread.
+func (s *Server) teardownConn(cn *conn) {
+	cn.nc.Close()
 	s.mu.Lock()
-	delete(s.conns, c)
+	delete(s.conns, cn)
 	s.mu.Unlock()
 	if s.srvRing != nil {
-		s.srvRing.Emit(trace.Event{Kind: trace.KindConnClose, Aux: int64(c.id)})
+		s.srvRing.Emit(trace.Event{Kind: trace.KindConnClose, Aux: int64(cn.id)})
 	}
-	closeSess := func() {
-		if sess := c.sess.Load(); sess != nil {
-			_ = sess.Close()
-			c.sess.Store(nil)
+	for _, c := range s.cores {
+		select {
+		case c.ctrl <- func() { c.closeSession(cn) }:
+		case <-c.done:
+			// Executor already gone (post-drain): sessions die with it.
 		}
 	}
-	select {
-	case s.ctrl <- closeSess:
-	case <-s.done:
-		// Executor already gone (post-drain): sessions die with it.
-	}
 }
 
-// --- Drop accounting ------------------------------------------------------
+// --- Request routing --------------------------------------------------------
 
-func (s *Server) noteAdmit(depth int) {
-	s.dropMu.Lock()
-	s.curBurst = 0
-	if depth > s.highWater {
-		s.highWater = depth
+// handle answers one parsed request on the connection goroutine: it is the
+// server's one dispatch over the wire ops. Single-record calls go to the
+// owning core (reads through its fast lane first), session calls and the
+// per-core control ops fan out over every core, and the rest of the control
+// plane takes a turn on core 0's executor so that it queues, sheds and is
+// accounted like any other request.
+func (s *Server) handle(cn *conn, q wire.Request) wire.Response {
+	// A standby answers only the control/replication plane (plus routed
+	// reads in serve-reads mode); everything else is refused with
+	// CodeStandby so clients re-resolve to the primary.
+	if s.standby.Load() && !s.standbyAllowed(q.Op) {
+		return s.refuse(q, wire.ErrStandby)
 	}
-	s.dropMu.Unlock()
+	home := s.cores[0]
+	switch q.Op {
+	case wire.OpReadRec, wire.OpReadFld, wire.OpStatus:
+		c, lq, refused := s.locate(cn, q)
+		if c == nil {
+			return refused
+		}
+		if resp, served := c.tryFastLane(cn, lq); served {
+			return resp
+		}
+		return c.submit(cn, lq, (*core).record)
+	case wire.OpWriteRec, wire.OpWriteFld, wire.OpMove, wire.OpFree:
+		c, lq, refused := s.locate(cn, q)
+		if c == nil {
+			return refused
+		}
+		return c.submit(cn, lq, (*core).record)
+	case wire.OpAlloc:
+		return s.alloc(cn, q)
+
+	case wire.OpInit:
+		// One session per core, all or nothing; the reply carries core 0's
+		// PID.
+		rs, failed := s.fan(cn, q, (*core).session, true)
+		if failed {
+			for _, c := range s.cores[:len(rs)-1] {
+				c.onExecutor(func() { c.closeSession(cn) })
+			}
+			return rs[len(rs)-1]
+		}
+		return rs[0]
+	case wire.OpClose, wire.OpCommit:
+		// Every core is visited even after an error, so per-core session
+		// state cannot diverge; the first error is the reply.
+		return first(s.fan(cn, q, (*core).session, false))
+	case wire.OpBegin:
+		// A lock refused by a later core is given back on the lower ones
+		// that newly took it, leaving exactly the locks held before.
+		rs, failed := s.fan(cn, q, (*core).session, true)
+		if !failed {
+			return ok()
+		}
+		for k, c := range s.cores[:len(rs)-1] {
+			if rs[k].Vals[0] == 1 {
+				c.onExecutor(func() { c.unlock(cn, int(q.Table)) })
+			}
+		}
+		return rs[len(rs)-1]
+	case wire.OpProcExec:
+		return s.procExec(cn, q)
+	case wire.OpProcLoad:
+		// The procedure registry PROC_EXEC runs from is core 0's.
+		return home.submit(cn, q, (*core).handleProcLoad)
+	case wire.OpProcList:
+		return home.submit(cn, q, (*core).handleProcList)
+
+	case wire.OpSweep:
+		rs, failed := s.fan(cn, q, (*core).sweep, true)
+		if failed {
+			return rs[len(rs)-1]
+		}
+		total := uint32(0)
+		for _, r := range rs {
+			total += r.Vals[0]
+		}
+		return ok(total)
+	case wire.OpInjectCtl:
+		return first(s.fan(cn, q, (*core).handleInjectCtl, true))
+	case wire.OpStats2:
+		if rs, failed := s.fan(cn, q, (*core).refresh, true); failed {
+			return rs[len(rs)-1]
+		}
+		data, err := json.Marshal(s.reg.Snapshot())
+		if err != nil {
+			return fail(q, err)
+		}
+		return wire.Response{Detail: string(data)}
+
+	case wire.OpReplicate:
+		// Replication polls bypass the executor entirely: the shipper reads
+		// the WAL's thread-safe tail ring, so a standby catching up never
+		// competes with call processing for executor cycles.
+		c, refused := s.stream(q, int(q.Table))
+		if c == nil {
+			return refused
+		}
+		resp := c.handleReplicate(q)
+		c.count(q.Op, resp.Code)
+		return resp
+	case wire.OpReplSnap:
+		c, refused := s.stream(q, int(q.Table))
+		if c == nil {
+			return refused
+		}
+		return c.submit(cn, q, (*core).handleReplSnap)
+	case wire.OpReplFetch:
+		c, refused := s.stream(q, int(q.Field))
+		if c == nil {
+			return refused
+		}
+		return c.submit(cn, q, (*core).handleReplFetch)
+	case wire.OpReplPromote:
+		// Core 0 checks the role; its promotion already starts the others',
+		// and waiting for them here makes the reply mean "promoted".
+		resp := home.submit(cn, q, (*core).promoteLeg)
+		if resp.Code == wire.CodeOK {
+			for _, c := range s.cores[1:] {
+				c.onExecutor(func() { c.promote(operatorPromotion) })
+			}
+		}
+		return resp
+	}
+	return home.submit(cn, q, s.control)
 }
 
-func (s *Server) noteDrop() {
-	s.dropMu.Lock()
-	s.dropped++
-	s.curBurst++
-	if s.curBurst > s.maxBurst {
-		s.maxBurst = s.curBurst
+// control answers, on core 0's executor, the control ops that read the
+// server as a whole; any other op reaching it is unknown.
+func (s *Server) control(_ *core, _ *conn, q wire.Request, _ uint64) wire.Response {
+	var data []byte
+	var err error
+	switch q.Op {
+	case wire.OpPing:
+		return ok()
+	case wire.OpReplStatus:
+		return s.replStatus()
+	case wire.OpHealth:
+		st, on := s.Health()
+		if !on {
+			return fail(q, errors.New("server: health plane disabled"))
+		}
+		data, err = st.MarshalJSON()
+	case wire.OpTrace:
+		if s.rec == nil {
+			return fail(q, errors.New("server: tracing disabled"))
+		}
+		n := int(q.Aux)
+		if n <= 0 {
+			n = defaultTraceTail
+		}
+		evs := s.TraceEvents(trace.Kind(q.Table), n)
+		data, err = trace.EncodeJSON(evs)
+		for err == nil && len(data) > wire.MaxDetail && len(evs) > 0 {
+			// The frame ceiling is hard: shed the oldest half and retry
+			// until the journal fits. Newest events carry the evidence.
+			evs = evs[(len(evs)+1)/2:]
+			data, err = trace.EncodeJSON(evs)
+		}
+	default:
+		err = wire.ErrUnknownOp
 	}
-	s.dropMu.Unlock()
+	if err != nil {
+		return fail(q, err)
+	}
+	return wire.Response{Detail: string(data)}
+}
+
+// refuse answers q with err from the connection goroutine, booked on core
+// 0 as an executed request.
+func (s *Server) refuse(q wire.Request, err error) wire.Response {
+	resp := fail(q, err)
+	s.cores[0].count(q.Op, resp.Code)
+	s.cores[0].executed.Add(1)
+	return resp
+}
+
+// locate validates a record-addressed request against the session
+// requirement and the global bounds — bounds before anything a core checks,
+// the lease included, because no owner can be named for an out-of-range
+// record — and returns the owning core with the request rewritten to its
+// local index. A nil core means the response is the final answer.
+func (s *Server) locate(cn *conn, q wire.Request) (*core, wire.Request, wire.Response) {
+	table, rec := int(q.Table), int(q.Record)
+	var err error
+	switch {
+	case !s.standby.Load() && cn.on[0].sess.Load() == nil:
+		err = wire.ErrNoSession
+	case table < 0 || table >= len(s.globalRecs):
+		err = &memdb.BoundsError{What: "table", Index: table, Limit: len(s.globalRecs)}
+	case rec < 0 || rec >= s.globalRecs[table]:
+		err = &memdb.BoundsError{What: "record", Index: rec, Limit: s.globalRecs[table]}
+	}
+	if err != nil {
+		return nil, q, s.refuse(q, err)
+	}
+	n := len(s.cores)
+	q.Record = int32(memdb.LocalIndex(rec, n))
+	return s.cores[memdb.ShardOf(rec, n)], q, wire.Response{}
+}
+
+// stream picks the core a shard-addressed replication op names.
+func (s *Server) stream(q wire.Request, k int) (*core, wire.Response) {
+	if k < 0 || k >= len(s.cores) {
+		return nil, s.refuse(q, fmt.Errorf("%w: %v names shard %d of %d (mismatched -shards?)",
+			wire.ErrBadFrame, q.Op, k, len(s.cores)))
+	}
+	return s.cores[k], wire.Response{}
+}
+
+// alloc routes DBalloc to the cores starting from a rotating cursor, so
+// allocations spread even when one stripe's free list runs dry; only table
+// exhaustion moves to the next core. The winner's local index is translated
+// back to the global record ID.
+func (s *Server) alloc(cn *conn, q wire.Request) wire.Response {
+	if cn.on[0].sess.Load() == nil {
+		return s.refuse(q, wire.ErrNoSession)
+	}
+	if table := int(q.Table); table < 0 || table >= len(s.globalRecs) {
+		return s.refuse(q, &memdb.BoundsError{What: "table", Index: table, Limit: len(s.globalRecs)})
+	}
+	n := len(s.cores)
+	start := int(s.allocSeq.Add(1)-1) % n
+	var resp wire.Response
+	for i := 0; i < n; i++ {
+		k := (start + i) % n
+		resp = s.cores[k].submit(cn, q, (*core).record)
+		if resp.Code == wire.CodeOK && len(resp.Vals) > 0 {
+			resp.Vals[0] = uint32(memdb.GlobalIndex(int(resp.Vals[0]), k, n))
+		}
+		if resp.Code != wire.CodeNoFreeRecord {
+			break
+		}
+	}
+	return resp // or every stripe exhausted: the last core's ErrNoFreeRecord
+}
+
+// fan runs do for q on every core in ascending order and returns the
+// answers: core 0 as a queued, accounted request, the others through their
+// control channels. With stopOnErr it stops at the first failure, which is
+// then the last answer, and reports failed.
+func (s *Server) fan(cn *conn, q wire.Request, do execFn, stopOnErr bool) (rs []wire.Response, failed bool) {
+	rs = make([]wire.Response, 0, len(s.cores))
+	for k, c := range s.cores {
+		var r wire.Response
+		if k == 0 {
+			r = c.submit(cn, q, do)
+		} else {
+			r = fail(q, wire.ErrShutdown)
+			c.onExecutor(func() { r = do(c, cn, q, 0) })
+		}
+		rs = append(rs, r)
+		if stopOnErr && r.Code != wire.CodeOK {
+			return rs, true
+		}
+	}
+	return rs, false
+}
+
+// first is the reply of a fan-out with nothing to combine: the first error,
+// else core 0's answer.
+func first(rs []wire.Response, _ bool) wire.Response {
+	for _, r := range rs {
+		if r.Code != wire.CodeOK {
+			return r
+		}
+	}
+	return rs[0]
+}
+
+// procExec runs a procedure on core 0's executor — its registry, engine,
+// telemetry and escalation ladder — while every other executor is parked on
+// its control channel: the procedure barrier. With all single writers held,
+// the program owns every region and every WAL at once, which is what lets
+// the engine's commit stage mutate records on any core mid-program.
+func (s *Server) procExec(cn *conn, q wire.Request) wire.Response {
+	sess := make([]*memdb.Client, len(s.cores))
+	for k := range sess {
+		if sess[k] = cn.on[k].sess.Load(); sess[k] == nil {
+			return s.refuse(q, wire.ErrNoSession)
+		}
+	}
+	s.procMu.Lock()
+	defer s.procMu.Unlock()
+	release := make(chan struct{})
+	defer close(release)
+	others := s.cores[1:]
+	acks := make(chan struct{}, len(others))
+	for _, c := range others {
+		select {
+		case c.ctrl <- func() {
+			acks <- struct{}{}
+			select {
+			case <-release:
+			case <-c.done:
+			}
+		}:
+		case <-c.done:
+			acks <- struct{}{} // a stopped executor is as parked as it gets
+		}
+	}
+	for range others {
+		<-acks
+	}
+	home, ran := s.cores[0], make(chan struct{})
+	resp := home.submit(cn, q, func(c *core, _ *conn, q wire.Request, tid uint64) wire.Response {
+		defer close(ran)
+		return c.handleProcExec(&spanSession{s: s, sess: sess}, q, tid)
+	})
+	if resp.Code == wire.CodeTimeout {
+		// The task is still queued: the barrier must hold until it has run.
+		select {
+		case <-ran:
+		case <-home.done:
+		}
+	}
+	return resp
+}
+
+// --- Replication & control --------------------------------------------------
+
+// replStatus reports role, log positions, and the router extension:
+// whether this node answers routed reads, and its own lag estimate. Across
+// streams it aggregates conservatively: last = total appended, applied =
+// the minimum position (the only floor a cross-stream lease can trust), lag
+// = the worst stream's estimate.
+func (s *Server) replStatus() wire.Response {
+	vals := make([]uint32, wire.NumReplStatusVals)
+	standby := s.standby.Load()
+	vals[wire.ReplRole] = uint32(role(standby))
+	vals[wire.ReplServeReads] = uint32(b2i(!standby || s.cfg.ServeReads))
+	var last uint64
+	applied, seen := ^uint64(0), false
+	for _, c := range s.cores {
+		if c.walLog != nil {
+			last += c.walLog.LastSeq()
+		}
+		var a uint64
+		switch {
+		case standby && c.applier != nil:
+			a = c.applier.Applied()
+		case !standby && c.shipper != nil:
+			a = c.shipper.Acked()
+		default:
+			continue
+		}
+		seen = true
+		if a < applied {
+			applied = a
+		}
+	}
+	if !seen {
+		applied = 0
+	}
+	vals[wire.ReplLastLo], vals[wire.ReplLastHi] = wire.SplitU64(last)
+	vals[wire.ReplAppliedLo], vals[wire.ReplAppliedHi] = wire.SplitU64(applied)
+	vals[wire.ReplLagLo], vals[wire.ReplLagHi] = wire.SplitU64(s.replLag())
+	return ok(vals...)
+}
+
+// notePromote follows a core's promotion — a core's applier hitting its
+// failure limit, or an operator order — by promoting the whole group.
+// Fire-and-forget per sibling: promote is CAS-guarded, so the fan-out
+// converges however the calls interleave.
+func (s *Server) notePromote(reason string) {
+	if !s.standby.CompareAndSwap(true, false) {
+		return
+	}
+	for _, c := range s.cores {
+		go c.onExecutor(func() { c.promote(reason) })
+	}
 }
 
 // --- Lifecycle ------------------------------------------------------------
@@ -1809,19 +1224,23 @@ func (s *Server) noteDrop() {
 var ErrShutdownTimeout = errors.New("server: shutdown deadline exceeded")
 
 // Shutdown drains and stops the server: stop accepting, let every
-// connection finish its in-flight request, execute queued work, run a
-// final audit sweep, stop the audit stack. timeout bounds the whole
-// sequence; zero means wait indefinitely.
+// connection finish its in-flight request, then on each core in ascending
+// order execute the queued work, run a final certifying audit sweep, stop
+// the audit stack and close the log. timeout bounds the connection drain;
+// zero means wait indefinitely. The result is ErrShutdownTimeout, else the
+// first durability step that failed on any core, else nil; every call
+// returns it once the server is down.
 func (s *Server) Shutdown(timeout time.Duration) error {
 	s.mu.Lock()
 	if s.shutdown {
 		s.mu.Unlock()
-		<-s.done
-		return nil
+		<-s.down
+		return s.downErr
 	}
 	s.shutdown = true
 	ln := s.listener
 	s.mu.Unlock()
+	defer close(s.down)
 
 	close(s.quit)
 	if ln != nil {
@@ -1830,11 +1249,11 @@ func (s *Server) Shutdown(timeout time.Duration) error {
 	s.acceptWG.Wait()
 
 	// Poke blocked reads so connection goroutines notice the quit signal;
-	// an in-flight request still completes because the executor is
-	// running until connWG drains.
+	// an in-flight request still completes because the executors run
+	// until connWG drains.
 	s.mu.Lock()
-	for c := range s.conns {
-		_ = c.nc.SetReadDeadline(time.Now())
+	for cn := range s.conns {
+		_ = cn.nc.SetReadDeadline(time.Now()) // a dead socket ends the goroutine anyway
 	}
 	s.mu.Unlock()
 
@@ -1843,53 +1262,64 @@ func (s *Server) Shutdown(timeout time.Duration) error {
 		s.connWG.Wait()
 		close(connsDone)
 	}()
-	var timedOut bool
+	var expired <-chan time.Time
 	if timeout > 0 {
-		select {
-		case <-connsDone:
-		case <-time.After(timeout):
-			timedOut = true
-			s.mu.Lock()
-			for c := range s.conns {
-				c.nc.Close()
-			}
-			s.mu.Unlock()
-			<-connsDone
+		expired = time.After(timeout)
+	}
+	select {
+	case <-connsDone:
+	case <-expired:
+		s.downErr = ErrShutdownTimeout
+		s.mu.Lock()
+		for cn := range s.conns {
+			cn.nc.Close()
 		}
-	} else {
+		s.mu.Unlock()
 		<-connsDone
 	}
 
-	close(s.stopping)
-	<-s.done
-	if s.cfg.Guard {
-		s.db.DisableConcurrencyCheck()
+	for _, c := range s.cores {
+		close(c.stopping)
+		<-c.done
+		if s.downErr == nil {
+			s.downErr = c.walErr
+		}
+		if s.cfg.Guard {
+			c.db.DisableConcurrencyCheck()
+		}
 	}
-	if timedOut {
-		return ErrShutdownTimeout
-	}
-	return nil
+	return s.downErr
 }
 
 // Stats snapshots the server counters.
 func (s *Server) Stats() Stats {
 	var st Stats
-	for i := 0; i < wire.NumOps; i++ {
-		st.PerOp[i] = OpStat{OK: s.perOpOK[i].Load(), Errs: s.perOpErr[i].Load()}
+	addDrops := func(into *ipc.DropStats, d ipc.DropStats) {
+		into.Dropped += d.Dropped
+		if d.Burst > into.Burst {
+			into.Burst = d.Burst
+		}
+		if d.HighWater > into.HighWater {
+			into.HighWater = d.HighWater
+		}
 	}
-	s.dropMu.Lock()
-	st.ReqDrops = ipc.DropStats{Dropped: s.dropped, Burst: s.maxBurst, HighWater: s.highWater}
-	s.dropMu.Unlock()
-	if s.audit != nil {
-		st.AuditDrops = s.audit.Drops()
+	for _, c := range s.cores {
+		for i := range st.PerOp {
+			st.PerOp[i].OK += c.perOpOK[i].Load()
+			st.PerOp[i].Errs += c.perOpErr[i].Load()
+		}
+		addDrops(&st.ReqDrops, c.reqDrops())
+		if c.audit != nil {
+			addDrops(&st.AuditDrops, c.audit.Drops())
+		}
+		st.AuditFindings += c.findings.Load()
+		st.Sweeps += c.sweeps.Load()
+		st.Restarts += int(c.restarts.Load())
+		st.Executed += c.executed.Load()
 	}
-	st.AuditFindings = s.findings.Load()
-	st.Sweeps = s.sweeps.Load()
-	st.Restarts = int(s.restarts.Load())
 	s.mu.Lock()
 	st.ActiveConns = len(s.conns)
 	s.mu.Unlock()
 	st.TotalConns = s.totalConns.Load()
-	st.Executed = s.executed.Load()
 	return st
 }

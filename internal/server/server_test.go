@@ -4,23 +4,42 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/callproc"
 	"repro/internal/memdb"
+	"repro/internal/metrics"
+	"repro/internal/trace"
+	"repro/internal/wal"
 	"repro/internal/wire"
 )
 
-// startServer builds a controller-schema database and serves it on a
-// loopback listener with fast audit pacing and the concurrent-access guard
-// armed. Cleanup shuts the server down (t.Fatal on drain failure).
-func startServer(t *testing.T, cfg Config) (*Server, string) {
+// testSchemas is the controller schema striped over n regions.
+func testSchemas(t *testing.T, n int) []memdb.Schema {
 	t.Helper()
-	db, err := memdb.New(callproc.Schema(callproc.DefaultSchemaConfig()))
+	schemas, err := memdb.ShardSchemas(callproc.Schema(callproc.DefaultSchemaConfig()), n)
 	if err != nil {
 		t.Fatal(err)
+	}
+	return schemas
+}
+
+// newTestServer builds an n-region controller-schema database and serves it
+// on a loopback listener with fast audit pacing and the concurrent-access
+// guard armed. wals is empty (no durability) or one log per region; a
+// one-region caller may pass its log as cfg.WAL instead, as to New. Cleanup
+// shuts the server down (t.Error on drain failure).
+func newTestServer(t *testing.T, n int, cfg Config, wals ...*wal.Log) (*Server, string) {
+	t.Helper()
+	dbs := make([]*memdb.DB, n)
+	for k, schema := range testSchemas(t, n) {
+		var err error
+		if dbs[k], err = memdb.New(schema); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if cfg.AuditPeriod == 0 {
 		cfg.AuditPeriod = 50 * time.Millisecond
@@ -29,7 +48,10 @@ func startServer(t *testing.T, cfg Config) (*Server, string) {
 		cfg.ClockTick = 5 * time.Millisecond
 	}
 	cfg.Guard = true
-	srv, err := New(db, cfg)
+	if cfg.WAL != nil {
+		wals, cfg.WAL = []*wal.Log{cfg.WAL}, nil
+	}
+	srv, err := NewSharded(dbs, wals, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,13 +72,24 @@ func startServer(t *testing.T, cfg Config) (*Server, string) {
 	return srv, ln.Addr().String()
 }
 
+// forEachN runs f as a subtest for one, two and four regions.
+func forEachN(t *testing.T, f func(t *testing.T, n int)) {
+	for _, n := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) { f(t, n) })
+	}
+}
+
 // TestEndToEndMixedWorkloadWithLiveAudits is the subsystem's acceptance
 // test: concurrent connections run a mixed read/write workload over
 // loopback while periodic audit sweeps run live against the shared region;
 // after drain, every record must equal the client-side golden copy and a
 // final sweep must be clean.
 func TestEndToEndMixedWorkloadWithLiveAudits(t *testing.T) {
-	srv, addr := startServer(t, Config{})
+	forEachN(t, testEndToEndMixedWorkload)
+}
+
+func testEndToEndMixedWorkload(t *testing.T, n int) {
+	srv, addr := newTestServer(t, n, Config{})
 
 	const workers = 4
 	const opsPerWorker = 400
@@ -225,19 +258,15 @@ func TestEndToEndMixedWorkloadWithLiveAudits(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ctl.Close()
-	n, err := ctl.Sweep()
+	found, err := ctl.Sweep()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 0 {
-		t.Fatalf("live audit sweep found %d errors in a clean workload", n)
+	if found != 0 {
+		t.Fatalf("live audit sweep found %d errors in a clean workload", found)
 	}
-	stats, err := ctl.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats[wire.StatReqDropped] != 0 {
-		t.Fatalf("%d requests dropped with queue depth %d", stats[wire.StatReqDropped], srv.cfg.QueueDepth)
+	if d := srv.Stats().ReqDrops.Dropped; d != 0 {
+		t.Fatalf("%d requests dropped with queue depth %d", d, srv.cfg.QueueDepth)
 	}
 
 	// Drain-then-shutdown, then check golden-record equality directly
@@ -245,10 +274,10 @@ func TestEndToEndMixedWorkloadWithLiveAudits(t *testing.T) {
 	if err := srv.Shutdown(5 * time.Second); err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
-	db := srv.DB()
 	for w, g := range models {
+		db := srv.cores[memdb.ShardOf(g.rec, n)].db
 		for fi, want := range g.vals {
-			got, err := db.ReadFieldDirect(callproc.TblRes, g.rec, fi)
+			got, err := db.ReadFieldDirect(callproc.TblRes, memdb.LocalIndex(g.rec, n), fi)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -274,8 +303,10 @@ func TestEndToEndMixedWorkloadWithLiveAudits(t *testing.T) {
 	if st.Executed == 0 {
 		t.Error("executor counted no requests")
 	}
-	if db.GuardViolations() != 0 {
-		t.Errorf("single-writer guard recorded %d violations", db.GuardViolations())
+	for k, c := range srv.cores {
+		if v := c.db.GuardViolations(); v != 0 {
+			t.Errorf("region %d: single-writer guard recorded %d violations", k, v)
+		}
 	}
 }
 
@@ -283,7 +314,7 @@ func TestEndToEndMixedWorkloadWithLiveAudits(t *testing.T) {
 // each failure mode produced server-side must decode to the matching
 // sentinel or typed error client-side.
 func TestProtocolErrorsCrossTheWire(t *testing.T) {
-	_, addr := startServer(t, Config{})
+	_, addr := newTestServer(t, 1, Config{})
 	c, err := wire.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -364,7 +395,7 @@ func TestProtocolErrorsCrossTheWire(t *testing.T) {
 // with an open transaction does not wedge the table: teardown closes the
 // session on the executor, releasing its locks.
 func TestSessionLocksReleasedOnDisconnect(t *testing.T) {
-	_, addr := startServer(t, Config{})
+	_, addr := newTestServer(t, 1, Config{})
 	c1, err := wire.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -405,19 +436,21 @@ func TestSessionLocksReleasedOnDisconnect(t *testing.T) {
 // TestShutdownRejectsNewConnections verifies drain semantics: after
 // Shutdown no new connection is served.
 func TestShutdownRejectsNewConnections(t *testing.T) {
-	srv, addr := startServer(t, Config{})
-	if err := srv.Shutdown(2 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	c, err := wire.Dial(addr)
-	if err != nil {
-		return // refused outright: fine
-	}
-	defer c.Close()
-	c.Timeout = 500 * time.Millisecond
-	if err := c.Ping(); err == nil {
-		t.Fatal("ping succeeded after shutdown")
-	}
+	forEachN(t, func(t *testing.T, n int) {
+		srv, addr := newTestServer(t, n, Config{})
+		if err := srv.Shutdown(2 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		c, err := wire.Dial(addr)
+		if err != nil {
+			return // refused outright: fine
+		}
+		defer c.Close()
+		c.Timeout = 500 * time.Millisecond
+		if err := c.Ping(); err == nil {
+			t.Fatal("ping succeeded after shutdown")
+		}
+	})
 }
 
 // TestRequestQueueDropAccounting exercises the backpressure path directly:
@@ -437,13 +470,13 @@ func TestRequestQueueDropAccounting(t *testing.T) {
 	// Stall the executor with a control closure so the queue backs up.
 	release := make(chan struct{})
 	stalled := make(chan struct{})
-	srv.ctrl <- func() { close(stalled); <-release }
+	srv.cores[0].ctrl <- func() { close(stalled); <-release }
 	<-stalled
 
-	c := &conn{nc: &net.TCPConn{}} // never written: all submissions fail fast
+	c := srv.newConn(&net.TCPConn{}) // never written: all submissions fail fast
 	var overloads, timeouts int
 	for i := 0; i < 6; i++ {
-		resp := srv.submit(c, wire.Request{Seq: uint32(i), Op: wire.OpPing})
+		resp := srv.cores[0].submit(c, wire.Request{Seq: uint32(i), Op: wire.OpPing}, srv.control)
 		switch resp.Code {
 		case wire.CodeOverload:
 			overloads++
@@ -467,4 +500,602 @@ func TestRequestQueueDropAccounting(t *testing.T) {
 	if st.ReqDrops.HighWater != 2 {
 		t.Fatalf("ReqDrops.HighWater = %d, want 2", st.ReqDrops.HighWater)
 	}
+}
+
+// TestNewShardedValidates covers the constructor's layout checks, and that
+// one region through NewSharded is the server New builds.
+func TestNewShardedValidates(t *testing.T) {
+	newDBs := func(n int) []*memdb.DB {
+		dbs := make([]*memdb.DB, n)
+		for k, schema := range testSchemas(t, n) {
+			var err error
+			if dbs[k], err = memdb.New(schema); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return dbs
+	}
+	if _, err := NewSharded(nil, nil, Config{}); err == nil {
+		t.Error("no regions accepted")
+	}
+	if _, err := NewSharded(newDBs(2), []*wal.Log{nil}, Config{}); err == nil {
+		t.Error("mismatched WAL count accepted")
+	}
+	// Mismatched regions (one full-size, one striped) must be caught.
+	if _, err := NewSharded([]*memdb.DB{newDBs(2)[0], newDBs(1)[0]}, nil, Config{}); err == nil {
+		t.Error("inconsistent shard schemas accepted")
+	}
+
+	// N=1 behaves as New: same plain gauge names, no "shard." namespace.
+	one, err := NewSharded(newDBs(1), nil, Config{AuditPeriod: -1})
+	if err != nil {
+		t.Fatalf("one region: %v", err)
+	}
+	defer one.Shutdown(time.Second)
+	viaNew, err := New(newDBs(1)[0], Config{AuditPeriod: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer viaNew.Shutdown(time.Second)
+	a, _ := one.SnapshotMetrics()
+	b, _ := viaNew.SnapshotMetrics()
+	if len(a.Gauges) != len(b.Gauges) {
+		t.Errorf("NewSharded(1 region) publishes %d gauges, New %d", len(a.Gauges), len(b.Gauges))
+	}
+	for name := range a.Gauges {
+		if _, ok := b.Gauges[name]; !ok || strings.HasPrefix(name, "shard.") {
+			t.Errorf("gauge %q of NewSharded(1 region) is not one of New's", name)
+		}
+	}
+}
+
+// TestRoutingRoundTrip drives every record-addressed op through the
+// coordinator across records spanning all shards and checks each against
+// global addressing: what a client writes at global record g it must read
+// back at global record g, whatever shard owns it, with bounds errors
+// carrying global limits.
+func TestRoutingRoundTrip(t *testing.T) { forEachN(t, testRoutingRoundTrip) }
+
+func testRoutingRoundTrip(t *testing.T, n int) {
+	sd, addr := newTestServer(t, n, Config{})
+	c := dialInit(t, addr)
+
+	ti := callproc.TblRes
+	total := sd.globalRecs[ti]
+
+	// Allocate four records via the rotating cursor — it visits the regions
+	// in turn — and write a distinct value to each.
+	recs := make([]int, 0, 4)
+	for len(recs) < cap(recs) {
+		ri, err := c.Alloc(ti, len(recs)%callproc.ResourceBanks)
+		if err != nil {
+			t.Fatalf("alloc %d: %v", len(recs), err)
+		}
+		if ri < 0 || ri >= total {
+			t.Fatalf("alloc returned out-of-range global record %d (limit %d)", ri, total)
+		}
+		if got, want := memdb.ShardOf(ri, n), len(recs)%n; got != want {
+			t.Fatalf("alloc %d landed on region %d, want %d (records %v + %d)", len(recs), got, want, recs, ri)
+		}
+		recs = append(recs, ri)
+	}
+
+	for i, ri := range recs {
+		vals := []uint32{uint32(i + 1), 1, uint32(10 * (i + 1))}
+		if err := c.WriteRec(ti, ri, vals); err != nil {
+			t.Fatalf("writerec %d: %v", ri, err)
+		}
+	}
+	for i, ri := range recs {
+		got, err := c.ReadRec(ti, ri)
+		if err != nil {
+			t.Fatalf("readrec %d: %v", ri, err)
+		}
+		want := []uint32{uint32(i + 1), 1, uint32(10 * (i + 1))}
+		for f := range want {
+			if got[f] != want[f] {
+				t.Fatalf("record %d field %d = %d, want %d", ri, f, got[f], want[f])
+			}
+		}
+		if v, err := c.ReadFld(ti, ri, callproc.FldResQuality); err != nil || v != want[callproc.FldResQuality] {
+			t.Fatalf("readfld %d = %d (%v), want %d", ri, v, err, want[callproc.FldResQuality])
+		}
+		if st, err := c.Status(ti, ri); err != nil || st == 0 {
+			t.Fatalf("status %d = %d (%v), want active", ri, st, err)
+		}
+	}
+
+	// Move and free route to the owning shard too.
+	if err := c.Move(ti, recs[1], 1%callproc.ResourceBanks); err != nil {
+		t.Fatalf("move: %v", err)
+	}
+	if err := c.Free(ti, recs[2]); err != nil {
+		t.Fatalf("free: %v", err)
+	}
+	if st, err := c.Status(ti, recs[2]); err != nil || st != 0 {
+		t.Fatalf("freed record status = %d (%v), want 0", st, err)
+	}
+
+	// Bounds errors must carry the GLOBAL record limit, not a shard's.
+	if _, err := c.ReadRec(ti, total); err == nil || !strings.Contains(err.Error(), fmt.Sprint(total)) {
+		t.Fatalf("out-of-bounds read err = %v, want global limit %d in message", err, total)
+	}
+	if _, err := c.ReadRec(len(sd.globalRecs), 0); err == nil {
+		t.Fatal("out-of-bounds table accepted")
+	}
+
+	// STATS must count exactly one execution per request, whichever side
+	// of the coordinator served it.
+	st := sd.Stats()
+	if st.PerOp[wire.OpWriteRec].OK != uint64(len(recs)) {
+		t.Fatalf("WriteRec OK = %d, want %d", st.PerOp[wire.OpWriteRec].OK, len(recs))
+	}
+	if st.PerOp[wire.OpAlloc].OK != uint64(len(recs)) {
+		t.Fatalf("Alloc OK = %d, want %d", st.PerOp[wire.OpAlloc].OK, len(recs))
+	}
+}
+
+// TestAllocFullRotation exhausts the whole table through the
+// coordinator: every stripe must fill before the table reports full, and
+// the resulting global IDs must cover every record exactly once.
+func TestAllocFullRotation(t *testing.T) { forEachN(t, testAllocFullRotation) }
+
+func testAllocFullRotation(t *testing.T, n int) {
+	sd, addr := newTestServer(t, n, Config{})
+	c := dialInit(t, addr)
+
+	ti := callproc.TblRes
+	total := sd.globalRecs[ti]
+	seen := map[int]bool{}
+	for i := 0; i < total; i++ {
+		ri, err := c.Alloc(ti, i%callproc.ResourceBanks)
+		if err != nil {
+			t.Fatalf("alloc %d of %d: %v", i, total, err)
+		}
+		if seen[ri] {
+			t.Fatalf("alloc %d returned duplicate global record %d", i, ri)
+		}
+		seen[ri] = true
+	}
+	if _, err := c.Alloc(ti, 0); !errors.Is(err, memdb.ErrNoFreeRecord) {
+		t.Fatalf("alloc past capacity err = %v, want ErrNoFreeRecord", err)
+	}
+}
+
+// TestBeginOrdering covers the cross-shard transaction fan-out: a
+// held table lock excludes a second session on every shard, a partial
+// conflict rolls the winner's lower shards back cleanly, and two sessions
+// hammering Begin/Commit from opposite ends never deadlock (the locks are
+// non-blocking and acquired in ascending shard order).
+func TestBeginOrdering(t *testing.T) { forEachN(t, testBeginOrdering) }
+
+func testBeginOrdering(t *testing.T, n int) {
+	_, addr := newTestServer(t, n, Config{})
+	a := dialInit(t, addr)
+	b := dialInit(t, addr)
+
+	ti := callproc.TblRes
+	if err := a.Begin(ti); err != nil {
+		t.Fatalf("A begin: %v", err)
+	}
+	if err := b.Begin(ti); !errors.Is(err, memdb.ErrLocked) {
+		t.Fatalf("B begin while A holds = %v, want ErrLocked", err)
+	}
+	// The failed fan-out must have rolled back completely: A still holds
+	// every shard (its writes proceed), and after A commits B can begin.
+	ri, err := a.Alloc(ti, 0)
+	if err != nil {
+		t.Fatalf("A alloc under txn: %v", err)
+	}
+	if err := a.WriteFld(ti, ri, callproc.FldResQuality, 7); err != nil {
+		t.Fatalf("A write under txn: %v", err)
+	}
+	if err := b.WriteFld(ti, ri, callproc.FldResQuality, 8); !errors.Is(err, memdb.ErrLocked) {
+		t.Fatalf("B write against A's lock = %v, want ErrLocked", err)
+	}
+	if err := a.Commit(); err != nil {
+		t.Fatalf("A commit: %v", err)
+	}
+	if err := b.Begin(ti); err != nil {
+		t.Fatalf("B begin after A commit: %v", err)
+	}
+	if err := b.Commit(); err != nil {
+		t.Fatalf("B commit: %v", err)
+	}
+
+	// A Begin on a second table while holding the first must not disturb
+	// the held lock when it loses the race (rollback re-acquires only what
+	// was newly taken).
+	if err := a.Begin(ti); err != nil {
+		t.Fatalf("A re-begin: %v", err)
+	}
+	if err := b.Begin(callproc.TblConn); err != nil {
+		t.Fatalf("B begin trunk: %v", err)
+	}
+	if err := a.Begin(callproc.TblConn); !errors.Is(err, memdb.ErrLocked) {
+		t.Fatalf("A begin trunk while B holds = %v, want ErrLocked", err)
+	}
+	if err := a.WriteFld(ti, ri, callproc.FldResQuality, 9); err != nil {
+		t.Fatalf("A lost trunk race but must still hold res: %v", err)
+	}
+	if err := a.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Adversarial interleaving: two sessions race Begin/Commit on two
+	// tables in opposite orders. Non-blocking locks mean no deadlock is
+	// possible; the test simply has to finish.
+	done := make(chan error, 2)
+	contend := func(c *wire.Conn, first, second int) {
+		for i := 0; i < 200; i++ {
+			if err := c.Begin(first); err != nil {
+				if errors.Is(err, memdb.ErrLocked) {
+					continue
+				}
+				done <- err
+				return
+			}
+			if err := c.Begin(second); err != nil && !errors.Is(err, memdb.ErrLocked) {
+				done <- err
+				return
+			}
+			if err := c.Commit(); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}
+	go contend(a, callproc.TblRes, callproc.TblConn)
+	go contend(b, callproc.TblConn, callproc.TblRes)
+	for i := 0; i < 2; i++ {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("contender: %v", err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatal("cross-shard Begin contention deadlocked")
+		}
+	}
+}
+
+// TestProcBarrier runs procedures whose mutations land on different
+// shards: the all-shard barrier must let one program read and write
+// records on any shard with its effects visible to routed reads after.
+func TestProcBarrier(t *testing.T) { forEachN(t, testProcBarrier) }
+
+func testProcBarrier(t *testing.T, n int) {
+	sd, addr := newTestServer(t, n, Config{})
+	c := dialInit(t, addr)
+
+	ti := callproc.TblRes
+	recs := make([]int, n)
+	for i := range recs {
+		ri, err := c.Alloc(ti, i%callproc.ResourceBanks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs[i] = ri
+	}
+	// One res_touch per record: each execution's committed write lands on
+	// a different shard through the same shard0-hosted program.
+	for i, ri := range recs {
+		want := uint32(40 + i)
+		out, err := c.ProcExec("res_touch", []uint32{uint32(ri), want})
+		if err != nil {
+			t.Fatalf("ProcExec(res_touch, rec %d): %v", ri, err)
+		}
+		if len(out) != 2 || out[0] != want {
+			t.Fatalf("res_touch out = %v, want [%d, ...]", out, want)
+		}
+		if v, err := c.ReadFld(ti, ri, callproc.FldResQuality); err != nil || v != want {
+			t.Fatalf("quality after proc = %d (%v), want %d", v, err, want)
+		}
+	}
+	// A procedure addressing a record past the global bounds must answer
+	// the global bounds error, same as a direct write would.
+	if _, err := c.ProcExec("res_touch", []uint32{uint32(sd.globalRecs[ti]), 1}); err == nil {
+		t.Fatal("res_touch past global bounds succeeded")
+	}
+	// PROC requests must still be trace-joined: each execution emits a
+	// req-enqueue/req-reply pair at the coordinator.
+	evs := sd.TraceEvents(trace.KindReqReply, 0)
+	procReplies := 0
+	for _, e := range evs {
+		if e.Op == wire.OpProcExec.String() {
+			procReplies++
+		}
+	}
+	if procReplies < len(recs) {
+		t.Fatalf("PROC req-reply events = %d, want >= %d", procReplies, len(recs))
+	}
+}
+
+// TestShardedInjectionDetectJoin arms the data injector across the
+// coordinator and requires the single-server acceptance loop to hold per
+// shard: shots journal, sweeps find and repair them, and every shot joins
+// a finding by trace ID — the IDs coming from whichever shard's audit
+// detected the damage.
+func TestShardedInjectionDetectJoin(t *testing.T) {
+	sd, addr := newTestServer(t, 4, Config{AuditPeriod: 10 * time.Millisecond})
+	c := dialInit(t, addr)
+
+	if err := c.InjectCtl(2*time.Millisecond, 0, wire.InjectModeStatic); err != nil {
+		t.Fatalf("InjectCtl arm: %v", err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if time.Now().After(deadline) {
+			t.Fatal("too few shots journaled within deadline")
+		}
+		time.Sleep(10 * time.Millisecond)
+		if len(sd.TraceEvents(trace.KindShot, 0)) >= 8 {
+			break
+		}
+	}
+	if err := c.InjectCtl(0, 0, wire.InjectModeRandom); err != nil {
+		t.Fatalf("InjectCtl disarm: %v", err)
+	}
+	time.Sleep(30 * time.Millisecond)
+	if _, err := c.Sweep(); err != nil {
+		t.Fatalf("SWEEP: %v", err)
+	}
+	evs := sd.TraceEvents(0, 0)
+	findings := map[uint64]bool{}
+	for _, e := range trace.Filter(evs, trace.KindFinding) {
+		findings[e.Trace] = true
+	}
+	shots := trace.Filter(evs, trace.KindShot)
+	if len(shots) == 0 {
+		t.Fatal("no shots on the shared journal")
+	}
+	for _, s := range shots {
+		if s.Op != "dbflip" {
+			continue
+		}
+		if !findings[s.Trace] {
+			t.Errorf("shot seq=%d trace=%d never joined a finding", s.Seq, s.Trace)
+		}
+	}
+	// The damage and repairs happened on individual shards; a second sweep
+	// must now certify the whole region clean.
+	if n, err := c.Sweep(); err != nil || n != 0 {
+		t.Fatalf("certifying sweep = %d findings (%v), want 0", n, err)
+	}
+}
+
+// TestShardedHotShardWorkload is the scaling e2e: several pipelined
+// writers saturate ONE shard's executor while background sessions touch
+// the others and the per-shard audits keep sweeping. After drain, every
+// record must match its writer's golden copy, a forced sweep must certify
+// clean, and the untouched shards' audits must have kept running — the
+// isolation the partitioning exists to provide. Run with -race in CI.
+func TestShardedHotShardWorkload(t *testing.T) {
+	const n = 4
+	const hotWriters = 3
+	const opsPerWriter = 300
+	sd, addr := newTestServer(t, n, Config{AuditPeriod: 20 * time.Millisecond})
+
+	ti := callproc.TblRes
+	// Pick the hot shard, then give every hot writer its own record ON
+	// that shard (allocating and freeing until the rotating cursor lands
+	// there — ownership is global, the stripe is what we are aiming at).
+	setup := dialInit(t, addr)
+	hotRec, err := setup.Alloc(ti, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hot := memdb.ShardOf(hotRec, n)
+	// One claimer at a time: concurrent claimers advancing the shared cursor
+	// in lockstep can each keep landing on the same wrong stripe.
+	var claimMu sync.Mutex
+	claim := func(c *wire.Conn, shard int, group int) (int, error) {
+		claimMu.Lock()
+		defer claimMu.Unlock()
+		for tries := 0; tries < 64; tries++ {
+			ri, err := c.Alloc(ti, group)
+			if err != nil {
+				return 0, err
+			}
+			if memdb.ShardOf(ri, n) == shard {
+				return ri, nil
+			}
+			if err := c.Free(ti, ri); err != nil {
+				return 0, err
+			}
+		}
+		return 0, fmt.Errorf("could not land an allocation on shard %d", shard)
+	}
+
+	var wg sync.WaitGroup
+	errs := make(chan error, hotWriters+1)
+
+	// Hot writers: pipelined field writes, all to records on `hot`.
+	for w := 0; w < hotWriters; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			c, err := wire.Dial(addr)
+			if err != nil {
+				errs <- err
+				return
+			}
+			defer c.Close()
+			if _, err := c.Init(); err != nil {
+				errs <- err
+				return
+			}
+			ri, err := claim(c, hot, w%callproc.ResourceBanks)
+			if err != nil {
+				errs <- err
+				return
+			}
+			last := uint32(0)
+			for i := 0; i < opsPerWriter; i++ {
+				last = uint32((w*opsPerWriter + i) % 101)
+				if err := c.WriteFld(ti, ri, callproc.FldResQuality, last); err != nil {
+					errs <- fmt.Errorf("hot writer %d op %d: %w", w, i, err)
+					return
+				}
+			}
+			if v, err := c.ReadFld(ti, ri, callproc.FldResQuality); err != nil || v != last {
+				errs <- fmt.Errorf("hot writer %d: final quality = %d (%v), want %d", w, v, err, last)
+				return
+			}
+			errs <- nil
+		}(w)
+	}
+
+	// One background session exercises the other shards while the hot
+	// stripe is saturated.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		c, err := wire.Dial(addr)
+		if err != nil {
+			errs <- err
+			return
+		}
+		defer c.Close()
+		if _, err := c.Init(); err != nil {
+			errs <- err
+			return
+		}
+		ri, err := claim(c, (hot+1)%n, 0)
+		if err != nil {
+			errs <- err
+			return
+		}
+		for i := 0; i < opsPerWriter/2; i++ {
+			if err := c.WriteFld(ti, ri, callproc.FldResQuality, uint32(i%101)); err != nil {
+				errs <- fmt.Errorf("background op %d: %w", i, err)
+				return
+			}
+			if _, err := c.ReadFld(ti, ri, callproc.FldResQuality); err != nil {
+				errs <- fmt.Errorf("background read %d: %w", i, err)
+				return
+			}
+		}
+		errs <- nil
+	}()
+
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// The per-shard audit schedulers keep certifying through and after the
+	// stampede; every shard contributes to the aggregate sweep counter.
+	deadline := time.Now().Add(5 * time.Second)
+	for sd.Stats().Sweeps < uint64(n) {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d sweeps across %d shards", sd.Stats().Sweeps, n)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n, err := setup.Sweep(); err != nil || n != 0 {
+		t.Fatalf("final sweep = %d findings (%v), want clean", n, err)
+	}
+}
+
+// TestStatsAggregation checks the wire-compatible observability
+// surface: STATS2 must carry both the plain aggregate gauges a single
+// server publishes and the per-shard "shard.<k>." namespace, HEALTH must
+// answer with the coordinator plane's document, and SWEEP must report the
+// shard totals.
+func TestStatsAggregation(t *testing.T) { forEachN(t, testStatsAggregation) }
+
+func testStatsAggregation(t *testing.T, n int) {
+	sd, addr := newTestServer(t, n, Config{})
+	c := dialInit(t, addr)
+
+	ti := callproc.TblRes
+	ri, err := c.Alloc(ti, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		if err := c.WriteFld(ti, ri, callproc.FldResQuality, uint32(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	raw, err := c.Stats2()
+	if err != nil {
+		t.Fatalf("STATS2: %v", err)
+	}
+	snap, err := metrics.ParseSnapshot(raw)
+	if err != nil {
+		t.Fatalf("STATS2 decode: %v", err)
+	}
+	for _, name := range []string{
+		"server.queue.depth", "server.queue.capacity", "server.executed",
+		"server.conns.active", "server.audit.findings", "memdb.clients",
+	} {
+		if _, ok := snap.Gauges[name]; !ok {
+			t.Errorf("aggregate gauge %q missing from STATS2", name)
+		}
+	}
+	// One region publishes the plain names only; several add their own
+	// "shard.<k>." namespace underneath the aggregates.
+	for k := 0; k < n; k++ {
+		if _, ok := snap.Gauges[fmt.Sprintf("shard.%d.server.queue.depth", k)]; ok != (n > 1) {
+			t.Errorf("per-region gauge shard.%d.server.queue.depth present = %v with %d regions", k, ok, n)
+		}
+	}
+	if snap.Gauges["server.executed"] < 11 {
+		t.Errorf("aggregate server.executed = %d, want >= 11", snap.Gauges["server.executed"])
+	}
+	// The executed aggregate must equal the Stats() sum (single-counting).
+	if st := sd.Stats(); snap.Gauges["server.executed"] > int64(st.Executed) {
+		t.Errorf("gauge executed %d > Stats executed %d", snap.Gauges["server.executed"], st.Executed)
+	}
+
+	if _, err := c.Health(); err != nil {
+		t.Fatalf("HEALTH: %v", err)
+	}
+	st, ok := sd.Health()
+	if !ok || st.Role != "primary" {
+		t.Fatalf("Health = %+v ok=%v, want primary role", st, ok)
+	}
+	if _, err := c.Sweep(); err != nil {
+		t.Fatalf("SWEEP: %v", err)
+	}
+	// The legacy STATS opcode is retired: reserved, and unknown to the server.
+	if r, err := c.Call(wire.Request{Op: wire.Op(15)}); err != nil || !errors.Is(r.Err(), wire.ErrUnknownOp) {
+		t.Fatalf("retired STATS op = %v (%v), want ErrUnknownOp", r.Err(), err)
+	}
+}
+
+// TestRoutedReadBoundsBeforeLease: a routed read that is both out of range
+// and behind its lease floor answers the bounds error at every region count
+// — no owner can be named for the record, so nothing can judge its lease.
+func TestRoutedReadBoundsBeforeLease(t *testing.T) {
+	forEachN(t, func(t *testing.T, n int) {
+		// Nothing answers on port 1: the standby never applies a record, so
+		// any nonzero lease floor is ahead of it.
+		_, addr := newTestServer(t, n, Config{
+			Standby: true, ServeReads: true, PrimaryAddr: "127.0.0.1:1", ReplFailLimit: -1,
+		})
+		c, err := wire.Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		stale := wire.Request{Op: wire.OpReadFld, Table: callproc.TblRes, Record: 3, Vals: []uint32{9, 0}}
+		if r, err := c.Call(stale); err != nil || r.Code != wire.CodeStale {
+			t.Fatalf("in-range stale read = code %d (%v), want CodeStale", r.Code, err)
+		}
+		stale.Record = 99999
+		var be *memdb.BoundsError
+		if r, err := c.Call(stale); err != nil || !errors.As(r.Err(), &be) || be.What != "record" {
+			t.Fatalf("out-of-range stale read = %v (%v), want the record bounds error", r.Err(), err)
+		}
+	})
 }

@@ -16,7 +16,7 @@ import (
 // trace ID, and follow at least one injected shot through its audit
 // finding to the recovery that repaired it.
 func TestTraceJournalJoinsShotsToRecovery(t *testing.T) {
-	srv, addr := startServer(t, Config{
+	srv, addr := newTestServer(t, 1, Config{
 		AuditPeriod:  20 * time.Millisecond,
 		InjectPeriod: 15 * time.Millisecond,
 		InjectSeed:   3,
@@ -153,7 +153,7 @@ func TestTraceJournalJoinsShotsToRecovery(t *testing.T) {
 // TestTraceDisabled: with DisableTrace the recorder is absent, the
 // accessor answers nil, and the wire op reports an error.
 func TestTraceDisabled(t *testing.T) {
-	srv, addr := startServer(t, Config{DisableTrace: true})
+	srv, addr := newTestServer(t, 1, Config{DisableTrace: true})
 	if srv.Trace() != nil {
 		t.Fatal("Trace() non-nil with DisableTrace")
 	}

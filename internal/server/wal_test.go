@@ -10,76 +10,97 @@ import (
 
 	"repro/internal/callproc"
 	"repro/internal/memdb"
+	"repro/internal/trace"
 	"repro/internal/wal"
 	"repro/internal/wire"
 )
 
 // walDriver runs a deterministic mutating workload through a wire
-// connection and records, for every acknowledged mutation, the equivalent
-// direct operation — the replay oracle a recovered database is compared
-// against.
+// connection against an n-region server and records, for every acknowledged
+// mutation, the equivalent direct operation on the owning region in that
+// region's stream order — the replay oracle each recovered region is
+// compared against byte for byte.
 type walDriver struct {
 	conn *wire.Conn
-	ops  []func(*memdb.DB) error
+	n    int
+	ops  [][]func(*memdb.DB) error // per region
 }
 
-// runCycles performs n alloc/write/move/free cycles on the resource table.
+func newWALDriver(conn *wire.Conn, n int) *walDriver {
+	return &walDriver{conn: conn, n: n, ops: make([][]func(*memdb.DB) error, n)}
+}
+
+// runCycles performs alloc/write/move/free cycles on the resource table.
 // Odd cycles leave their record active so the final state mixes free and
 // active records. All values stay inside the catalog ranges so audits have
 // nothing to repair.
-func (d *walDriver) runCycles(t *testing.T, n int) {
+func (d *walDriver) runCycles(t *testing.T, cycles int) {
 	t.Helper()
 	ti := callproc.TblRes
-	for c := 0; c < n; c++ {
+	for c := 0; c < cycles; c++ {
 		group := c % callproc.ResourceBanks
 		ri, err := d.conn.Alloc(ti, group)
 		if err != nil {
 			t.Fatalf("cycle %d: alloc: %v", c, err)
 		}
-		d.ops = append(d.ops, func(db *memdb.DB) error { return db.AllocDirect(ti, ri, group) })
+		k, l := memdb.ShardOf(ri, d.n), memdb.LocalIndex(ri, d.n)
+		record := func(op func(*memdb.DB) error) { d.ops[k] = append(d.ops[k], op) }
+		record(func(db *memdb.DB) error { return db.AllocDirect(ti, l, group) })
 
 		vals := []uint32{uint32(c % 10), uint32(c % 3), uint32(c % 101)}
 		if err := d.conn.WriteRec(ti, ri, vals); err != nil {
 			t.Fatalf("cycle %d: writerec: %v", c, err)
 		}
-		d.ops = append(d.ops, func(db *memdb.DB) error { return db.WriteRecDirect(ti, ri, vals) })
+		record(func(db *memdb.DB) error { return db.WriteRecDirect(ti, l, vals) })
 
 		q := uint32(c%50 + 1)
 		if err := d.conn.WriteFld(ti, ri, callproc.FldResQuality, q); err != nil {
 			t.Fatalf("cycle %d: writefld: %v", c, err)
 		}
-		d.ops = append(d.ops, func(db *memdb.DB) error {
-			return db.WriteFieldDirect(ti, ri, callproc.FldResQuality, q)
-		})
+		record(func(db *memdb.DB) error { return db.WriteFieldDirect(ti, l, callproc.FldResQuality, q) })
 
 		ng := (group + 1) % callproc.ResourceBanks
 		if err := d.conn.Move(ti, ri, ng); err != nil {
 			t.Fatalf("cycle %d: move: %v", c, err)
 		}
-		d.ops = append(d.ops, func(db *memdb.DB) error { return db.MoveDirect(ti, ri, ng) })
+		record(func(db *memdb.DB) error { return db.MoveDirect(ti, l, ng) })
 
 		if c%2 == 0 {
 			if err := d.conn.Free(ti, ri); err != nil {
 				t.Fatalf("cycle %d: free: %v", c, err)
 			}
-			d.ops = append(d.ops, func(db *memdb.DB) error { return db.FreeRecordDirect(ti, ri) })
+			record(func(db *memdb.DB) error { return db.FreeRecordDirect(ti, l) })
 		}
 	}
 }
 
-// model replays the first n recorded operations against a fresh database.
-func (d *walDriver) model(t *testing.T, n int) *memdb.DB {
+// model replays the first count recorded operations of region k against a
+// fresh region-k database.
+func (d *walDriver) model(t *testing.T, k, count int) *memdb.DB {
 	t.Helper()
-	db, err := memdb.New(callproc.Schema(callproc.DefaultSchemaConfig()))
+	db, err := memdb.New(testSchemas(t, d.n)[k])
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < n; i++ {
-		if err := d.ops[i](db); err != nil {
-			t.Fatalf("model op %d: %v", i, err)
+	if count > len(d.ops[k]) {
+		t.Fatalf("region %d: recovered %d ops but only %d were acknowledged", k, count, len(d.ops[k]))
+	}
+	for i := 0; i < count; i++ {
+		if err := d.ops[k][i](db); err != nil {
+			t.Fatalf("region %d model op %d: %v", k, i, err)
 		}
 	}
 	return db
+}
+
+// openTestWALs opens one fresh log per region.
+func openTestWALs(t *testing.T, n int) (dirs []string, wals []*wal.Log) {
+	t.Helper()
+	for k := 0; k < n; k++ {
+		dirs = append(dirs, t.TempDir())
+		wals = append(wals, openTestWAL(t, dirs[k], wal.Config{}))
+	}
+	return dirs, wals
 }
 
 func openTestWAL(t *testing.T, dir string, cfg wal.Config) *wal.Log {
@@ -106,35 +127,120 @@ func dialInit(t *testing.T, addr string) *wire.Conn {
 }
 
 // TestWALShutdownRecoverIdentical drives a workload through a WAL-backed
-// server, shuts down (final certifying checkpoint), and recovers: the
-// recovered region must byte-match both the server's final region and an
-// independent replay of the acknowledged operations.
+// server, shuts down (one certifying checkpoint per region), and recovers
+// every stream independently: each recovered region must byte-match both
+// the server's final region and the replay of exactly the client
+// operations that region's stream owns.
 func TestWALShutdownRecoverIdentical(t *testing.T) {
-	dir := t.TempDir()
-	srv, addr := startServer(t, Config{WAL: openTestWAL(t, dir, wal.Config{})})
-	conn := dialInit(t, addr)
+	forEachN(t, func(t *testing.T, n int) {
+		dirs, wals := openTestWALs(t, n)
+		srv, addr := newTestServer(t, n, Config{}, wals...)
+		d := newWALDriver(dialInit(t, addr), n)
+		d.runCycles(t, 16)
 
-	d := &walDriver{conn: conn}
-	d.runCycles(t, 12)
+		if err := srv.Shutdown(5 * time.Second); err != nil {
+			t.Fatalf("shutdown: %v", err)
+		}
+		for k, dir := range dirs {
+			res, err := wal.Recover(dir, testSchemas(t, n)[k])
+			if err != nil {
+				t.Fatalf("region %d: recover: %v", k, err)
+			}
+			if want := uint64(len(d.ops[k])); res.CheckpointSeq != want {
+				t.Errorf("region %d: checkpoint seq = %d, want %d (one per owned mutation)", k, res.CheckpointSeq, want)
+			}
+			if res.Replayed != 0 {
+				t.Errorf("region %d: replayed %d records past the shutdown checkpoint", k, res.Replayed)
+			}
+			if !bytes.Equal(res.DB.Raw(), srv.cores[k].db.Raw()) {
+				t.Errorf("region %d: recovered region differs from the server's final region", k)
+			}
+			if !bytes.Equal(res.DB.Raw(), d.model(t, k, len(d.ops[k])).Raw()) {
+				t.Errorf("region %d: recovered region differs from the client-op replay oracle", k)
+			}
+		}
+	})
+}
 
-	if err := srv.Shutdown(5 * time.Second); err != nil {
-		t.Fatalf("shutdown: %v", err)
-	}
-	res, err := wal.Recover(dir, callproc.Schema(callproc.DefaultSchemaConfig()))
+// TestWALCrashRecovery takes a crash image of every stream mid-run — no
+// shutdown, no final checkpoint — and recovers from the copies: each region
+// must land byte-identical to the replay of exactly the prefix of its
+// acknowledged operations that reached its log, and none may recover past
+// what the client observed.
+func TestWALCrashRecovery(t *testing.T) {
+	forEachN(t, func(t *testing.T, n int) {
+		dirs, wals := openTestWALs(t, n)
+		_, addr := newTestServer(t, n, Config{ClockTick: 2 * time.Millisecond}, wals...)
+		d := newWALDriver(dialInit(t, addr), n)
+		d.runCycles(t, 16)
+
+		// Give the executor clocks a tick to fsync the tails, then snapshot
+		// the directories — the simulated kill point. The live server keeps
+		// running underneath; the copies are frozen.
+		time.Sleep(50 * time.Millisecond)
+		for k, dir := range dirs {
+			res, err := wal.Recover(copyWALDir(t, dir), testSchemas(t, n)[k])
+			if err != nil {
+				t.Fatalf("region %d: recover from crash image: %v", k, err)
+			}
+			oracle := d.model(t, k, int(res.LastSeq))
+			if !bytes.Equal(res.DB.Raw(), oracle.Raw()) {
+				t.Errorf("region %d: crash-recovered region differs from the %d-op oracle prefix", k, res.LastSeq)
+			}
+		}
+	})
+}
+
+// copyWALDir snapshots a WAL directory into a fresh temp dir: the crash
+// image.
+func copyWALDir(t *testing.T, dir string) string {
+	t.Helper()
+	dst := t.TempDir()
+	entries, err := os.ReadDir(dir)
 	if err != nil {
-		t.Fatalf("recover: %v", err)
+		t.Fatal(err)
 	}
-	if res.CheckpointSeq != uint64(len(d.ops)) {
-		t.Fatalf("checkpoint seq = %d, want %d (one per mutation)", res.CheckpointSeq, len(d.ops))
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if res.Replayed != 0 {
-		t.Fatalf("replayed %d records past the shutdown checkpoint", res.Replayed)
+	return dst
+}
+
+// TestWALFailureSurfaces closes the log underneath a running server: the
+// failed fsync must be journaled, not dropped, and Shutdown must return it
+// so the daemon exits nonzero.
+func TestWALFailureSurfaces(t *testing.T) {
+	_, wals := openTestWALs(t, 1)
+	db, err := memdb.New(testSchemas(t, 1)[0])
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !bytes.Equal(res.DB.Raw(), srv.DB().Raw()) {
-		t.Fatal("recovered region differs from the server's final region")
+	srv, err := New(db, Config{WAL: wals[0]})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !bytes.Equal(res.DB.Raw(), d.model(t, len(d.ops)).Raw()) {
-		t.Fatal("recovered region differs from the client-op replay oracle")
+	if !srv.cores[0].onExecutor(func() { _ = wals[0].Close() }) {
+		t.Fatal("executor gone before the log was closed")
+	}
+	err = srv.Shutdown(5 * time.Second)
+	if err == nil || !strings.Contains(err.Error(), "sync-error") {
+		t.Fatalf("Shutdown = %v, want the failed pre-sweep fsync", err)
+	}
+	if again := srv.Shutdown(time.Second); again != err {
+		t.Errorf("second Shutdown = %v, want the same %v", again, err)
+	}
+	journaled := false
+	for _, e := range srv.TraceEvents(trace.KindWALRecover, 0) {
+		journaled = journaled || e.Op == "sync-error"
+	}
+	if !journaled {
+		t.Error("no sync-error event on the journal")
 	}
 }
 
@@ -145,12 +251,12 @@ func TestWALShutdownRecoverIdentical(t *testing.T) {
 func TestWALTornTailRecovery(t *testing.T) {
 	dir := t.TempDir()
 	l := openTestWAL(t, dir, wal.Config{})
-	srv, addr := startServer(t, Config{WAL: l, CheckpointCap: -1})
+	srv, addr := newTestServer(t, 1, Config{WAL: l, CheckpointCap: -1})
 	conn := dialInit(t, addr)
 
-	d := &walDriver{conn: conn}
+	d := newWALDriver(conn, 1)
 	d.runCycles(t, 10)
-	n := uint64(len(d.ops))
+	n := uint64(len(d.ops[0]))
 
 	// Wait for the executor clock to fsync the tail, then take the crash
 	// image while the server is still running — no shutdown checkpoint.
@@ -161,27 +267,12 @@ func TestWALTornTailRecovery(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	crash := t.TempDir()
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
+	crash := copyWALDir(t, dir)
+	segs, err := filepath.Glob(filepath.Join(crash, "*.seg"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no WAL segment in crash image (%v)", err)
 	}
-	var seg string
-	for _, e := range ents {
-		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(crash, e.Name()), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if strings.HasSuffix(e.Name(), ".seg") {
-			seg = filepath.Join(crash, e.Name())
-		}
-	}
-	if seg == "" {
-		t.Fatal("no WAL segment in crash image")
-	}
+	seg := segs[len(segs)-1]
 	fi, err := os.Stat(seg)
 	if err != nil {
 		t.Fatal(err)
@@ -201,7 +292,7 @@ func TestWALTornTailRecovery(t *testing.T) {
 	if res.LastSeq != n-1 || res.Replayed != int(n-1) {
 		t.Fatalf("recovered to seq %d (replayed %d), want %d", res.LastSeq, res.Replayed, n-1)
 	}
-	if !bytes.Equal(res.DB.Raw(), d.model(t, int(n-1)).Raw()) {
+	if !bytes.Equal(res.DB.Raw(), d.model(t, 0, int(n-1)).Raw()) {
 		t.Fatal("recovered region differs from the oracle replay of all-but-torn ops")
 	}
 
@@ -220,10 +311,9 @@ func TestWALTornTailRecovery(t *testing.T) {
 // shows) and the replication role.
 func TestStats2SurfacesWALTelemetry(t *testing.T) {
 	dir := t.TempDir()
-	_, addr := startServer(t, Config{WAL: openTestWAL(t, dir, wal.Config{})})
+	_, addr := newTestServer(t, 1, Config{WAL: openTestWAL(t, dir, wal.Config{})})
 	conn := dialInit(t, addr)
-	d := &walDriver{conn: conn}
-	d.runCycles(t, 2)
+	newWALDriver(conn, 1).runCycles(t, 2)
 
 	doc, err := conn.Stats2()
 	if err != nil {

@@ -374,19 +374,6 @@ func (c *Conn) ReplFetchShard(shard, table, rec int) (status int, vals []uint32,
 	return int(r.Vals[0]), r.Vals[1:], nil
 }
 
-// Stats fetches the server counter snapshot (indexed by the StatsVals
-// constants).
-func (c *Conn) Stats() ([]uint32, error) {
-	r, err := c.call(Request{Op: OpStats})
-	if err != nil {
-		return nil, err
-	}
-	if len(r.Vals) < NumStatVals {
-		return nil, fmt.Errorf("%w: Stats reply carries %d values", ErrBadFrame, len(r.Vals))
-	}
-	return r.Vals, nil
-}
-
 // ProcExec runs the named server-side procedure with args and returns the
 // values it emitted. A PECOS abort surfaces as ErrProcViolation; crashes,
 // hangs, and commit rejections as ErrProcFault.

@@ -52,7 +52,7 @@ const (
 	OpCommit      // release every transaction lock
 	OpStatus      // returns [record status byte]
 	OpSweep       // force one full audit sweep, returns [finding count]
-	OpStats       // server counters snapshot, see StatsVals
+	opOldStats    // reserved: the legacy counters op STATS2 replaced; servers answer ErrUnknownOp
 	OpStats2      // full metrics snapshot; Detail carries the JSON document
 	OpTrace       // flight-recorder journal; Table filters by kind, Aux caps the event count, Detail carries the JSON events
 
@@ -119,7 +119,7 @@ func (o Op) String() string {
 		return "DBstatus"
 	case OpSweep:
 		return "Sweep"
-	case OpStats:
+	case opOldStats:
 		return "Stats"
 	case OpStats2:
 		return "Stats2"
@@ -497,20 +497,6 @@ func (r Response) Err() error {
 		return fmt.Errorf("wire: server error (code %d): %s", r.Code, r.Detail)
 	}
 }
-
-// StatsVals indexes the value vector returned by OpStats.
-const (
-	StatReqDropped     = iota // requests rejected with CodeOverload
-	StatReqDropBurst          // longest consecutive-drop run
-	StatReqHighWater          // deepest request-queue depth observed
-	StatAuditDropped          // audit notification messages dropped
-	StatAuditHighWater        // deepest audit-queue depth observed
-	StatAuditFindings         // findings produced by live audits
-	StatAuditSweeps           // full audit sweeps completed
-	StatActiveConns           // currently connected clients
-	StatTotalConns            // connections accepted since start
-	NumStatVals
-)
 
 // Replication roles reported by OpReplStatus.
 const (
