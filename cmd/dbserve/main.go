@@ -27,9 +27,9 @@
 // connections finish their in-flight requests, queued work executes, a
 // final audit sweep certifies the region, and a stats summary is printed.
 //
-// With -shards N (N > 1) the database is striped across N complete server
-// cores — N executors, N audit schedulers, N WAL streams — behind one
-// coordinator; see internal/server.Sharded. A sharded WAL directory holds
+// With -shards N the database is striped across N cores of the one server —
+// N executors, N audit schedulers, N WAL streams behind one front end; see
+// internal/server. For N > 1 the WAL directory holds
 // per-shard subdirectories (shard-0 ... shard-N-1) plus a "shards" marker
 // file recording N; recovery runs the shards in parallel. The shard count
 // is part of the durable layout: restart with the same -shards, and give a

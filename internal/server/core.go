@@ -391,18 +391,11 @@ func (c countedCheck) CheckAll() []audit.Finding {
 // exports the audit notification queue, all through c.greg.
 func (c *core) registerMetrics() {
 	reg := c.greg
-	drops := func(pick func() int64) func() int64 {
-		return func() int64 {
-			c.dropMu.Lock()
-			defer c.dropMu.Unlock()
-			return pick()
-		}
-	}
 	reg.GaugeFunc("server.queue.depth", func() int64 { return int64(len(c.reqs)) })
 	reg.GaugeFunc("server.queue.capacity", func() int64 { return int64(cap(c.reqs)) })
-	reg.GaugeFunc("server.queue.dropped", drops(func() int64 { return int64(c.dropped) }))
-	reg.GaugeFunc("server.queue.drop_burst", drops(func() int64 { return int64(c.maxBurst) }))
-	reg.GaugeFunc("server.queue.high_water", drops(func() int64 { return int64(c.highWater) }))
+	reg.GaugeFunc("server.queue.dropped", func() int64 { return int64(c.reqDrops().Dropped) })
+	reg.GaugeFunc("server.queue.drop_burst", func() int64 { return int64(c.reqDrops().Burst) })
+	reg.GaugeFunc("server.queue.high_water", func() int64 { return int64(c.reqDrops().HighWater) })
 	reg.GaugeFunc("server.executed", func() int64 { return int64(c.executed.Load()) })
 	reg.GaugeFunc("server.audit.restarts", func() int64 { return c.restarts.Load() })
 	reg.GaugeFunc("server.audit.findings", func() int64 { return int64(c.findings.Load()) })

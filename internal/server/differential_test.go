@@ -453,67 +453,34 @@ func TestDifferentialTranscripts(t *testing.T) {
 	}
 }
 
-// firstDiff reports every differing line pair (request line included for
-// context), or "" when the transcripts are equal.
+// firstDiff describes the first differing line (with the request line before
+// it for context), or returns "" when the transcripts are equal. Each side
+// is shown as the words the other lacks, which for a shape{...} line is the
+// keys only that side has.
 func firstDiff(want, got string) string {
-	if want == got {
-		return ""
-	}
 	w, g := strings.Split(want, "\n"), strings.Split(got, "\n")
-	var out strings.Builder
-	for i := 0; i < len(w) || i < len(g); i++ {
-		var wl, gl string
-		if i < len(w) {
-			wl = w[i]
+	for i := 0; i < len(w) && i < len(g); i++ {
+		if w[i] != g[i] {
+			return fmt.Sprintf("  line %d, after %.200s\n    only want: %.600s\n    only got:  %.600s",
+				i+1, w[max(i-1, 0)], wordsOnlyIn(w[i], g[i]), wordsOnlyIn(g[i], w[i]))
 		}
-		if i < len(g) {
-			gl = g[i]
-		}
-		if wl == gl {
-			continue
-		}
-		if i > 0 && i < len(w) {
-			fmt.Fprintf(&out, "  after %s\n", clip(w[i-1]))
-		}
-		if ws, gs, ok := shapeDiff(wl, gl); ok {
-			fmt.Fprintf(&out, "  line %d shape\n    only want %v\n    only got  %v\n", i+1, ws, gs)
-			continue
-		}
-		fmt.Fprintf(&out, "  line %d\n    want %s\n    got  %s\n", i+1, clip(wl), clip(gl))
 	}
-	return out.String()
+	if len(w) != len(g) {
+		return fmt.Sprintf("  %d lines, want %d", len(g), len(w))
+	}
+	return ""
 }
 
-// shapeDiff splits two shape{...} lines into the keys only one side has.
-func shapeDiff(want, got string) (onlyWant, onlyGot []string, ok bool) {
-	_, wk, ok1 := strings.Cut(want, "shape{")
-	_, gk, ok2 := strings.Cut(got, "shape{")
-	if !ok1 || !ok2 {
-		return nil, nil, false
+func wordsOnlyIn(a, b string) string {
+	in := map[string]bool{}
+	for _, k := range strings.Fields(b) {
+		in[k] = true
 	}
-	in := map[string]int{}
-	for _, k := range strings.Fields(strings.TrimSuffix(wk, "}")) {
-		in[k] |= 1
-	}
-	for _, k := range strings.Fields(strings.TrimSuffix(gk, "}")) {
-		in[k] |= 2
-	}
-	for k, side := range in {
-		switch side {
-		case 1:
-			onlyWant = append(onlyWant, k)
-		case 2:
-			onlyGot = append(onlyGot, k)
+	var only []string
+	for _, k := range strings.Fields(a) {
+		if !in[k] {
+			only = append(only, k)
 		}
 	}
-	sort.Strings(onlyWant)
-	sort.Strings(onlyGot)
-	return onlyWant, onlyGot, true
-}
-
-func clip(s string) string {
-	if len(s) > 400 {
-		return s[:400] + "…"
-	}
-	return s
+	return strings.Join(only, " ")
 }

@@ -364,20 +364,11 @@ type Server struct {
 	start time.Time
 }
 
-// conn is one client connection. on[k] is its state on core k: sess is
-// created and destroyed only by executor-thread code (session, closeSession)
-// but read from the connection goroutine to answer ErrNoSession without a
-// queue hop — hence the atomic pointer; the bootstrap-snapshot fields stay
-// executor-only (ReplSnap chunks are served one request at a time through
-// the executor).
+// conn is one client connection; on[k] is its state on core k.
 type conn struct {
 	nc net.Conn
 	id uint64 // connection ordinal, tags this conn's trace events
-	on []struct {
-		sess    atomic.Pointer[memdb.Client]
-		snap    []byte // retained bootstrap snapshot being chunked out
-		snapSeq uint64 // WAL position the snapshot captured
-	}
+	on []connSlot
 
 	// submit scratch, reused across requests (the conn goroutine is the
 	// only user). reply is dropped after a timeout — the executor still
@@ -386,14 +377,19 @@ type conn struct {
 	rtimer *time.Timer
 }
 
+// connSlot is a connection's state on one core. sess is created and
+// destroyed only by executor-thread code (session, closeSession) but read
+// from the connection goroutine to answer ErrNoSession without a queue hop —
+// hence the atomic pointer; the bootstrap-snapshot fields stay executor-only
+// (ReplSnap chunks are served one request at a time through the executor).
+type connSlot struct {
+	sess    atomic.Pointer[memdb.Client]
+	snap    []byte // retained bootstrap snapshot being chunked out
+	snapSeq uint64 // WAL position the snapshot captured
+}
+
 func (s *Server) newConn(nc net.Conn) *conn {
-	cn := &conn{nc: nc}
-	cn.on = make([]struct {
-		sess    atomic.Pointer[memdb.Client]
-		snap    []byte
-		snapSeq uint64
-	}, len(s.cores))
-	return cn
+	return &conn{nc: nc, on: make([]connSlot, len(s.cores))}
 }
 
 // defaultTraceTail is the TRACE reply's event cap when the request does
@@ -879,23 +875,24 @@ func (s *Server) handle(cn *conn, q wire.Request) wire.Response {
 	case wire.OpInit:
 		// One session per core, all or nothing; the reply carries core 0's
 		// PID.
-		rs, failed := s.fan(cn, q, (*core).session, true)
-		if failed {
+		rs := s.fan(cn, q, (*core).session, true)
+		resp := reply(rs)
+		if resp.Code != wire.CodeOK {
 			for _, c := range s.cores[:len(rs)-1] {
 				c.onExecutor(func() { c.closeSession(cn) })
 			}
-			return rs[len(rs)-1]
 		}
-		return rs[0]
+		return resp
 	case wire.OpClose, wire.OpCommit:
 		// Every core is visited even after an error, so per-core session
 		// state cannot diverge; the first error is the reply.
-		return first(s.fan(cn, q, (*core).session, false))
+		return reply(s.fan(cn, q, (*core).session, false))
 	case wire.OpBegin:
 		// A lock refused by a later core is given back on the lower ones
 		// that newly took it, leaving exactly the locks held before.
-		rs, failed := s.fan(cn, q, (*core).session, true)
-		if !failed {
+		rs := s.fan(cn, q, (*core).session, true)
+		resp := reply(rs)
+		if resp.Code == wire.CodeOK {
 			return ok()
 		}
 		for k, c := range s.cores[:len(rs)-1] {
@@ -903,7 +900,7 @@ func (s *Server) handle(cn *conn, q wire.Request) wire.Response {
 				c.onExecutor(func() { c.unlock(cn, int(q.Table)) })
 			}
 		}
-		return rs[len(rs)-1]
+		return resp
 	case wire.OpProcExec:
 		return s.procExec(cn, q)
 	case wire.OpProcLoad:
@@ -913,9 +910,9 @@ func (s *Server) handle(cn *conn, q wire.Request) wire.Response {
 		return home.submit(cn, q, (*core).handleProcList)
 
 	case wire.OpSweep:
-		rs, failed := s.fan(cn, q, (*core).sweep, true)
-		if failed {
-			return rs[len(rs)-1]
+		rs := s.fan(cn, q, (*core).sweep, true)
+		if resp := reply(rs); resp.Code != wire.CodeOK {
+			return resp
 		}
 		total := uint32(0)
 		for _, r := range rs {
@@ -923,10 +920,10 @@ func (s *Server) handle(cn *conn, q wire.Request) wire.Response {
 		}
 		return ok(total)
 	case wire.OpInjectCtl:
-		return first(s.fan(cn, q, (*core).handleInjectCtl, true))
+		return reply(s.fan(cn, q, (*core).handleInjectCtl, true))
 	case wire.OpStats2:
-		if rs, failed := s.fan(cn, q, (*core).refresh, true); failed {
-			return rs[len(rs)-1]
+		if resp := reply(s.fan(cn, q, (*core).refresh, true)); resp.Code != wire.CodeOK {
+			return resp
 		}
 		data, err := json.Marshal(s.reg.Snapshot())
 		if err != nil {
@@ -934,29 +931,30 @@ func (s *Server) handle(cn *conn, q wire.Request) wire.Response {
 		}
 		return wire.Response{Detail: string(data)}
 
-	case wire.OpReplicate:
+	case wire.OpReplicate, wire.OpReplSnap, wire.OpReplFetch:
+		// The shard id rides an otherwise-unused word: Table, or Field for
+		// REPL_FETCH, whose Table is a real one.
+		k := int(q.Table)
+		if q.Op == wire.OpReplFetch {
+			k = int(q.Field)
+		}
+		if k < 0 || k >= len(s.cores) {
+			return s.refuse(q, fmt.Errorf("%w: %v names shard %d of %d (mismatched -shards?)",
+				wire.ErrBadFrame, q.Op, k, len(s.cores)))
+		}
+		c := s.cores[k]
+		switch q.Op {
+		case wire.OpReplSnap:
+			return c.submit(cn, q, (*core).handleReplSnap)
+		case wire.OpReplFetch:
+			return c.submit(cn, q, (*core).handleReplFetch)
+		}
 		// Replication polls bypass the executor entirely: the shipper reads
 		// the WAL's thread-safe tail ring, so a standby catching up never
 		// competes with call processing for executor cycles.
-		c, refused := s.stream(q, int(q.Table))
-		if c == nil {
-			return refused
-		}
 		resp := c.handleReplicate(q)
 		c.count(q.Op, resp.Code)
 		return resp
-	case wire.OpReplSnap:
-		c, refused := s.stream(q, int(q.Table))
-		if c == nil {
-			return refused
-		}
-		return c.submit(cn, q, (*core).handleReplSnap)
-	case wire.OpReplFetch:
-		c, refused := s.stream(q, int(q.Field))
-		if c == nil {
-			return refused
-		}
-		return c.submit(cn, q, (*core).handleReplFetch)
 	case wire.OpReplPromote:
 		// Core 0 checks the role; its promotion already starts the others',
 		// and waiting for them here makes the reply mean "promoted".
@@ -968,12 +966,13 @@ func (s *Server) handle(cn *conn, q wire.Request) wire.Response {
 		}
 		return resp
 	}
-	return home.submit(cn, q, s.control)
+	return home.submit(cn, q, control)
 }
 
 // control answers, on core 0's executor, the control ops that read the
 // server as a whole; any other op reaching it is unknown.
-func (s *Server) control(_ *core, _ *conn, q wire.Request, _ uint64) wire.Response {
+func control(c *core, _ *conn, q wire.Request, _ uint64) wire.Response {
+	s := c.srv
 	var data []byte
 	var err error
 	switch q.Op {
@@ -1045,15 +1044,6 @@ func (s *Server) locate(cn *conn, q wire.Request) (*core, wire.Request, wire.Res
 	return s.cores[memdb.ShardOf(rec, n)], q, wire.Response{}
 }
 
-// stream picks the core a shard-addressed replication op names.
-func (s *Server) stream(q wire.Request, k int) (*core, wire.Response) {
-	if k < 0 || k >= len(s.cores) {
-		return nil, s.refuse(q, fmt.Errorf("%w: %v names shard %d of %d (mismatched -shards?)",
-			wire.ErrBadFrame, q.Op, k, len(s.cores)))
-	}
-	return s.cores[k], wire.Response{}
-}
-
 // alloc routes DBalloc to the cores starting from a rotating cursor, so
 // allocations spread even when one stripe's free list runs dry; only table
 // exhaustion moves to the next core. The winner's local index is translated
@@ -1084,9 +1074,9 @@ func (s *Server) alloc(cn *conn, q wire.Request) wire.Response {
 // fan runs do for q on every core in ascending order and returns the
 // answers: core 0 as a queued, accounted request, the others through their
 // control channels. With stopOnErr it stops at the first failure, which is
-// then the last answer, and reports failed.
-func (s *Server) fan(cn *conn, q wire.Request, do execFn, stopOnErr bool) (rs []wire.Response, failed bool) {
-	rs = make([]wire.Response, 0, len(s.cores))
+// then the last answer.
+func (s *Server) fan(cn *conn, q wire.Request, do execFn, stopOnErr bool) []wire.Response {
+	rs := make([]wire.Response, 0, len(s.cores))
 	for k, c := range s.cores {
 		var r wire.Response
 		if k == 0 {
@@ -1097,15 +1087,14 @@ func (s *Server) fan(cn *conn, q wire.Request, do execFn, stopOnErr bool) (rs []
 		}
 		rs = append(rs, r)
 		if stopOnErr && r.Code != wire.CodeOK {
-			return rs, true
+			break
 		}
 	}
-	return rs, false
+	return rs
 }
 
-// first is the reply of a fan-out with nothing to combine: the first error,
-// else core 0's answer.
-func first(rs []wire.Response, _ bool) wire.Response {
+// reply is the verdict of a fan-out: the first error, else core 0's answer.
+func reply(rs []wire.Response) wire.Response {
 	for _, r := range rs {
 		if r.Code != wire.CodeOK {
 			return r

@@ -27,12 +27,8 @@ func testSchemas(t *testing.T, n int) []memdb.Schema {
 	return schemas
 }
 
-// newTestServer builds an n-region controller-schema database and serves it
-// on a loopback listener with fast audit pacing and the concurrent-access
-// guard armed. wals is empty (no durability) or one log per region; a
-// one-region caller may pass its log as cfg.WAL instead, as to New. Cleanup
-// shuts the server down (t.Error on drain failure).
-func newTestServer(t *testing.T, n int, cfg Config, wals ...*wal.Log) (*Server, string) {
+// testDBs is a fresh controller database striped over n regions.
+func testDBs(t *testing.T, n int) []*memdb.DB {
 	t.Helper()
 	dbs := make([]*memdb.DB, n)
 	for k, schema := range testSchemas(t, n) {
@@ -41,6 +37,17 @@ func newTestServer(t *testing.T, n int, cfg Config, wals ...*wal.Log) (*Server, 
 			t.Fatal(err)
 		}
 	}
+	return dbs
+}
+
+// newTestServer builds an n-region controller-schema database and serves it
+// on a loopback listener with fast audit pacing and the concurrent-access
+// guard armed. wals is empty (no durability) or one log per region; a
+// one-region caller may pass its log as cfg.WAL instead, as to New. Cleanup
+// shuts the server down (t.Error on drain failure).
+func newTestServer(t *testing.T, n int, cfg Config, wals ...*wal.Log) (*Server, string) {
+	t.Helper()
+	dbs := testDBs(t, n)
 	if cfg.AuditPeriod == 0 {
 		cfg.AuditPeriod = 50 * time.Millisecond
 	}
@@ -476,7 +483,7 @@ func TestRequestQueueDropAccounting(t *testing.T) {
 	c := srv.newConn(&net.TCPConn{}) // never written: all submissions fail fast
 	var overloads, timeouts int
 	for i := 0; i < 6; i++ {
-		resp := srv.cores[0].submit(c, wire.Request{Seq: uint32(i), Op: wire.OpPing}, srv.control)
+		resp := srv.cores[0].submit(c, wire.Request{Seq: uint32(i), Op: wire.OpPing}, control)
 		switch resp.Code {
 		case wire.CodeOverload:
 			overloads++
@@ -505,34 +512,24 @@ func TestRequestQueueDropAccounting(t *testing.T) {
 // TestNewShardedValidates covers the constructor's layout checks, and that
 // one region through NewSharded is the server New builds.
 func TestNewShardedValidates(t *testing.T) {
-	newDBs := func(n int) []*memdb.DB {
-		dbs := make([]*memdb.DB, n)
-		for k, schema := range testSchemas(t, n) {
-			var err error
-			if dbs[k], err = memdb.New(schema); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return dbs
-	}
 	if _, err := NewSharded(nil, nil, Config{}); err == nil {
 		t.Error("no regions accepted")
 	}
-	if _, err := NewSharded(newDBs(2), []*wal.Log{nil}, Config{}); err == nil {
+	if _, err := NewSharded(testDBs(t, 2), []*wal.Log{nil}, Config{}); err == nil {
 		t.Error("mismatched WAL count accepted")
 	}
 	// Mismatched regions (one full-size, one striped) must be caught.
-	if _, err := NewSharded([]*memdb.DB{newDBs(2)[0], newDBs(1)[0]}, nil, Config{}); err == nil {
+	if _, err := NewSharded([]*memdb.DB{testDBs(t, 2)[0], testDBs(t, 1)[0]}, nil, Config{}); err == nil {
 		t.Error("inconsistent shard schemas accepted")
 	}
 
 	// N=1 behaves as New: same plain gauge names, no "shard." namespace.
-	one, err := NewSharded(newDBs(1), nil, Config{AuditPeriod: -1})
+	one, err := NewSharded(testDBs(t, 1), nil, Config{AuditPeriod: -1})
 	if err != nil {
 		t.Fatalf("one region: %v", err)
 	}
 	defer one.Shutdown(time.Second)
-	viaNew, err := New(newDBs(1)[0], Config{AuditPeriod: -1})
+	viaNew, err := New(testDBs(t, 1)[0], Config{AuditPeriod: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -550,7 +547,7 @@ func TestNewShardedValidates(t *testing.T) {
 }
 
 // TestRoutingRoundTrip drives every record-addressed op through the
-// coordinator across records spanning all shards and checks each against
+// front end across records spanning all shards and checks each against
 // global addressing: what a client writes at global record g it must read
 // back at global record g, whatever shard owns it, with bounds errors
 // carrying global limits.
@@ -625,7 +622,7 @@ func testRoutingRoundTrip(t *testing.T, n int) {
 	}
 
 	// STATS must count exactly one execution per request, whichever side
-	// of the coordinator served it.
+	// of the front end served it.
 	st := sd.Stats()
 	if st.PerOp[wire.OpWriteRec].OK != uint64(len(recs)) {
 		t.Fatalf("WriteRec OK = %d, want %d", st.PerOp[wire.OpWriteRec].OK, len(recs))
@@ -636,7 +633,7 @@ func testRoutingRoundTrip(t *testing.T, n int) {
 }
 
 // TestAllocFullRotation exhausts the whole table through the
-// coordinator: every stripe must fill before the table reports full, and
+// front end: every stripe must fill before the table reports full, and
 // the resulting global IDs must cover every record exactly once.
 func TestAllocFullRotation(t *testing.T) { forEachN(t, testAllocFullRotation) }
 
@@ -802,7 +799,7 @@ func testProcBarrier(t *testing.T, n int) {
 		t.Fatal("res_touch past global bounds succeeded")
 	}
 	// PROC requests must still be trace-joined: each execution emits a
-	// req-enqueue/req-reply pair at the coordinator.
+	// req-enqueue/req-reply pair on the journal.
 	evs := sd.TraceEvents(trace.KindReqReply, 0)
 	procReplies := 0
 	for _, e := range evs {
@@ -816,7 +813,7 @@ func testProcBarrier(t *testing.T, n int) {
 }
 
 // TestShardedInjectionDetectJoin arms the data injector across the
-// coordinator and requires the single-server acceptance loop to hold per
+// front end and requires the single-server acceptance loop to hold per
 // shard: shots journal, sweeps find and repair them, and every shot joins
 // a finding by trace ID — the IDs coming from whichever shard's audit
 // detected the damage.
@@ -1008,7 +1005,7 @@ func TestShardedHotShardWorkload(t *testing.T) {
 // TestStatsAggregation checks the wire-compatible observability
 // surface: STATS2 must carry both the plain aggregate gauges a single
 // server publishes and the per-shard "shard.<k>." namespace, HEALTH must
-// answer with the coordinator plane's document, and SWEEP must report the
+// answer with the health plane's document, and SWEEP must report the
 // shard totals.
 func TestStatsAggregation(t *testing.T) { forEachN(t, testStatsAggregation) }
 

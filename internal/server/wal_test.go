@@ -217,11 +217,7 @@ func copyWALDir(t *testing.T, dir string) string {
 // so the daemon exits nonzero.
 func TestWALFailureSurfaces(t *testing.T) {
 	_, wals := openTestWALs(t, 1)
-	db, err := memdb.New(testSchemas(t, 1)[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := New(db, Config{WAL: wals[0]})
+	srv, err := New(testDBs(t, 1)[0], Config{WAL: wals[0]})
 	if err != nil {
 		t.Fatal(err)
 	}
