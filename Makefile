@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test check cover fuzz-smoke trace-smoke failover-smoke proc-smoke scenario-smoke health-smoke replica-smoke shard-smoke bench bench-smoke bench-quick clean
+.PHONY: all build vet test check cover fuzz-smoke trace-smoke failover-smoke proc-smoke scenario-smoke health-smoke replica-smoke shard-smoke bench bench-smoke bench-quick bench-test clean
 
 all: check
 
@@ -107,6 +107,11 @@ bench-smoke:
 # run.
 bench-quick:
 	bash bench/run.sh -quick
+
+# Unit tests of the benchmark driver itself. bench/ is a nested module, so
+# the root `go test ./...` does not reach them.
+bench-test:
+	cd bench && $(GO) test ./...
 
 clean:
 	$(GO) clean ./...

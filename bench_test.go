@@ -435,19 +435,29 @@ func benchmarkServerThroughput(b *testing.B, auditPeriod time.Duration, disableM
 }
 
 // benchmarkServerMulti measures aggregate throughput with conns concurrent
-// clients against one audited server, each connection keeping window
-// requests in flight (window 1 degenerates to one synchronous round trip at
-// a time). The operation mix matches the single-connection subruns —
-// alternating write-field/read-field on a private Resource record — so
-// ops/s compares directly against "audited". Besides aggregate ops/s it
-// reports the server-side p99 read latency from the metrics snapshot, which
-// covers both fast-lane and executor-served reads.
-func benchmarkServerMulti(b *testing.B, conns, window int) {
-	db, err := memdb.New(callproc.Schema(callproc.DefaultSchemaConfig()))
+// clients against one audited core of the given shard count, each
+// connection keeping window requests in flight (window 1 degenerates to one
+// synchronous round trip at a time) against a private Resource record. The
+// default mix matches the single-connection subruns — alternating
+// write-field/read-field — so ops/s compares directly against "audited";
+// writeOnly makes every op a field write, isolating executor scaling:
+// under a sharded core the setup-time alloc rotation gives each connection
+// a record on a different shard, so the write streams land on independent
+// executors, where against shards=1 they serialize on the one. Besides
+// aggregate ops/s it reports the server-side p99 read latency from the
+// metrics snapshot, which covers both fast-lane and executor-served reads.
+func benchmarkServerMulti(b *testing.B, shards, conns, window int, writeOnly bool) {
+	schemas, err := memdb.ShardSchemas(callproc.Schema(callproc.DefaultSchemaConfig()), shards)
 	if err != nil {
 		b.Fatal(err)
 	}
-	srv, err := server.New(db, server.Config{
+	dbs := make([]*memdb.DB, shards)
+	for k := range dbs {
+		if dbs[k], err = memdb.New(schemas[k]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	srv, err := server.NewSharded(dbs, nil, server.Config{
 		AuditPeriod:  50 * time.Millisecond,
 		DisableTrace: true,
 	})
@@ -492,18 +502,12 @@ func benchmarkServerMulti(b *testing.B, conns, window int) {
 			return r.Err()
 		}
 		for i := 0; i < n; i++ {
-			var q wire.Request
-			if i%2 == 0 {
-				q = wire.Request{
-					Op: wire.OpWriteFld, Table: int32(callproc.TblRes),
-					Record: int32(ri), Field: int32(callproc.FldResQuality),
-					Vals: []uint32{uint32(i % 101)},
-				}
-			} else {
-				q = wire.Request{
-					Op: wire.OpReadFld, Table: int32(callproc.TblRes),
-					Record: int32(ri), Field: int32(callproc.FldResQuality),
-				}
+			q := wire.Request{
+				Op: wire.OpReadFld, Table: int32(callproc.TblRes),
+				Record: int32(ri), Field: int32(callproc.FldResQuality),
+			}
+			if writeOnly || i%2 == 0 {
+				q.Op, q.Vals = wire.OpWriteFld, []uint32{uint32(i % 101)}
 			}
 			// Drain half the window when it fills so both directions
 			// batch: each flush carries window/2 frames instead of
@@ -703,9 +707,9 @@ func BenchmarkServerThroughput(b *testing.B) {
 		if conns > 4 {
 			conns = 4
 		}
-		benchmarkServerMulti(b, conns, 1)
+		benchmarkServerMulti(b, 1, conns, 1, false)
 	})
-	b.Run("fastlane-pipelined", func(b *testing.B) { benchmarkServerMulti(b, 4, 16) })
+	b.Run("fastlane-pipelined", func(b *testing.B) { benchmarkServerMulti(b, 1, 4, 16, false) })
 	// replica-fanout spreads a read-heavy routed workload over one primary
 	// plus two read-serving standbys; replica-read-share reports how much
 	// of the read traffic left the primary.
@@ -715,141 +719,8 @@ func BenchmarkServerThroughput(b *testing.B) {
 	// distinct stripe), one single-executor core vs a 4-shard core. The
 	// ops/s ratio between them is the write-scaling headline the sharded
 	// core exists for (expect ~linear on >= 4 CPUs, ~1x under -cpu 1).
-	b.Run("sharded-baseline", func(b *testing.B) { benchmarkShardedThroughput(b, 1) })
-	b.Run("sharded", func(b *testing.B) { benchmarkShardedThroughput(b, 4) })
-}
-
-// benchmarkShardedThroughput measures aggregate mutate throughput against
-// a core with the given shard count, holding the client side fixed: 4
-// connections, each pipelining field writes to its own Resource record.
-// Under a sharded core the setup-time alloc rotation gives each
-// connection a record on a different shard, so the four write streams
-// land on four independent executors; against shards=1 the same four
-// streams serialize on the one executor. Audits run at the standard
-// 50ms bench pacing in both configurations.
-func benchmarkShardedThroughput(b *testing.B, shards int) {
-	const conns = 4
-	const window = 16
-	schema := callproc.Schema(callproc.DefaultSchemaConfig())
-	cfg := server.Config{AuditPeriod: 50 * time.Millisecond, DisableTrace: true}
-	var srv interface {
-		Serve(net.Listener) error
-		Shutdown(time.Duration) error
-	}
-	if shards > 1 {
-		schemas, err := memdb.ShardSchemas(schema, shards)
-		if err != nil {
-			b.Fatal(err)
-		}
-		dbs := make([]*memdb.DB, shards)
-		for k := range dbs {
-			if dbs[k], err = memdb.New(schemas[k]); err != nil {
-				b.Fatal(err)
-			}
-		}
-		sd, err := server.NewSharded(dbs, nil, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		srv = sd
-	} else {
-		db, err := memdb.New(schema)
-		if err != nil {
-			b.Fatal(err)
-		}
-		s, err := server.New(db, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		srv = s
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	go srv.Serve(ln)
-	defer srv.Shutdown(10 * time.Second)
-
-	clients := make([]*wire.Conn, conns)
-	recs := make([]int, conns)
-	for w := 0; w < conns; w++ {
-		c, err := wire.Dial(ln.Addr().String())
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer c.Close()
-		if _, err := c.Init(); err != nil {
-			b.Fatal(err)
-		}
-		ri, err := c.Alloc(callproc.TblRes, w%callproc.ResourceBanks)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := c.WriteRec(callproc.TblRes, ri, []uint32{uint32(ri), 1, 50}); err != nil {
-			b.Fatal(err)
-		}
-		clients[w], recs[w] = c, ri
-	}
-
-	drive := func(c *wire.Conn, ri, n int) error {
-		p := c.Pipeline(window)
-		recv := func() error {
-			r, err := p.Recv()
-			if err != nil {
-				return err
-			}
-			return r.Err()
-		}
-		for i := 0; i < n; i++ {
-			if p.InFlight() >= window {
-				for p.InFlight() > window/2 {
-					if err := recv(); err != nil {
-						return err
-					}
-				}
-			}
-			q := wire.Request{
-				Op: wire.OpWriteFld, Table: int32(callproc.TblRes),
-				Record: int32(ri), Field: int32(callproc.FldResQuality),
-				Vals: []uint32{uint32(i % 101)},
-			}
-			if _, err := p.Send(q); err != nil {
-				return err
-			}
-		}
-		for p.InFlight() > 0 {
-			if err := recv(); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	b.ResetTimer()
-	start := time.Now()
-	var wg sync.WaitGroup
-	workerErrs := make([]error, conns)
-	per, rem := b.N/conns, b.N%conns
-	for w := 0; w < conns; w++ {
-		n := per
-		if w < rem {
-			n++
-		}
-		wg.Add(1)
-		go func(w, n int) {
-			defer wg.Done()
-			workerErrs[w] = drive(clients[w], recs[w], n)
-		}(w, n)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	b.StopTimer()
-	for _, err := range workerErrs {
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(b.N)/elapsed.Seconds(), "ops/s")
+	b.Run("sharded-baseline", func(b *testing.B) { benchmarkServerMulti(b, 1, 4, 16, true) })
+	b.Run("sharded", func(b *testing.B) { benchmarkServerMulti(b, 4, 4, 16, true) })
 }
 
 func BenchmarkVMStep(b *testing.B) {

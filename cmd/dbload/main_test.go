@@ -41,35 +41,36 @@ func startServer(t *testing.T) string {
 	return ln.Addr().String()
 }
 
-func TestLoadRunCleanAgainstLiveServer(t *testing.T) {
+// TestLoadRun drives each legacy flag shape clean against the live stack:
+// the call cycle over synchronous connections, the field mix at a
+// pipelined window (reads verified against the send-time golden copy, so
+// in-order pipelined replies and fast-lane reads racing concurrent audits
+// must still be exact), and the routed mix over a one-node set.
+func TestLoadRun(t *testing.T) {
 	addr := startServer(t)
-	var out bytes.Buffer
-	if err := run([]string{"-addr", addr, "-conns", "3", "-ops", "600"}, &out, nil); err != nil {
-		t.Fatalf("dbload: %v\noutput:\n%s", err, out.String())
-	}
-	s := out.String()
-	for _, want := range []string{"ops/s", "p50=", "p99=", "final sweep: 0 findings"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("report missing %q in:\n%s", want, s)
-		}
-	}
-}
-
-// TestLoadRunPipelined drives the pipelined read/write workload: reads are
-// verified against the send-time golden copy, so in-order pipelined replies
-// (and fast-lane reads racing concurrent audits) must still be exact.
-func TestLoadRunPipelined(t *testing.T) {
-	addr := startServer(t)
-	var out bytes.Buffer
-	if err := run([]string{"-addr", addr, "-conns", "2", "-ops", "800",
-		"-pipeline", "8", "-read-pct", "70"}, &out, nil); err != nil {
-		t.Fatalf("dbload: %v\noutput:\n%s", err, out.String())
-	}
-	s := out.String()
-	for _, want := range []string{"ops/s", "(pipeline=8 read-pct=70)", "final sweep: 0 findings"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("report missing %q in:\n%s", want, s)
-		}
+	for _, c := range []struct {
+		name string
+		args []string
+		want []string
+	}{
+		{"sync", []string{"-conns", "3", "-ops", "600"},
+			[]string{"dbload: 600 ops over 3 conns", "ops/s\n", "p50=", "p99="}},
+		{"pipelined", []string{"-conns", "2", "-ops", "800", "-pipeline", "8", "-read-pct", "70"},
+			[]string{"dbload: 800 ops over 2 conns", "ops/s (pipeline=8 read-pct=70)\n"}},
+		{"routed", []string{"-conns", "2", "-ops", "400", "-route"},
+			[]string{"dbload: 400 ops over 2 conns", "ops/s (routed read-pct=80)\n", "router: replica=0 primary=320 ", "staleness violations: 0"}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var out bytes.Buffer
+			if err := run(append([]string{"-addr", addr}, c.args...), &out, nil); err != nil {
+				t.Fatalf("dbload: %v\noutput:\n%s", err, out.String())
+			}
+			for _, want := range append(c.want, "final sweep: 0 findings") {
+				if !strings.Contains(out.String(), want) {
+					t.Errorf("report missing %q in:\n%s", want, out.String())
+				}
+			}
+		})
 	}
 }
 
@@ -230,13 +231,14 @@ func TestScenarioRunEndToEnd(t *testing.T) {
 	addr := startServer(t)
 	report := filepath.Join(t.TempDir(), "report.json")
 	var out bytes.Buffer
-	err := run([]string{"-addr", addr, "-scenario", "steady-calls", "-seed", "5",
+	err := run([]string{"-addr", addr, "-scenario", "steady-calls", "-seed", "5", "-conns", "2",
 		"-scenario-scale", "0.05", "-scenario-report", report}, &out, nil)
 	if err != nil {
 		t.Fatalf("scenario run: %v\noutput:\n%s", err, out.String())
 	}
 	s := out.String()
-	for _, want := range []string{"ScenarioThroughput/steady-calls/main ", "scenario steady-calls: PASS"} {
+	// The explicit -conns replaces the scenario's own worker count of 4.
+	for _, want := range []string{"seed=5 conns=2 ", "ScenarioThroughput/steady-calls/main ", "scenario steady-calls: PASS"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("output missing %q in:\n%s", want, s)
 		}

@@ -262,9 +262,11 @@ func (rt *Router) noteReplicaDown(t *target) {
 	rt.failovers.Add(1)
 }
 
-// isFailoverErr classifies errors that mean "this node cannot serve this
-// call, try elsewhere" as opposed to errors the caller must surface.
-func isFailoverErr(err error) bool {
+// IsFailoverErr classifies errors that mean "this node cannot serve this
+// call, try elsewhere" — a primary dying or demoting under the client —
+// as opposed to protocol or application errors the caller must surface,
+// where a retry elsewhere would only mask a bug.
+func IsFailoverErr(err error) bool {
 	if err == nil {
 		return false
 	}

@@ -172,13 +172,13 @@ func TestNewDedupsAddrs(t *testing.T) {
 // "try elsewhere", application errors surface.
 func TestIsFailoverErr(t *testing.T) {
 	for _, err := range []error{wire.ErrStandby, wire.ErrShutdown, wire.ErrNotPrimary, io.EOF, io.ErrUnexpectedEOF} {
-		if !isFailoverErr(err) {
-			t.Errorf("isFailoverErr(%v) = false", err)
+		if !IsFailoverErr(err) {
+			t.Errorf("IsFailoverErr(%v) = false", err)
 		}
 	}
 	for _, err := range []error{nil, wire.ErrStale, wire.ErrNoSession, errors.New("boom")} {
-		if isFailoverErr(err) {
-			t.Errorf("isFailoverErr(%v) = true", err)
+		if IsFailoverErr(err) {
+			t.Errorf("IsFailoverErr(%v) = true", err)
 		}
 	}
 }

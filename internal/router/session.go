@@ -123,7 +123,7 @@ func (s *Session) primaryCall(q wire.Request) (wire.Response, error) {
 		resp, err := s.primary.Call(q)
 		if err != nil {
 			s.dropPrimary()
-			if !isFailoverErr(err) {
+			if !IsFailoverErr(err) {
 				return wire.Response{}, err
 			}
 			lastErr = err
@@ -131,7 +131,7 @@ func (s *Session) primaryCall(q wire.Request) (wire.Response, error) {
 			s.rt.sweep()
 			continue
 		}
-		if e := resp.Err(); e != nil && isFailoverErr(e) {
+		if e := resp.Err(); e != nil && IsFailoverErr(e) {
 			// The node answered but no longer serves (demoted, draining):
 			// re-resolve and retry elsewhere.
 			s.dropPrimary()
@@ -205,7 +205,7 @@ func (s *Session) read(q wire.Request) (wire.Response, error) {
 				}
 				s.pref = nil
 				s.rt.staleFallbacks.Add(1)
-			case isFailoverErr(resp.Err()) || errors.Is(resp.Err(), wire.ErrNoSession):
+			case IsFailoverErr(resp.Err()) || errors.Is(resp.Err(), wire.ErrNoSession):
 				// Role changed under us (e.g. the standby promoted and now
 				// wants sessions); the next probe re-ranks it.
 				s.rt.noteReplicaDown(t)
@@ -226,6 +226,17 @@ func (s *Session) read(q wire.Request) (wire.Response, error) {
 		s.rt.primaryReads.Add(1)
 	}
 	return resp, err
+}
+
+// Call routes one request by opcode, like the typed helpers below: reads
+// fan out across the replica set under the session lease, everything else
+// goes to the primary. The reply's code is folded into the error.
+func (s *Session) Call(q wire.Request) (wire.Response, error) {
+	switch q.Op {
+	case wire.OpReadRec, wire.OpReadFld, wire.OpStatus:
+		return s.read(q)
+	}
+	return s.primaryCall(q)
 }
 
 // ReadRec reads all fields of a record, routed across the replica set.

@@ -5,13 +5,11 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"repro/internal/callproc"
 	"repro/internal/health"
-	"repro/internal/memdb"
 	"repro/internal/metrics"
 	"repro/internal/trace"
 	"repro/internal/wire"
@@ -48,7 +46,7 @@ func Run(sc *Scenario, opts RunOptions) (*Report, error) {
 		return nil, errors.New("scenario: no server address")
 	}
 
-	ctl, err := dialPrimary(opts.Addrs)
+	ctl, err := DialPrimary(opts.Addrs)
 	if err != nil {
 		return nil, err
 	}
@@ -57,22 +55,24 @@ func Run(sc *Scenario, opts RunOptions) (*Report, error) {
 	fmt.Fprintf(out, "scenario %s: seed=%d conns=%d slots=%d scale=%g ticks=%d target-ops=%d\n",
 		sc.Name, plan.Seed, plan.Conns, plan.Slots, plan.Scale, len(plan.Ticks), plan.Summary.TotalOps)
 
-	workers := make([]*runWorker, plan.Conns)
-	for i := range workers {
-		w := &runWorker{id: i, plan: plan, sc: sc, addrs: opts.Addrs}
-		if err := w.setup(); err != nil {
-			for _, p := range workers[:i] {
-				p.close()
-			}
-			return nil, fmt.Errorf("worker %d setup: %w", i, err)
-		}
-		workers[i] = w
-	}
+	// Teardown is best-effort: the measurements are already taken by then,
+	// so its errors are not interesting.
+	workers := make([]*worker, 0, plan.Conns)
 	defer func() {
 		for _, w := range workers {
-			w.close()
+			_ = w.close()
 		}
 	}()
+	for i := 0; i < plan.Conns; i++ {
+		w := &worker{
+			id: i, addrs: opts.Addrs, lax: sc.Lax,
+			phaseDone: make([]int, len(sc.Phases)), phaseEnd: make([]time.Duration, len(sc.Phases)),
+		}
+		workers = append(workers, w)
+		if err := w.open(plan.Slots); err != nil {
+			return nil, fmt.Errorf("worker %d setup: %w", i, err)
+		}
+	}
 
 	hasInject := false
 	for _, ph := range sc.Phases {
@@ -104,9 +104,9 @@ func Run(sc *Scenario, opts RunOptions) (*Report, error) {
 	var wg sync.WaitGroup
 	for _, w := range workers {
 		wg.Add(1)
-		go func(w *runWorker) {
+		go func(w *worker) {
 			defer wg.Done()
-			w.run(base, opts.Stop)
+			w.run(plan, base, opts.Stop)
 		}(w)
 	}
 
@@ -271,7 +271,7 @@ type sampler struct {
 	err        error
 }
 
-func (sm *sampler) take(base time.Time, phase string, workers []*runWorker) {
+func (sm *sampler) take(base time.Time, phase string, workers []*worker) {
 	doc, err := sm.ctl.Stats2()
 	if err != nil {
 		if sm.err == nil {
@@ -305,7 +305,7 @@ func (sm *sampler) take(base time.Time, phase string, workers []*runWorker) {
 
 	var findings uint64
 	for name, v := range snap.Counters {
-		if len(name) > len("audit.findings.") && name[:len("audit.findings.")] == "audit.findings." {
+		if strings.HasPrefix(name, "audit.findings.") {
 			findings += v - sm.base0.Counters[name]
 		}
 	}
@@ -355,7 +355,7 @@ func (sm *sampler) fetchJournal() {
 
 // buildReport assembles the JSON artifact from the plan, the workers'
 // client-side tallies, the sampler's timeline, and the final snapshot.
-func buildReport(plan *Plan, workers []*runWorker, samp *sampler, end metrics.Snapshot,
+func buildReport(plan *Plan, workers []*worker, samp *sampler, end metrics.Snapshot,
 	elapsed time.Duration, sweeps, found int) *Report {
 	rep := &Report{
 		Summary:    plan.Summary,
@@ -434,8 +434,8 @@ func buildReport(plan *Plan, workers []*runWorker, samp *sampler, end metrics.Sn
 		}
 	}
 	for _, w := range workers {
-		rep.Mismatches += w.mismatches
-		rep.ProcAborts += w.procAborts
+		rep.Mismatches += w.Mismatches
+		rep.ProcAborts += w.ProcAborts
 	}
 
 	sv := ServerStats{
@@ -450,7 +450,7 @@ func buildReport(plan *Plan, workers []*runWorker, samp *sampler, end metrics.Sn
 		FinalSweepFound: found,
 	}
 	for name, v := range end.Counters {
-		if cls, ok := cutPrefix(name, "audit.findings."); ok {
+		if cls, ok := strings.CutPrefix(name, "audit.findings."); ok {
 			if d := int64(v - samp.base0.Counters[name]); d != 0 {
 				if sv.FindingsByClass == nil {
 					sv.FindingsByClass = map[string]int64{}
@@ -458,7 +458,7 @@ func buildReport(plan *Plan, workers []*runWorker, samp *sampler, end metrics.Sn
 				sv.FindingsByClass[cls] = d
 			}
 		}
-		if act, ok := cutPrefix(name, "audit.actions."); ok {
+		if act, ok := strings.CutPrefix(name, "audit.actions."); ok {
 			if d := int64(v - samp.base0.Counters[name]); d != 0 {
 				if sv.ActionsByKind == nil {
 					sv.ActionsByKind = map[string]int64{}
@@ -473,13 +473,6 @@ func buildReport(plan *Plan, workers []*runWorker, samp *sampler, end metrics.Sn
 		rep.Detection = joinDetection(samp.journal)
 	}
 	return rep
-}
-
-func cutPrefix(s, prefix string) (string, bool) {
-	if len(s) > len(prefix) && s[:len(prefix)] == prefix {
-		return s[len(prefix):], true
-	}
-	return "", false
 }
 
 // joinDetection replays the journal tail: each region shot ("dbflip")
@@ -529,95 +522,28 @@ func joinDetection(journal map[uint64]trace.Event) *Detection {
 	if len(lats) > 0 {
 		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
 		ms := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
-		det.P50ms = ms(durPct(lats, 0.50))
-		det.P95ms = ms(durPct(lats, 0.95))
+		det.P50ms = ms(DurPct(lats, 0.50))
+		det.P95ms = ms(DurPct(lats, 0.95))
 		det.MaxMs = ms(lats[len(lats)-1])
 	}
 	return det
 }
 
-// slotState is one Resource record a worker owns: its index, current
-// bank, and the golden copy reads are verified against.
-type slotState struct {
-	ri     int
-	bank   int
-	golden []uint32
-}
-
-// runWorker replays one worker's column of the plan over its own
-// connection.
-type runWorker struct {
-	id    int
-	plan  *Plan
-	sc    *Scenario
-	addrs []string
-	c     *wire.Conn
-
-	slots      []slotState
-	done       atomic.Int64
-	lats       [numOpKinds][]time.Duration
-	phaseDone  []int
-	phaseEnd   []time.Duration
-	mismatches int
-	procAborts int
-	err        error
-}
-
-func (w *runWorker) setup() error {
-	c, err := dialPrimary(w.addrs)
-	if err != nil {
-		return err
-	}
-	w.c = c
-	if _, err := c.Init(); err != nil {
-		return fmt.Errorf("DBinit: %w", err)
-	}
-	w.slots = make([]slotState, w.plan.Slots)
-	for si := range w.slots {
-		bank := (w.id + si) % callproc.ResourceBanks
-		ri, golden, err := w.allocSeed(bank)
-		if err != nil {
-			return err
-		}
-		w.slots[si] = slotState{ri: ri, bank: bank, golden: golden}
-	}
-	w.phaseDone = make([]int, len(w.plan.Summary.Phases))
-	w.phaseEnd = make([]time.Duration, len(w.plan.Summary.Phases))
-	return nil
-}
-
-// close tears the session down best-effort; the measurements are already
-// taken, so teardown errors are not interesting.
-func (w *runWorker) close() {
-	if w.c == nil {
-		return
-	}
-	for _, s := range w.slots {
-		_ = w.call(func() error { return w.c.Free(callproc.TblRes, s.ri) })
-	}
-	_ = w.c.CloseSession()
-	_ = w.c.Close()
-	w.c = nil
-}
-
-// run paces the worker's pre-drawn ops along the tick schedule against
-// wall clock: sleep to each tick's start, then issue that tick's ops
-// back-to-back.
-func (w *runWorker) run(base time.Time, stop <-chan struct{}) {
-	for ti := range w.plan.Ticks {
-		tp := &w.plan.Ticks[ti]
+// run paces the worker's column of the plan along the tick schedule
+// against wall clock: sleep to each tick's start, then issue that tick's
+// ops back-to-back.
+func (w *worker) run(plan *Plan, base time.Time, stop <-chan struct{}) {
+	for ti := range plan.Ticks {
+		tp := &plan.Ticks[ti]
 		if !sleepUntil(base.Add(tp.Start), stop) {
 			w.err = ErrStopped
 			return
 		}
-		for _, op := range w.plan.Ops[w.id][ti] {
-			t0 := time.Now()
+		for _, op := range plan.Ops[w.id][ti] {
 			err := w.exec(op)
-			w.lats[op.Kind] = append(w.lats[op.Kind], time.Since(t0))
 			w.phaseDone[tp.Phase]++
-			w.done.Add(1)
 			if err != nil {
-				w.err = fmt.Errorf("worker %d %s: %w", w.id, op.Kind, err)
+				w.err = fmt.Errorf("worker %d: %w", w.id, err)
 				return
 			}
 		}
@@ -625,183 +551,4 @@ func (w *runWorker) run(base time.Time, stop <-chan struct{}) {
 			w.phaseEnd[tp.Phase] = end
 		}
 	}
-}
-
-// call retries op while the table lock is contended, like dbload's
-// workers: locks are advisory and non-blocking, so a busy table answers
-// ErrLocked immediately.
-func (w *runWorker) call(op func() error) error {
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		err := op()
-		if err == nil || !errors.Is(err, memdb.ErrLocked) || time.Now().After(deadline) {
-			return err
-		}
-		time.Sleep(200 * time.Microsecond)
-	}
-}
-
-// fault handles an op error: strict runs abort, lax runs count it and —
-// when the record itself was reclaimed by audit recovery — re-seed the
-// slot so the rest of the plan still drives load.
-func (w *runWorker) fault(s *slotState, err error) error {
-	if !w.sc.Lax {
-		return err
-	}
-	w.mismatches++
-	if s != nil && errors.Is(err, memdb.ErrNotActive) {
-		if ri, golden, aerr := w.allocSeed(s.bank); aerr == nil {
-			s.ri, s.golden = ri, golden
-		}
-	}
-	return nil
-}
-
-// mismatch handles a golden-copy divergence on a verified read.
-func (w *runWorker) mismatch(format string, args ...any) error {
-	if !w.sc.Lax {
-		return fmt.Errorf(format, args...)
-	}
-	w.mismatches++
-	return nil
-}
-
-// allocSeed allocates one Resource record in bank and seeds its golden
-// copy, mirroring dbload's workers.
-func (w *runWorker) allocSeed(bank int) (int, []uint32, error) {
-	var ri int
-	if err := w.call(func() (err error) {
-		ri, err = w.c.Alloc(callproc.TblRes, bank)
-		return err
-	}); err != nil {
-		return 0, nil, fmt.Errorf("DBalloc: %w", err)
-	}
-	golden := []uint32{uint32(ri), 1, 50}
-	if err := w.call(func() error {
-		return w.c.WriteRec(callproc.TblRes, ri, golden)
-	}); err != nil {
-		return 0, nil, fmt.Errorf("DBwrite_rec: %w", err)
-	}
-	return ri, golden, nil
-}
-
-// exec issues one planned op. Every value written stays inside the ranges
-// the audit checks enforce, so a strict run must end sweep-clean.
-func (w *runWorker) exec(op plannedOp) error {
-	s := &w.slots[op.Slot]
-	switch op.Kind {
-	case OpReadRec:
-		var vals []uint32
-		if err := w.call(func() (err error) {
-			vals, err = w.c.ReadRec(callproc.TblRes, s.ri)
-			return err
-		}); err != nil {
-			return w.fault(s, err)
-		}
-		for fi := range s.golden {
-			if fi < len(vals) && vals[fi] != s.golden[fi] {
-				return w.mismatch("slot %d field %d = %d, golden %d", op.Slot, fi, vals[fi], s.golden[fi])
-			}
-		}
-	case OpReadFld:
-		var v uint32
-		if err := w.call(func() (err error) {
-			v, err = w.c.ReadFld(callproc.TblRes, s.ri, callproc.FldResQuality)
-			return err
-		}); err != nil {
-			return w.fault(s, err)
-		}
-		if v != s.golden[callproc.FldResQuality] {
-			return w.mismatch("slot %d Quality = %d, golden %d", op.Slot, v, s.golden[callproc.FldResQuality])
-		}
-	case OpWriteRec:
-		next := []uint32{uint32(s.ri), uint32(op.Arg), op.Val}
-		if err := w.call(func() error {
-			return w.c.WriteRec(callproc.TblRes, s.ri, next)
-		}); err != nil {
-			return w.fault(s, err)
-		}
-		s.golden = next
-	case OpWriteFld:
-		if err := w.call(func() error {
-			return w.c.WriteFld(callproc.TblRes, s.ri, callproc.FldResQuality, op.Val)
-		}); err != nil {
-			return w.fault(s, err)
-		}
-		s.golden[callproc.FldResQuality] = op.Val
-	case OpMove:
-		bank := (s.bank + op.Arg) % callproc.ResourceBanks
-		if err := w.call(func() error {
-			return w.c.Move(callproc.TblRes, s.ri, bank)
-		}); err != nil {
-			return w.fault(s, err)
-		}
-		s.bank = bank
-	case OpStatus:
-		if err := w.call(func() error {
-			_, err := w.c.Status(callproc.TblRes, s.ri)
-			return err
-		}); err != nil {
-			return w.fault(s, err)
-		}
-	case OpChurn:
-		// Deregistration/re-registration: release the record and claim a
-		// fresh one in another bank, like a subscriber roaming between
-		// logical groups.
-		if err := w.call(func() error {
-			return w.c.Free(callproc.TblRes, s.ri)
-		}); err != nil {
-			return w.fault(s, err)
-		}
-		bank := (s.bank + op.Arg) % callproc.ResourceBanks
-		ri, golden, err := w.allocSeed(bank)
-		if err != nil {
-			return w.fault(s, err)
-		}
-		*s = slotState{ri: ri, bank: bank, golden: golden}
-	case OpProc:
-		err := w.call(func() error {
-			_, err := w.c.ProcExec("res_touch", []uint32{uint32(s.ri), op.Val})
-			return err
-		})
-		switch {
-		case err == nil:
-			s.golden[callproc.FldResQuality] = op.Val
-		case errors.Is(err, wire.ErrProcViolation) || errors.Is(err, wire.ErrProcFault):
-			// A DETECTED abort: nothing committed, the registry reloads
-			// server-side. That is the mechanism working, not a failure.
-			w.procAborts++
-		default:
-			return w.fault(s, err)
-		}
-	}
-	return nil
-}
-
-// dialPrimary mirrors dbload: with one address connect straight to it;
-// with several, find the node answering as primary.
-func dialPrimary(addrs []string) (*wire.Conn, error) {
-	if len(addrs) == 1 {
-		return wire.Dial(addrs[0])
-	}
-	lastErr := errors.New("wire: no reachable address")
-	for _, a := range addrs {
-		c, err := wire.Dial(a)
-		if err != nil {
-			lastErr = fmt.Errorf("%s: %w", a, err)
-			continue
-		}
-		st, err := c.ReplStatus()
-		if err != nil {
-			c.Close()
-			lastErr = fmt.Errorf("%s: %w", a, err)
-			continue
-		}
-		if st.Role == wire.RolePrimary {
-			return c, nil
-		}
-		c.Close()
-		lastErr = fmt.Errorf("%s: %w", a, wire.ErrStandby)
-	}
-	return nil, lastErr
 }

@@ -19,12 +19,15 @@ const (
 	OpStatus                 // DBstatus probe
 	OpChurn                  // deregister/re-register: Free + Alloc in a new bank + seed write
 	OpProc                   // PROC res_touch through the PECOS-checked interpreter
+	OpTxn                    // Begin + DBwrite_fld of Quality + Commit
 	numOpKinds
 )
 
+// New kinds go at the end: a zero weight there leaves WeightedIndex's walk
+// over the earlier ones, and so every seeded draw, unchanged.
 var opKindNames = [numOpKinds]string{
 	"read-rec", "read-fld", "write-rec", "write-fld",
-	"move", "status", "churn", "proc",
+	"move", "status", "churn", "proc", "txn",
 }
 
 func (k OpKind) String() string {
@@ -62,8 +65,8 @@ func zipfWeights(slots int, s float64) []float64 {
 type plannedOp struct {
 	Kind OpKind
 	Slot int    // index into the worker's slot table
-	Val  uint32 // quality value for writes / proc calls
-	Arg  int    // status code for write-rec, bank delta for move/churn
+	Val  uint32 // quality value for writes / proc calls / transactions
+	Arg  int    // status code for write-rec, bank delta for move/churn, nonzero = res_scan for proc
 }
 
 // draw picks the next op from the pattern. The number of RNG draws varies

@@ -109,8 +109,9 @@ func (r *Report) WriteFile(path string) error {
 	return os.WriteFile(path, b, 0o644)
 }
 
-// durPct returns the p-th percentile of a sorted duration slice.
-func durPct(sorted []time.Duration, p float64) time.Duration {
+// DurPct returns the p-quantile (p in [0,1]) of an ascending duration
+// slice — the one latency-percentile rule the reports share.
+func DurPct(sorted []time.Duration, p float64) time.Duration {
 	if len(sorted) == 0 {
 		return 0
 	}
@@ -126,9 +127,9 @@ func opStat(lats []time.Duration) OpStat {
 	}
 	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
 	us := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
-	st.P50us = us(durPct(lats, 0.50))
-	st.P95us = us(durPct(lats, 0.95))
-	st.P99us = us(durPct(lats, 0.99))
+	st.P50us = us(DurPct(lats, 0.50))
+	st.P95us = us(DurPct(lats, 0.95))
+	st.P99us = us(DurPct(lats, 0.99))
 	st.MaxUs = us(lats[len(lats)-1])
 	return st
 }

@@ -1,6 +1,8 @@
-// Package scenario is the profile/timeline-driven workload engine: named,
-// reproducible traffic shapes layered over the wire client that dbload's
-// flat closed-loop generator cannot express.
+// Package scenario is the load driver: one worker (worker.go) that replays
+// planned ops over a direct or routed transport and checks every read
+// against its golden copy, fed either by dbload's count-bounded built-in
+// patterns (load.go) or by the profile/timeline-driven scenario engine —
+// named, reproducible traffic shapes.
 //
 // A scenario is (pattern, profile, timeline, report):
 //
@@ -25,6 +27,8 @@ package scenario
 import (
 	"sort"
 	"time"
+
+	"repro/internal/wire"
 )
 
 // Phase is one timeline segment: a duration, the rate profile and op
@@ -57,7 +61,7 @@ func (sp InjectSpec) Describe() string {
 		return "off"
 	}
 	mode := "random"
-	if sp.Mode == 1 {
+	if sp.Mode == wire.InjectModeStatic {
 		mode = "static"
 	}
 	s := "data=" + sp.Period.String() + " mode=" + mode
@@ -208,9 +212,9 @@ func faultStorm() *Scenario {
 				Name: "storm", Dur: 12 * time.Second,
 				Profile: Steady{PerSec: 300},
 				Pattern: mix,
-				// Mode 1 = wire.InjectModeStatic: detectable-byte stride
-				// walk, so the zero-unjoined criterion is achievable.
-				Inject: InjectSpec{Set: true, Period: 250 * time.Millisecond, Mode: 1},
+				// Static mode is the detectable-byte stride walk, so the
+				// zero-unjoined criterion is achievable.
+				Inject: InjectSpec{Set: true, Period: 250 * time.Millisecond, Mode: wire.InjectModeStatic},
 			},
 			{
 				Name: "quiesce", Dur: 10 * time.Second,
