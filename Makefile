@@ -53,9 +53,11 @@ bench:
 # Throughput-bench smoke for CI: every BenchmarkServerThroughput subrun
 # (sync, multi-connection, pipelined fast lane) executes once, so the
 # serving hot path, the pipeline client, and the metrics plumbing they
-# report through cannot rot unnoticed.
+# report through cannot rot unnoticed; so does the WAL append benchmark
+# over a full tail ring at two ring sizes.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkServerThroughput' -benchtime 1x .
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/wal
 
 # Served-workload smoke for CI: builds dbserve from this checkout and runs
 # all four BENCHMARK.json workloads with 2-s phases, so only the

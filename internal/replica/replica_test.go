@@ -111,12 +111,13 @@ func TestShipApply(t *testing.T) {
 // TestShipperGap verifies a position evicted from the tail ring reports
 // ErrGap, and that a duplicate-overlapping batch applies cleanly.
 func TestShipperGap(t *testing.T) {
+	const tailCap = 8
 	schema := testSchema()
 	primary, err := memdb.New(schema)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := wal.Open(wal.Config{Dir: t.TempDir(), TailCap: 8}, 0)
+	l, err := wal.Open(wal.Config{Dir: t.TempDir(), TailCap: tailCap}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,11 +128,17 @@ func TestShipperGap(t *testing.T) {
 	if _, _, err := sh.Serve(0, ""); !errors.Is(err, ErrGap) {
 		t.Fatalf("expected ErrGap, got %v", err)
 	}
+	// The ring has wrapped several times and holds exactly the newest
+	// tailCap records: one position further back than their start is gone.
+	last := l.LastSeq()
+	if _, _, err := sh.Serve(last-tailCap-1, ""); !errors.Is(err, ErrGap) {
+		t.Fatalf("Serve(%d) at last %d: %v, want ErrGap", last-tailCap-1, last, err)
+	}
 
 	// A poll inside the retained window succeeds, and records at or below
 	// the applied watermark are skipped as duplicates. The standby holds
 	// the same history up to seq 34, so the batch overlaps by two records.
-	blob, _, err := sh.Serve(32, "")
+	blob, _, err := sh.Serve(last-tailCap, "")
 	if err != nil {
 		t.Fatalf("serve: %v", err)
 	}

@@ -78,12 +78,12 @@ func (c *core) logMutation(q wire.Request, resp wire.Response, tid uint64) uint6
 	if c.walLog == nil || resp.Code != wire.CodeOK || c.standby.Load() {
 		return 0
 	}
-	rec := walRecordFor(q, resp)
-	if rec == nil {
+	rec, mutating := walRecordFor(q, resp)
+	if !mutating {
 		return 0
 	}
 	rec.Trace = tid
-	seq, err := c.walLog.Append(*rec)
+	seq, err := c.walLog.Append(rec)
 	if err != nil {
 		c.walFault("append-error", err)
 		return 0
@@ -91,25 +91,25 @@ func (c *core) logMutation(q wire.Request, resp wire.Response, tid uint64) uint6
 	return seq
 }
 
-// walRecordFor translates a mutating request into its log record, or nil
-// for non-mutating ops.
-func walRecordFor(q wire.Request, resp wire.Response) *wal.Record {
+// walRecordFor translates a mutating request into its log record; the bool
+// is false for non-mutating ops.
+func walRecordFor(q wire.Request, resp wire.Response) (wal.Record, bool) {
 	switch q.Op {
 	case wire.OpWriteRec:
-		return &wal.Record{Op: wal.OpWriteRec, Table: q.Table, Rec: q.Record, Vals: q.Vals}
+		return wal.Record{Op: wal.OpWriteRec, Table: q.Table, Rec: q.Record, Vals: q.Vals}, true
 	case wire.OpWriteFld:
-		return &wal.Record{Op: wal.OpWriteFld, Table: q.Table, Rec: q.Record, Field: q.Field, Vals: q.Vals}
+		return wal.Record{Op: wal.OpWriteFld, Table: q.Table, Rec: q.Record, Field: q.Field, Vals: q.Vals}, true
 	case wire.OpMove:
-		return &wal.Record{Op: wal.OpMove, Table: q.Table, Rec: q.Record, Aux: q.Aux}
+		return wal.Record{Op: wal.OpMove, Table: q.Table, Rec: q.Record, Aux: q.Aux}, true
 	case wire.OpAlloc:
 		if len(resp.Vals) != 1 {
-			return nil
+			return wal.Record{}, false
 		}
-		return &wal.Record{Op: wal.OpAlloc, Table: q.Table, Rec: int32(resp.Vals[0]), Aux: q.Aux}
+		return wal.Record{Op: wal.OpAlloc, Table: q.Table, Rec: int32(resp.Vals[0]), Aux: q.Aux}, true
 	case wire.OpFree:
-		return &wal.Record{Op: wal.OpFree, Table: q.Table, Rec: q.Record}
+		return wal.Record{Op: wal.OpFree, Table: q.Table, Rec: q.Record}, true
 	default:
-		return nil
+		return wal.Record{}, false
 	}
 }
 

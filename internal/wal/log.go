@@ -63,6 +63,14 @@ func (c *Config) fill() {
 // the metrics callbacks are safe from any goroutine — replication reads the
 // tail ring under its own mutex and never touches the file, so shipping the
 // log cannot stall the serving path.
+//
+// The tail ring holds the contiguous run of the n = len(tail) ≤ TailCap
+// newest records, seqs head-n+1 … head, seq in slot (seq-origin) % TailCap.
+// It grows by append until full, so a small log never pays for TailCap
+// slots, then each Append overwrites the oldest slot. A checkpoint install
+// that advances lastSeq empties it (n = 0), so no hole is ever shipped.
+// Since bounds its batch by head read under mu, never by the lastSeq atomic
+// Append publishes before it writes the slot.
 type Log struct {
 	cfg Config
 
@@ -74,8 +82,10 @@ type Log struct {
 	closed  bool
 
 	// Tail ring serving Since; guarded by mu.
-	mu   sync.Mutex
-	tail []Record
+	mu     sync.Mutex
+	tail   []Record
+	origin uint64 // seq of slot 0
+	head   uint64
 
 	// Cross-thread counters.
 	lastSeq   atomic.Uint64
@@ -103,7 +113,7 @@ func Open(cfg Config, startSeq uint64) (*Log, error) {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
-	l := &Log{cfg: cfg}
+	l := &Log{cfg: cfg, origin: startSeq + 1, head: startSeq}
 	l.lastSeq.Store(startSeq)
 	l.syncedSeq.Store(startSeq)
 	if err := l.openSegment(startSeq + 1); err != nil {
@@ -162,13 +172,18 @@ func (l *Log) Append(r Record) (uint64, error) {
 	l.appended.Add(1)
 
 	l.mu.Lock()
-	l.tail = append(l.tail, r)
-	if over := len(l.tail) - l.cfg.TailCap; over > 0 {
-		l.tail = append(l.tail[:0:0], l.tail[over:]...)
+	if len(l.tail) < l.cfg.TailCap {
+		l.tail = append(l.tail, r)
+	} else {
+		l.tail[l.slot(r.Seq)] = r
 	}
+	l.head = r.Seq
 	l.mu.Unlock()
 	return r.Seq, nil
 }
+
+// slot is the tail index of a seq the ring holds. Caller holds mu.
+func (l *Log) slot(seq uint64) uint64 { return (seq - l.origin) % uint64(l.cfg.TailCap) }
 
 // rotate syncs and closes the active segment and starts a new one whose
 // name records firstSeq.
@@ -237,25 +252,26 @@ func (l *Log) Pending() int64 { return l.pending.Load() }
 func (l *Log) SizeSinceCheckpoint() int64 { return l.sinceCkpt.Load() }
 
 // Since returns the framed records with sequence numbers in (afterSeq,
-// LastSeq], up to maxBytes, from the in-memory tail ring. ok is false when
-// afterSeq has already fallen off the ring — the caller must re-bootstrap
-// from a checkpoint. Safe from any goroutine; never touches the file.
+// lastSeq], up to maxBytes (the first record always ships), from the
+// in-memory tail ring; lastSeq is the ring's head. ok is false when afterSeq
+// has already fallen off the ring — the caller must re-bootstrap from a
+// checkpoint. Safe from any goroutine; never touches the file.
 func (l *Log) Since(afterSeq uint64, maxBytes int) (blob []byte, lastSeq uint64, ok bool) {
-	lastSeq = l.lastSeq.Load()
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	lastSeq = l.head
 	if afterSeq >= lastSeq {
 		return nil, lastSeq, true
 	}
-	if len(l.tail) == 0 || afterSeq+1 < l.tail[0].Seq {
+	if afterSeq < lastSeq-uint64(len(l.tail)) {
 		return nil, lastSeq, false // gap: requested records evicted from the ring
 	}
-	i := sort.Search(len(l.tail), func(i int) bool { return l.tail[i].Seq > afterSeq })
-	for ; i < len(l.tail); i++ {
-		if maxBytes > 0 && len(blob) > 0 && len(blob)+EncodedSize(l.tail[i]) > maxBytes {
+	for seq := afterSeq + 1; seq <= lastSeq; seq++ {
+		r := l.tail[l.slot(seq)]
+		if maxBytes > 0 && len(blob) > 0 && len(blob)+EncodedSize(r) > maxBytes {
 			break
 		}
-		blob = AppendRecord(blob, l.tail[i])
+		blob = AppendRecord(blob, r)
 	}
 	return blob, lastSeq, true
 }
@@ -281,7 +297,8 @@ func (l *Log) Checkpoint(snapshot func(w io.Writer) error) error {
 // InstallCheckpoint persists body as the checkpoint for seq. The replica
 // applier uses it directly after bootstrapping from a shipped snapshot,
 // where body arrived off the wire and seq is the primary's. Executor thread
-// only. lastSeq advances to seq if behind (a fresh standby log).
+// only. lastSeq advances to seq if behind (a fresh standby log), and the
+// tail ring empties: it holds no records between its old head and seq.
 func (l *Log) InstallCheckpoint(seq uint64, body []byte) error {
 	hdr := make([]byte, 16)
 	binary.LittleEndian.PutUint32(hdr[0:4], ckptMagic)
@@ -318,6 +335,9 @@ func (l *Log) InstallCheckpoint(seq uint64, body []byte) error {
 		return fmt.Errorf("wal: checkpoint: %w", err)
 	}
 	if l.lastSeq.Load() < seq {
+		l.mu.Lock()
+		l.tail, l.origin, l.head = l.tail[:0], seq+1, seq
+		l.mu.Unlock()
 		l.lastSeq.Store(seq)
 		l.syncedSeq.Store(seq)
 	}

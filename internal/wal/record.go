@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 )
 
 // Op identifies the logged mutation. Only operations that change the region
@@ -76,11 +77,13 @@ const (
 // stops (and truncates the file) there.
 var ErrTorn = errors.New("wal: torn or corrupt record")
 
-// AppendRecord appends r's encoded frame to dst and returns the result.
+// AppendRecord appends r's encoded frame to dst and returns the result. It
+// allocates only when dst lacks the capacity; every byte of the frame is
+// written below, so the extension need not be zeroed.
 func AppendRecord(dst []byte, r Record) []byte {
 	payload := recFixed + 4*len(r.Vals)
 	start := len(dst)
-	dst = append(dst, make([]byte, frameHeader+payload)...)
+	dst = slices.Grow(dst, frameHeader+payload)[:start+frameHeader+payload]
 	b := dst[start:]
 	binary.LittleEndian.PutUint32(b[0:4], uint32(payload))
 	p := b[frameHeader:]

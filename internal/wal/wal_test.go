@@ -300,56 +300,6 @@ func TestCheckpointPruneAndRecover(t *testing.T) {
 	}
 }
 
-func TestSinceTailAndGap(t *testing.T) {
-	dir := t.TempDir()
-	l, err := Open(Config{Dir: dir, TailCap: 8}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	for i := 0; i < 20; i++ {
-		if _, err := l.Append(Record{Op: OpFree, Table: 1, Rec: int32(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, _, ok := l.Since(0, 0); ok {
-		t.Fatal("evicted range did not report a gap")
-	}
-	blob, last, ok := l.Since(15, 0)
-	if !ok || last != 20 {
-		t.Fatalf("Since(15): ok=%v last=%d", ok, last)
-	}
-	dec := NewDecoder(blob)
-	want := uint64(16)
-	for {
-		rec, err := dec.Next()
-		if err != nil {
-			break
-		}
-		if rec.Seq != want {
-			t.Fatalf("shipped seq %d, want %d", rec.Seq, want)
-		}
-		want++
-	}
-	if want != 21 {
-		t.Fatalf("shipped through %d, want 20", want-1)
-	}
-	// Caught-up pollers get an empty batch, not a gap.
-	if blob, _, ok := l.Since(20, 0); !ok || blob != nil {
-		t.Fatalf("caught-up Since: blob=%v ok=%v", blob, ok)
-	}
-	// maxBytes bounds the batch but always makes progress.
-	blob, _, ok = l.Since(12, 1)
-	if !ok {
-		t.Fatal("bounded Since reported a gap")
-	}
-	dec = NewDecoder(blob)
-	rec, err := dec.Next()
-	if err != nil || rec.Seq != 13 {
-		t.Fatalf("bounded batch first seq: %v %v", rec.Seq, err)
-	}
-}
-
 func TestInstallCheckpointStandbyNumbering(t *testing.T) {
 	dir := t.TempDir()
 	schema := testSchema()
@@ -365,8 +315,14 @@ func TestInstallCheckpointStandbyNumbering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A standby bootstrapping at primary seq 10 installs the shipped
-	// snapshot, then appends with the primary's numbering.
+	// The standby logged seqs 1..3 before it fell behind.
+	for i := 0; i < 3; i++ {
+		if _, err := l.Append(Record{Op: OpFree, Table: callproc.TblRes, Rec: int32(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Re-bootstrapping at primary seq 10 installs the shipped snapshot,
+	// then appends with the primary's numbering.
 	if err := l.InstallCheckpoint(10, snap.Bytes()); err != nil {
 		t.Fatal(err)
 	}
@@ -378,6 +334,17 @@ func TestInstallCheckpointStandbyNumbering(t *testing.T) {
 	}
 	if _, err := l.Append(Record{Seq: 13, Op: OpFree, Table: callproc.TblRes, Rec: 0}); err == nil {
 		t.Fatal("gap in explicit numbering accepted")
+	}
+	// The ring holds no records for 4..10: a poller from before the
+	// checkpoint must re-bootstrap, not receive 1..3 followed by 11.
+	for _, after := range []uint64{0, 5} {
+		if blob, _, ok := l.Since(after, 0); ok {
+			t.Fatalf("Since(%d) across the installed checkpoint: ok with seqs %v, want a gap", after, shippedSeqs(t, blob))
+		}
+	}
+	blob, last, ok := l.Since(10, 0)
+	if got := shippedSeqs(t, blob); !ok || last != 11 || len(got) != 1 || got[0] != 11 {
+		t.Fatalf("Since(10): ok=%v last=%d seqs %v, want [11]", ok, last, got)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
