@@ -50,13 +50,10 @@ $(SMOKES): %-smoke:
 bench:
 	$(GO) test -bench . -benchtime 0.5s -run '^$$' .
 
-# Throughput-bench smoke for CI: every BenchmarkServerThroughput subrun
-# (sync, multi-connection, pipelined fast lane) executes once, so the
-# serving hot path, the pipeline client, and the metrics plumbing they
-# report through cannot rot unnoticed; so does the WAL append benchmark
-# over a full tail ring at two ring sizes.
+# WAL-append bench smoke for CI: BenchmarkAppend runs once over a full tail
+# ring at 8 and 8192 slots, so a per-append cost that grows with the ring
+# cannot rot unnoticed. The served paths are exercised by bench-quick.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkServerThroughput' -benchtime 1x .
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/wal
 
 # Served-workload smoke for CI: builds dbserve from this checkout and runs

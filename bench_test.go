@@ -13,9 +13,6 @@
 package repro_test
 
 import (
-	"net"
-	"runtime"
-	"sync"
 	"testing"
 	"time"
 
@@ -27,15 +24,10 @@ import (
 	"repro/internal/ipc"
 	"repro/internal/isa"
 	"repro/internal/memdb"
-	"repro/internal/metrics"
 	"repro/internal/pecos"
 	"repro/internal/robust"
-	"repro/internal/router"
-	"repro/internal/server"
 	"repro/internal/sim"
 	"repro/internal/vm"
-	"repro/internal/wal"
-	"repro/internal/wire"
 )
 
 const benchScale = 0.15
@@ -354,373 +346,6 @@ func BenchmarkAuditFullSweep(b *testing.B) {
 			}
 		}
 	}
-}
-
-// benchmarkServerThroughput measures request round-trips over a loopback
-// TCP connection to the serving subsystem: one synchronous client cycling
-// write-field/read-field against an allocated Resource record. With
-// auditPeriod > 0 the audit process sweeps the live region between
-// requests, so the delta against the unaudited run is the paper's audit
-// overhead as seen by a network client. disableMetrics turns the
-// observability layer off, so audited vs audited-nometrics isolates the
-// instrumentation cost (latency histograms + gauges; target < 5%).
-// disableTrace likewise gates the flight recorder, so audited-traced vs
-// audited pins the per-request journaling cost (target < 5%). A non-empty
-// walDir appends every mutation to an operation log there, so audited-wal
-// vs audited pins the durability cost — append + batched fsync on the
-// executor clock, never an fsync on the request path (target < 10%).
-// disableHealth gates the health & SLO plane (which needs both metrics and
-// tracing), so audited-traced-health vs audited-traced pins the
-// self-monitoring cost — recorder tap, SLO evaluation on the executor
-// clock, stage histograms (target < 5%).
-func benchmarkServerThroughput(b *testing.B, auditPeriod time.Duration, disableMetrics, disableTrace bool, walDir string, disableHealth bool) {
-	db, err := memdb.New(callproc.Schema(callproc.DefaultSchemaConfig()))
-	if err != nil {
-		b.Fatal(err)
-	}
-	var walLog *wal.Log
-	if walDir != "" {
-		walLog, err = wal.Open(wal.Config{Dir: walDir}, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	srv, err := server.New(db, server.Config{
-		AuditPeriod:    auditPeriod,
-		DisableMetrics: disableMetrics,
-		DisableTrace:   disableTrace,
-		DisableHealth:  disableHealth,
-		WAL:            walLog,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	go srv.Serve(ln)
-	defer srv.Shutdown(10 * time.Second)
-
-	c, err := wire.Dial(ln.Addr().String())
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
-	if _, err := c.Init(); err != nil {
-		b.Fatal(err)
-	}
-	ri, err := c.Alloc(callproc.TblRes, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := c.WriteRec(callproc.TblRes, ri, []uint32{uint32(ri), 1, 50}); err != nil {
-		b.Fatal(err)
-	}
-
-	b.ResetTimer()
-	start := time.Now()
-	for i := 0; i < b.N; i++ {
-		if i%2 == 0 {
-			if err := c.WriteFld(callproc.TblRes, ri, callproc.FldResQuality, uint32(i%101)); err != nil {
-				b.Fatal(err)
-			}
-		} else {
-			if _, err := c.ReadFld(callproc.TblRes, ri, callproc.FldResQuality); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.ReportMetric(float64(b.N)/time.Since(start).Seconds(), "ops/s")
-}
-
-// benchmarkServerMulti measures aggregate throughput with conns concurrent
-// clients against one audited core of the given shard count, each
-// connection keeping window requests in flight (window 1 degenerates to one
-// synchronous round trip at a time) against a private Resource record. The
-// default mix matches the single-connection subruns — alternating
-// write-field/read-field — so ops/s compares directly against "audited";
-// writeOnly makes every op a field write, isolating executor scaling:
-// under a sharded core the setup-time alloc rotation gives each connection
-// a record on a different shard, so the write streams land on independent
-// executors, where against shards=1 they serialize on the one. Besides
-// aggregate ops/s it reports the server-side p99 read latency from the
-// metrics snapshot, which covers both fast-lane and executor-served reads.
-func benchmarkServerMulti(b *testing.B, shards, conns, window int, writeOnly bool) {
-	schemas, err := memdb.ShardSchemas(callproc.Schema(callproc.DefaultSchemaConfig()), shards)
-	if err != nil {
-		b.Fatal(err)
-	}
-	dbs := make([]*memdb.DB, shards)
-	for k := range dbs {
-		if dbs[k], err = memdb.New(schemas[k]); err != nil {
-			b.Fatal(err)
-		}
-	}
-	srv, err := server.NewSharded(dbs, nil, server.Config{
-		AuditPeriod:  50 * time.Millisecond,
-		DisableTrace: true,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	go srv.Serve(ln)
-	defer srv.Shutdown(10 * time.Second)
-
-	clients := make([]*wire.Conn, conns)
-	recs := make([]int, conns)
-	for w := 0; w < conns; w++ {
-		c, err := wire.Dial(ln.Addr().String())
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer c.Close()
-		if _, err := c.Init(); err != nil {
-			b.Fatal(err)
-		}
-		ri, err := c.Alloc(callproc.TblRes, w%callproc.ResourceBanks)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := c.WriteRec(callproc.TblRes, ri, []uint32{uint32(ri), 1, 50}); err != nil {
-			b.Fatal(err)
-		}
-		clients[w], recs[w] = c, ri
-	}
-
-	drive := func(c *wire.Conn, ri, n int) error {
-		p := c.Pipeline(window)
-		recv := func() error {
-			r, err := p.Recv()
-			if err != nil {
-				return err
-			}
-			return r.Err()
-		}
-		for i := 0; i < n; i++ {
-			q := wire.Request{
-				Op: wire.OpReadFld, Table: int32(callproc.TblRes),
-				Record: int32(ri), Field: int32(callproc.FldResQuality),
-			}
-			if writeOnly || i%2 == 0 {
-				q.Op, q.Vals = wire.OpWriteFld, []uint32{uint32(i % 101)}
-			}
-			// Drain half the window when it fills so both directions
-			// batch: each flush carries window/2 frames instead of
-			// degenerating to one-in/one-out at the window edge.
-			if p.InFlight() >= window {
-				for p.InFlight() > window/2 {
-					if err := recv(); err != nil {
-						return err
-					}
-				}
-			}
-			if _, err := p.Send(q); err != nil {
-				return err
-			}
-		}
-		for p.InFlight() > 0 {
-			if err := recv(); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	b.ResetTimer()
-	start := time.Now()
-	var wg sync.WaitGroup
-	workerErrs := make([]error, conns)
-	per, rem := b.N/conns, b.N%conns
-	for w := 0; w < conns; w++ {
-		n := per
-		if w < rem {
-			n++
-		}
-		wg.Add(1)
-		go func(w, n int) {
-			defer wg.Done()
-			workerErrs[w] = drive(clients[w], recs[w], n)
-		}(w, n)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	b.StopTimer()
-	for _, err := range workerErrs {
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(b.N)/elapsed.Seconds(), "ops/s")
-	if raw, err := clients[0].Stats2(); err == nil {
-		if snap, err := metrics.ParseSnapshot(raw); err == nil {
-			if h := snap.Histograms["server.latency.DBread_fld"]; h.Count > 0 {
-				b.ReportMetric(float64(h.P99)/1e3, "p99-read-µs")
-			}
-		}
-	}
-}
-
-// benchmarkReplicaFanout measures routed read throughput over a replica
-// set: one audited WAL-backed primary, read-serving standbys replicating
-// off it, and conns router sessions reading at full tilt once their
-// seeding writes have replicated. Each session still carries the lease
-// token of its own seed write, so every routed read is a bounded-
-// staleness read — the settled-session case the fan-out exists for (write
-// throughput is benchmarked by the other subruns; a session that writes
-// continuously pins its reads to the primary until the standbys catch
-// up, by design). replica-read-share reports how much of the read
-// traffic actually left the primary.
-func benchmarkReplicaFanout(b *testing.B, standbys, conns int) {
-	schema := callproc.Schema(callproc.DefaultSchemaConfig())
-	newNode := func(cfg server.Config, withWAL bool) (*server.Server, string) {
-		db, err := memdb.New(schema)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if withWAL {
-			l, err := wal.Open(wal.Config{Dir: b.TempDir()}, 0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			cfg.WAL = l
-		}
-		cfg.AuditPeriod = 50 * time.Millisecond
-		cfg.DisableTrace = true
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if cfg.Standby {
-			cfg.AdvertiseAddr = ln.Addr().String()
-		}
-		srv, err := server.New(db, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		go srv.Serve(ln)
-		return srv, ln.Addr().String()
-	}
-	primarySrv, primary := newNode(server.Config{}, true)
-	defer primarySrv.Shutdown(10 * time.Second)
-	addrs := []string{primary}
-	for i := 0; i < standbys; i++ {
-		srv, addr := newNode(server.Config{
-			Standby:       true,
-			ServeReads:    true,
-			PrimaryAddr:   primary,
-			ReplPoll:      time.Millisecond,
-			ReplFailLimit: -1,
-			ReplTimeout:   time.Second,
-		}, false)
-		defer srv.Shutdown(10 * time.Second)
-		addrs = append(addrs, addr)
-	}
-
-	rt, err := router.New(router.Config{Addrs: addrs, ProbeInterval: 5 * time.Millisecond})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer rt.Close()
-
-	sessions := make([]*router.Session, conns)
-	recs := make([]int, conns)
-	for w := 0; w < conns; w++ {
-		s, err := rt.NewSession()
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer s.Close()
-		ri, err := s.Alloc(callproc.TblRes, w%callproc.ResourceBanks)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := s.WriteRec(callproc.TblRes, ri, []uint32{uint32(ri), 1, 50}); err != nil {
-			b.Fatal(err)
-		}
-		sessions[w], recs[w] = s, ri
-	}
-	// Let the standbys absorb the seeding writes (and a probe sweep see
-	// that) so the measured reads are routable rather than lease-pinned.
-	time.Sleep(25 * time.Millisecond)
-
-	drive := func(s *router.Session, ri, n int) error {
-		for i := 0; i < n; i++ {
-			if _, err := s.ReadFld(callproc.TblRes, ri, callproc.FldResQuality); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	b.ResetTimer()
-	start := time.Now()
-	var wg sync.WaitGroup
-	workerErrs := make([]error, conns)
-	per, rem := b.N/conns, b.N%conns
-	for w := 0; w < conns; w++ {
-		n := per
-		if w < rem {
-			n++
-		}
-		wg.Add(1)
-		go func(w, n int) {
-			defer wg.Done()
-			workerErrs[w] = drive(sessions[w], recs[w], n)
-		}(w, n)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	b.StopTimer()
-	for _, err := range workerErrs {
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(b.N)/elapsed.Seconds(), "ops/s")
-	st := rt.Stats()
-	if total := st.ReplicaReads + st.PrimaryReads; total > 0 {
-		b.ReportMetric(float64(st.ReplicaReads)/float64(total), "replica-read-share")
-	}
-}
-
-func BenchmarkServerThroughput(b *testing.B) {
-	// The flight recorder stays off in the first three subruns so
-	// "audited" remains the metrics-only baseline; "audited-traced" is the
-	// same configuration with per-request journaling on.
-	b.Run("noaudit", func(b *testing.B) { benchmarkServerThroughput(b, -1, false, true, "", true) })
-	b.Run("audited", func(b *testing.B) { benchmarkServerThroughput(b, 50*time.Millisecond, false, true, "", true) })
-	b.Run("audited-nometrics", func(b *testing.B) { benchmarkServerThroughput(b, 50*time.Millisecond, true, true, "", true) })
-	b.Run("audited-traced", func(b *testing.B) { benchmarkServerThroughput(b, 50*time.Millisecond, false, false, "", true) })
-	b.Run("audited-traced-health", func(b *testing.B) { benchmarkServerThroughput(b, 50*time.Millisecond, false, false, "", false) })
-	b.Run("audited-wal", func(b *testing.B) { benchmarkServerThroughput(b, 50*time.Millisecond, false, true, b.TempDir(), true) })
-	// Scaling subruns: multiconn adds concurrent synchronous clients (one
-	// request in flight each, capped at GOMAXPROCS so -cpu shrinks it);
-	// fastlane-pipelined adds request pipelining on top, which is where the
-	// connection-goroutine read lane and the batching executor pay off.
-	b.Run("multiconn", func(b *testing.B) {
-		conns := runtime.GOMAXPROCS(0)
-		if conns > 4 {
-			conns = 4
-		}
-		benchmarkServerMulti(b, 1, conns, 1, false)
-	})
-	b.Run("fastlane-pipelined", func(b *testing.B) { benchmarkServerMulti(b, 1, 4, 16, false) })
-	// replica-fanout spreads a read-heavy routed workload over one primary
-	// plus two read-serving standbys; replica-read-share reports how much
-	// of the read traffic left the primary.
-	b.Run("replica-fanout", func(b *testing.B) { benchmarkReplicaFanout(b, 2, 4) })
-	// The sharded pair isolates executor scaling: identical client-side
-	// setup (4 pipelined all-write connections, one record each on a
-	// distinct stripe), one single-executor core vs a 4-shard core. The
-	// ops/s ratio between them is the write-scaling headline the sharded
-	// core exists for (expect ~linear on >= 4 CPUs, ~1x under -cpu 1).
-	b.Run("sharded-baseline", func(b *testing.B) { benchmarkServerMulti(b, 1, 4, 16, true) })
-	b.Run("sharded", func(b *testing.B) { benchmarkServerMulti(b, 4, 4, 16, true) })
 }
 
 func BenchmarkVMStep(b *testing.B) {

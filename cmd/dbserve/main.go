@@ -355,39 +355,20 @@ func statszMux(srv *server.Server) *http.ServeMux {
 		case "prom":
 			// Prometheus needs the bucket arrays the compact snapshot
 			// omits, so this path takes the full variant.
-			snap, err := srv.SnapshotMetricsFull()
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusServiceUnavailable)
-				return
-			}
 			w.Header().Set("Content-Type", metrics.PromContentType)
-			snap.WriteProm(w)
+			srv.SnapshotMetricsFull().WriteProm(w)
 		case "text":
-			snap, err := srv.SnapshotMetrics()
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusServiceUnavailable)
-				return
-			}
 			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			snap.WriteText(w)
+			srv.SnapshotMetrics().WriteText(w)
 		default:
-			snap, err := srv.SnapshotMetrics()
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusServiceUnavailable)
-				return
-			}
 			w.Header().Set("Content-Type", "application/json")
 			enc := json.NewEncoder(w)
 			enc.SetIndent("", "  ")
-			enc.Encode(snap)
+			enc.Encode(srv.SnapshotMetrics())
 		}
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		st, ok := srv.Health()
-		if !ok {
-			http.Error(w, "health plane disabled", http.StatusServiceUnavailable)
-			return
-		}
+		st := srv.Health()
 		// CRITICAL answers 503 so load balancers and smoke gates can act
 		// on the status code alone; DEGRADED still serves, so it stays 200.
 		code := http.StatusOK
@@ -415,10 +396,6 @@ func statszMux(srv *server.Server) *http.ServeMux {
 		w.Write([]byte("\n"))
 	})
 	mux.HandleFunc("/tracez", func(w http.ResponseWriter, r *http.Request) {
-		if srv.Trace() == nil {
-			http.Error(w, "tracing disabled", http.StatusServiceUnavailable)
-			return
-		}
 		q := r.URL.Query()
 		n := 0
 		if v := q.Get("n"); v != "" {

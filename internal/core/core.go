@@ -101,6 +101,10 @@ type Framework struct {
 	queue   *ipc.Queue
 	manager *manager.Manager
 	sched   audit.Scheduler
+	// static holds the golden checksums, captured once in New while the
+	// region is known-good. Every audit process the manager builds shares
+	// it, so a restart cannot adopt damaged static data as golden.
+	static *audit.StaticCheck
 
 	terminate func(pid int)
 	onFinding func(audit.Finding)
@@ -127,6 +131,7 @@ func New(cfg Config) (*Framework, error) {
 	db.EnableAudit(queue)
 
 	f := &Framework{cfg: cfg, env: env, db: db, queue: queue}
+	f.static = audit.NewStaticCheck(db, f.recovery())
 
 	switch cfg.Trigger {
 	case SlicedRoundRobin:
@@ -151,10 +156,10 @@ func orDefault(d, def time.Duration) time.Duration {
 	return d
 }
 
-// buildAuditProcess is the manager's factory: a fresh audit process with
-// the full element set. Called at start and after every restart.
-func (f *Framework) buildAuditProcess(queue *ipc.Queue) (*audit.Process, error) {
-	rec := audit.Recovery{
+// recovery wires the audit recovery actions to the terminator and finding
+// observer, read at call time so both stay settable after Start.
+func (f *Framework) recovery() audit.Recovery {
+	return audit.Recovery{
 		TerminateClient: func(pid int) {
 			if f.terminate != nil {
 				f.terminate(pid)
@@ -166,6 +171,13 @@ func (f *Framework) buildAuditProcess(queue *ipc.Queue) (*audit.Process, error) 
 			}
 		},
 	}
+}
+
+// buildAuditProcess is the manager's factory: a fresh audit process with
+// the full element set over the shared static check. Called at start and
+// after every restart.
+func (f *Framework) buildAuditProcess(queue *ipc.Queue) (*audit.Process, error) {
+	rec := f.recovery()
 	sem, err := audit.NewSemanticCheck(f.db, rec, f.env.Now, f.cfg.Loops...)
 	if err != nil {
 		return nil, err
@@ -178,7 +190,7 @@ func (f *Framework) buildAuditProcess(queue *ipc.Queue) (*audit.Process, error) 
 		rangeCheck.CheckFreeRecords = false
 	}
 	checks := []audit.Checker{
-		audit.NewStaticCheck(f.db, rec),
+		f.static,
 		audit.NewStructuralCheck(f.db, rec),
 		rangeCheck,
 		sem,

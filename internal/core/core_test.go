@@ -150,6 +150,36 @@ func TestFrameworkManagerRestartsCrashedAudit(t *testing.T) {
 	}
 }
 
+// TestFrameworkRestartKeepsStaticGoldens: static damage present when the
+// manager restarts a crashed audit process must still be found. The golden
+// checksums are captured once, while the region is known-good; a restart
+// that re-captured them would adopt the damage as golden.
+func TestFrameworkRestartKeepsStaticGoldens(t *testing.T) {
+	var findings []audit.Finding
+	f := defaultFramework(t, nil)
+	f.SetFindingObserver(func(fd audit.Finding) { findings = append(findings, fd) })
+	if err := f.Start(); err != nil {
+		t.Fatal(err)
+	}
+	ext, err := f.DB().TableExtent(callproc.TblConfig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.DB().FlipBit(ext.Off+10, 2); err != nil {
+		t.Fatal(err)
+	}
+	f.Env().Schedule(time.Second, f.AuditProcess().Crash)
+	if err := f.Run(60 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if f.Manager().Restarts() != 1 {
+		t.Fatalf("Restarts = %d, want 1", f.Manager().Restarts())
+	}
+	if len(findings) == 0 || findings[0].Class != audit.ClassStatic {
+		t.Fatalf("findings = %v, want the static damage found after the restart", findings)
+	}
+}
+
 func TestFrameworkSlicedTriggers(t *testing.T) {
 	for _, mode := range []TriggerMode{SlicedRoundRobin, SlicedPrioritized} {
 		f := defaultFramework(t, func(c *Config) {

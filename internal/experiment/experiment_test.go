@@ -410,7 +410,7 @@ func TestResilienceManagerKeepsCoverage(t *testing.T) {
 	}
 	// The manager's restarts keep coverage close to the healthy level:
 	// degradation bounded by the crash-gap fraction (2 s timeout + poll
-	// per 60 s crash period, plus lost golden/latent state).
+	// per 60 s crash period).
 	if res.WithCrashes < res.Baseline-25 {
 		t.Fatalf("coverage collapsed under audit crashes: %.1f vs %.1f",
 			res.WithCrashes, res.Baseline)

@@ -208,7 +208,7 @@ func Run(sc *Scenario, opts RunOptions) (*Report, error) {
 func acceptance(sc *Scenario, rep *Report) error {
 	if sc.RequireJoin {
 		if rep.Detection == nil {
-			return fmt.Errorf("scenario %s: no detection evidence (tracing disabled?)", sc.Name)
+			return fmt.Errorf("scenario %s: no detection evidence", sc.Name)
 		}
 		if rep.Detection.Shots == 0 {
 			return fmt.Errorf("scenario %s: injector armed but no shots journaled", sc.Name)

@@ -65,11 +65,11 @@ type core struct {
 	standby    atomic.Bool
 	replTicker *sim.Ticker
 	mirrorConn *wire.Conn  // executor-only cached conn to the standby
-	replRing   *trace.Ring // repl.*/wal.* events (nil when tracing off)
+	replRing   *trace.Ring // repl.*/wal.* events (nil without a log or a primary)
 
-	// gauges mirrors single-writer counters into the registry (nil when
-	// metrics are off); greg is the view uniquely-named gauges bind into:
-	// the plain registry with one core, "shard.<id>." with several.
+	// gauges mirrors single-writer counters into the registry; greg is the
+	// view uniquely-named gauges bind into: the plain registry with one
+	// core, "shard.<id>." with several.
 	gauges   *coreGauges
 	auditTel *audit.Telemetry
 	procTel  *procTelemetry
@@ -84,12 +84,12 @@ type core struct {
 	hbMisses  atomic.Uint64
 	onRefresh func()
 
-	// view is the fast-lane read view (nil when Config.DisableFastLane);
-	// fastSeq drives the 1-in-N trace sampling.
+	// view is the fast-lane read view; fastSeq drives the 1-in-N trace
+	// sampling.
 	view    *memdb.View
 	fastSeq atomic.Uint64
 
-	// Rings on the shared flight recorder (nil when tracing is off).
+	// Rings on the shared flight recorder.
 	injRing     *trace.Ring
 	procRing    *trace.Ring
 	auditTracer *audit.Tracer
@@ -157,8 +157,8 @@ type task struct {
 	cn    *conn
 	req   wire.Request
 	do    execFn
-	tid   uint64    // request trace ID (0: tracing off or untraced op)
-	t0    time.Time // enqueue instant (zero when metrics are off)
+	tid   uint64    // request trace ID (0: untraced op)
+	t0    time.Time // enqueue instant (zero for an untraced op)
 	reply chan wire.Response
 }
 
@@ -188,8 +188,9 @@ func newCore(srv *Server, id int, db *memdb.DB, walLog *wal.Log, debt *health.De
 	c := &core{
 		srv: srv, id: id, db: db, walLog: walLog, debt: debt,
 		// Distinct executor and injector streams per core; identical seeds
-		// would corrupt the same stripe offsets in lockstep.
-		env:      sim.NewEnv(cfg.Seed + int64(id)),
+		// would corrupt the same stripe offsets in lockstep. Core k's
+		// executor environment is seeded with k.
+		env:      sim.NewEnv(int64(id)),
 		reqs:     make(chan task, cfg.QueueDepth),
 		ctrl:     make(chan func(), 16),
 		stopping: make(chan struct{}),
@@ -199,41 +200,36 @@ func newCore(srv *Server, id int, db *memdb.DB, walLog *wal.Log, debt *health.De
 	if cfg.Guard {
 		db.EnableConcurrencyCheck(nil)
 	}
-	if !cfg.DisableFastLane {
-		c.view = db.ReadView()
+	c.view = db.ReadView()
+	// With several cores, uniquely-named gauges live under the core's own
+	// prefix so they cannot clobber a sibling's; counters and histograms keep
+	// plain names and merge into registry-wide aggregates.
+	reg := srv.reg
+	c.greg = reg
+	if len(srv.cores) > 1 {
+		c.greg = reg.WithPrefix(fmt.Sprintf("shard.%d.", id))
 	}
-	if reg := srv.reg; reg != nil {
-		// With several cores, uniquely-named gauges live under the core's own
-		// prefix so they cannot clobber a sibling's; counters and histograms
-		// keep plain names and merge into registry-wide aggregates.
-		c.greg = reg
-		if len(srv.cores) > 1 {
-			c.greg = reg.WithPrefix(fmt.Sprintf("shard.%d.", id))
-		}
-		c.auditTel = audit.NewTelemetry(reg)
-		c.procTel = newProcTelemetry(reg, c.greg)
-		c.gauges = &coreGauges{
-			mgrProbes:      c.greg.Gauge("manager.probes"),
-			mgrReplies:     c.greg.Gauge("manager.replies"),
-			mgrAlive:       c.greg.Gauge("manager.alive"),
-			hbReplies:      c.greg.Gauge("audit.heartbeat.replies"),
-			progRecoveries: c.greg.Gauge("audit.progress.recoveries"),
-			perSweeps:      c.greg.Gauge("audit.triggers.periodic"),
-		}
+	c.auditTel = audit.NewTelemetry(reg)
+	c.procTel = newProcTelemetry(reg, c.greg)
+	c.gauges = &coreGauges{
+		mgrProbes:      c.greg.Gauge("manager.probes"),
+		mgrReplies:     c.greg.Gauge("manager.replies"),
+		mgrAlive:       c.greg.Gauge("manager.alive"),
+		hbReplies:      c.greg.Gauge("audit.heartbeat.replies"),
+		progRecoveries: c.greg.Gauge("audit.progress.recoveries"),
+		perSweeps:      c.greg.Gauge("audit.triggers.periodic"),
 	}
-	if r := srv.rec; r != nil {
-		c.auditTracer = audit.NewTracer(r, cfg.TraceRingSize)
-		c.auditTracer.Resolve = c.resolveShot
-		// Shadow-audit attribution: a finding journaled on a standby is
-		// DetectOnly evidence from the replica's copy, not the primary's —
-		// the role tag keeps a read-serving standby's findings from being
-		// misread as primary corruption in merged journals.
-		c.auditTracer.Role = func() string { return roleTag(c.standby.Load(), cfg.ServeReads) }
-		// The inject ring exists whenever tracing does — OpInjectCtl can
-		// arm the injectors at runtime long after construction.
-		c.injRing = r.Ring("inject", cfg.TraceRingSize)
-		c.procRing = r.Ring("proc", cfg.TraceRingSize)
-	}
+	c.auditTracer = audit.NewTracer(srv.rec, trace.DefaultRingSize)
+	c.auditTracer.Resolve = c.resolveShot
+	// Shadow-audit attribution: a finding journaled on a standby is
+	// DetectOnly evidence from the replica's copy, not the primary's — the
+	// role tag keeps a read-serving standby's findings from being misread as
+	// primary corruption in merged journals.
+	c.auditTracer.Role = func() string { return roleTag(c.standby.Load(), cfg.ServeReads) }
+	// The inject ring exists from the start — OpInjectCtl can arm the
+	// injectors at runtime long after construction.
+	c.injRing = srv.rec.Ring("inject", trace.DefaultRingSize)
+	c.procRing = srv.rec.Ring("proc", trace.DefaultRingSize)
 
 	// Procedure subsystem: registry preloaded with the built-in library so
 	// PROC traffic works against a fresh server, engine wired to the proc
@@ -266,8 +262,8 @@ func newCore(srv *Server, id int, db *memdb.DB, walLog *wal.Log, debt *health.De
 			FailLimit: cfg.ReplFailLimit,
 		})
 	}
-	if srv.rec != nil && (walLog != nil || cfg.Standby) {
-		c.replRing = srv.rec.Ring("repl", cfg.TraceRingSize)
+	if walLog != nil || cfg.Standby {
+		c.replRing = srv.rec.Ring("repl", trace.DefaultRingSize)
 		if c.shipper != nil {
 			c.shipper.SetRing(c.replRing)
 		}
@@ -290,45 +286,32 @@ func newCore(srv *Server, id int, db *memdb.DB, walLog *wal.Log, debt *health.De
 		c.rangeChk.Mirror = c.fetchMirror
 	}
 	c.checks = []audit.FullChecker{c.staticChk, c.structChk, c.rangeChk}
-	if c.auditTel != nil {
-		for i, ch := range c.checks {
-			c.checks[i] = c.auditTel.WrapFull(ch)
-		}
-	}
-	if c.auditTracer != nil {
-		for i, ch := range c.checks {
-			c.checks[i] = c.auditTracer.WrapFull(ch)
-		}
+	for i, ch := range c.checks {
+		c.checks[i] = c.auditTracer.WrapFull(c.auditTel.WrapFull(ch))
 	}
 	// The first check is wrapped to count completed sweeps: every full
 	// pass (periodic or forced) runs each check exactly once.
 	c.checks[0] = countedCheck{FullChecker: c.checks[0], n: &c.sweeps, tel: c.auditTel}
 
 	if cfg.AuditPeriod > 0 {
-		q, err := ipc.NewQueue(cfg.AuditQueueDepth)
+		q, err := ipc.NewQueue(auditQueueDepth)
 		if err != nil {
 			return nil, fmt.Errorf("server: audit queue: %w", err)
 		}
 		c.audit = q
 		db.EnableAudit(q)
 		c.mgr = manager.New(c.env, q, c.buildAuditProcess,
-			manager.WithHeartbeat(cfg.HeartbeatPeriod, cfg.HeartbeatTimeout),
+			manager.WithHeartbeat(heartbeatPeriod, heartbeatTimeout),
 			manager.WithOnRestart(func(n int) {
 				c.restarts.Store(int64(n))
-				if c.auditTracer != nil {
-					c.auditTracer.Ring().Emit(trace.Event{Kind: trace.KindRestart, Aux: int64(n)})
-				}
+				c.auditTracer.Ring().Emit(trace.Event{Kind: trace.KindRestart, Aux: int64(n)})
 			}),
 			manager.WithOnMiss(func(n int) {
 				c.hbMisses.Store(uint64(n))
-				if c.auditTracer != nil {
-					c.auditTracer.Ring().Emit(trace.Event{Kind: trace.KindHeartbeatMiss, Aux: int64(n)})
-				}
+				c.auditTracer.Ring().Emit(trace.Event{Kind: trace.KindHeartbeatMiss, Aux: int64(n)})
 			}))
 	}
-	if c.greg != nil {
-		c.registerMetrics()
-	}
+	c.registerMetrics()
 	return c, nil
 }
 
@@ -344,12 +327,8 @@ func (c *core) setDetectOnly(on bool) {
 // joined to the injected shot that caused it, when one covers it).
 func (c *core) noteFinding(f audit.Finding) {
 	c.findings.Add(1)
-	if c.auditTel != nil {
-		c.auditTel.Note(f)
-	}
-	if c.auditTracer != nil {
-		c.auditTracer.Note(f)
-	}
+	c.auditTel.Note(f)
+	c.auditTracer.Note(f)
 }
 
 // resolveShot joins an audit finding back to the most recent injected
@@ -380,9 +359,7 @@ type countedCheck struct {
 // CheckAll counts one sweep and delegates.
 func (c countedCheck) CheckAll() []audit.Finding {
 	c.n.Add(1)
-	if c.tel != nil {
-		c.tel.NoteSweep()
-	}
+	c.tel.NoteSweep()
 	return c.FullChecker.CheckAll()
 }
 
@@ -415,10 +392,8 @@ func (c *core) registerMetrics() {
 	if c.applier != nil {
 		c.applier.BindMetrics(reg)
 	}
-	if c.view != nil {
-		// Fastlane counters are plain: every core's view merges into one tally.
-		c.view.BindMetrics(c.srv.reg)
-	}
+	// Fastlane counters are plain: every core's view merges into one tally.
+	c.view.BindMetrics(c.srv.reg)
 	c.db.BindMetrics(reg)
 }
 
@@ -435,9 +410,6 @@ func b2i(b bool) int64 {
 // tick, before STATS2 snapshots, and at drain.
 func (c *core) refreshExecutorMetrics() {
 	g := c.gauges
-	if g == nil {
-		return
-	}
 	c.db.RefreshMetrics()
 	if c.mgr != nil {
 		g.mgrProbes.Set(int64(c.mgr.Probes()))
@@ -559,7 +531,7 @@ func (c *core) executor() {
 	}
 }
 
-// executeBatch drains up to Config.BatchSize queued requests in one
+// executeBatch drains up to batchSize queued requests in one
 // executor wakeup, starting with the task that woke it. A batch runs
 // back-to-back with no channel round trips between requests, and because
 // the WAL buffers appends until the clock-tick Sync, the whole batch's
@@ -570,7 +542,7 @@ func (c *core) executeBatch(first task) {
 	c.execute(first)
 	n := 1
 drain:
-	for n < c.srv.cfg.BatchSize {
+	for n < batchSize {
 		select {
 		case t := <-c.reqs:
 			c.execute(t)
@@ -579,11 +551,9 @@ drain:
 			break drain
 		}
 	}
-	if tel := c.srv.tel; tel != nil {
-		tel.batchSize.Observe(int64(n))
-	}
-	if ring := c.srv.srvRing; ring != nil && n > 1 {
-		ring.Emit(trace.Event{Kind: trace.KindBatchExec, Arg: int64(n)})
+	c.srv.tel.batchSize.Observe(int64(n))
+	if n > 1 {
+		c.srv.srvRing.Emit(trace.Event{Kind: trace.KindBatchExec, Arg: int64(n)})
 	}
 }
 
@@ -742,13 +712,10 @@ func gcd(a, b int) int {
 }
 
 // injectAt flips one bit at a region offset and journals the shot,
-// returning the shot's correlation ID (0 when tracing is off or the flip
-// failed). Executor thread only; tests use it for targeted shots.
+// returning the shot's correlation ID (0 when the flip failed). Executor
+// thread only; tests use it for targeted shots.
 func (c *core) injectAt(off int, bit uint) uint64 {
 	if err := c.db.FlipBit(off, bit); err != nil {
-		return 0
-	}
-	if c.injRing == nil {
 		return 0
 	}
 	id := c.srv.rec.NextTrace()
@@ -766,9 +733,7 @@ func (c *core) injectAt(off int, bit uint) uint64 {
 // runSweep executes every audit technique over the whole region and
 // returns the number of findings. Executor thread only.
 func (c *core) runSweep() int {
-	if tel := c.srv.tel; tel != nil {
-		tel.forcedSweeps.Inc()
-	}
+	c.srv.tel.forcedSweeps.Inc()
 	n := 0
 	for _, ch := range c.checks {
 		n += len(ch.CheckAll())
@@ -783,8 +748,7 @@ func (c *core) execute(t task) {
 	}
 	// Stage decomposition: everything before this instant was queue wait,
 	// t.do is the execute stage (reply_write is observed in connWriter).
-	tel := c.srv.tel
-	staged := tel != nil && !t.t0.IsZero()
+	tel, staged := c.srv.tel, !t.t0.IsZero()
 	var e0 time.Time
 	if staged {
 		e0 = time.Now()
@@ -954,10 +918,7 @@ func (c *core) sweep(*conn, wire.Request, uint64) wire.Response {
 	return ok(uint32(c.runSweep()))
 }
 
-func (c *core) refresh(_ *conn, q wire.Request, _ uint64) wire.Response {
-	if c.gauges == nil {
-		return fail(q, errMetricsDisabled)
-	}
+func (c *core) refresh(*conn, wire.Request, uint64) wire.Response {
 	c.refreshExecutorMetrics()
 	return ok()
 }
@@ -1003,21 +964,15 @@ func (c *core) submit(cn *conn, req wire.Request, do execFn) wire.Response {
 	}
 	// Latency is measured from enqueue to reply delivery: queue wait plus
 	// execution. Shed and timed-out requests are not observed — they would
-	// fold two failure modes into the service-time distribution.
-	rec := s.tel != nil && req.Op.Valid()
-	tr := s.srvRing != nil && req.Op.Valid()
-	var t0 time.Time
-	if rec || tr {
-		t0 = time.Now()
-	}
+	// fold two failure modes into the service-time distribution. An invalid
+	// op is neither timed nor traced.
+	valid := req.Op.Valid()
 	if cn.reply == nil {
 		cn.reply = make(chan wire.Response, 1)
 	}
 	t := task{cn: cn, req: req, do: do, reply: cn.reply}
-	if rec {
-		t.t0 = t0
-	}
-	if tr {
+	if valid {
+		t.t0 = time.Now()
 		// The enqueue event is journaled before the send so its sequence
 		// number precedes the executor's req-execute for the same trace.
 		t.tid = s.rec.NextTrace()
@@ -1033,7 +988,7 @@ func (c *core) submit(cn *conn, req wire.Request, do execFn) wire.Response {
 		// Queue full: shed immediately rather than buffer or block —
 		// the same discipline as the audit notification queue.
 		c.noteDrop()
-		if tr {
+		if valid {
 			s.srvRing.Emit(trace.Event{
 				Kind: trace.KindReqDrop, Trace: t.tid,
 				Op: req.Op.String(), Aux: int64(cn.id),
@@ -1056,13 +1011,12 @@ func (c *core) submit(cn *conn, req wire.Request, do execFn) wire.Response {
 	}
 	select {
 	case resp := <-t.reply:
-		if rec {
-			s.tel.latency[req.Op].Observe(int64(time.Since(t0)))
-		}
-		if tr {
+		if valid {
+			d := int64(time.Since(t.t0))
+			s.tel.latency[req.Op].Observe(d)
 			s.srvRing.Emit(trace.Event{
 				Kind: trace.KindReqReply, Trace: t.tid, Op: req.Op.String(),
-				Code: int64(resp.Code), Arg: int64(time.Since(t0)), Aux: int64(cn.id),
+				Code: int64(resp.Code), Arg: d, Aux: int64(cn.id),
 			})
 		}
 		return resp

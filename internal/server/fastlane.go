@@ -32,9 +32,6 @@ const fastTraceSample = 64
 // the session and the global bounds. served=false means the caller must
 // submit the request to the executor as usual.
 func (c *core) tryFastLane(cn *conn, req wire.Request) (wire.Response, bool) {
-	if c.view == nil {
-		return wire.Response{}, false
-	}
 	// Serve-reads standby: check the lease floor first — the applied
 	// sequence is stored only after a record's effects reach the region, so
 	// applied >= floor here guarantees the view read below observes
@@ -93,10 +90,8 @@ func (c *core) noteFastLane(cn *conn, req wire.Request, resp wire.Response, t0 t
 	c.count(op, resp.Code)
 	c.executed.Add(1)
 	s := c.srv
-	if s.tel != nil {
-		s.tel.latency[op].Observe(int64(time.Since(t0)))
-	}
-	if s.srvRing != nil && c.fastSeq.Add(1)%fastTraceSample == 1 {
+	s.tel.latency[op].Observe(int64(time.Since(t0)))
+	if c.fastSeq.Add(1)%fastTraceSample == 1 {
 		s.srvRing.Emit(trace.Event{
 			Kind: trace.KindFastRead, Trace: s.rec.NextTrace(),
 			Op: op.String(), Code: int64(resp.Code),

@@ -13,14 +13,11 @@ import (
 // and the SLO evaluator over the serving, audit, and replication
 // subsystems, each objective reading the cores in aggregate. Called once
 // from NewSharded, before any executor starts, so every objective is
-// declared before the first evaluation. The plane requires both metrics and
-// tracing: the detector is fed by the recorder's live tap, and the gauges
-// ride STATS2.
+// declared before the first evaluation. The detector is fed by the
+// recorder's live tap, and the gauges ride STATS2. Every objective takes its
+// documented default bound (the zero health.SLO).
 func (s *Server) buildHealthPlane(debt *health.DebtMeter) {
-	if s.cfg.DisableHealth || s.tel == nil || s.rec == nil {
-		return
-	}
-	p := health.NewPlane(s.cfg.SLO, s.rec.Now)
+	p := health.NewPlane(health.SLO{}, s.rec.Now)
 	slo := p.SLO()
 	sum := func(per func(*core) uint64) func() float64 {
 		return func() float64 {
@@ -117,19 +114,11 @@ func (s *Server) replLag() uint64 {
 // node's replication role so /healthz and the HEALTH op attribute a
 // read-serving standby's shadow-audit state to the standby rather than the
 // primary's SLOs. Safe from any goroutine — the plane's state is read
-// lock-free or under its own short locks, never via the executor. ok is
-// false when the plane is disabled.
-func (s *Server) Health() (health.Status, bool) {
-	if s.health == nil {
-		return health.Status{}, false
-	}
+// lock-free or under its own short locks, never via the executor.
+func (s *Server) Health() health.Status {
 	st := s.health.Status()
 	if st.Role = roleTag(s.standby.Load(), s.cfg.ServeReads); st.Role == "" {
 		st.Role = "primary"
 	}
-	return st, true
+	return st
 }
-
-// HealthPlane exposes the plane itself (nil when disabled) for tests and
-// the embedding daemon's HTTP endpoint.
-func (s *Server) HealthPlane() *health.Plane { return s.health }

@@ -114,45 +114,3 @@ func TestStats2Snapshot(t *testing.T) {
 		t.Errorf("memdb.clients = %d, want >= 1", snap.Gauges["memdb.clients"])
 	}
 }
-
-// TestStats2SharedRegistry checks that a caller-supplied registry receives
-// the server's metrics and that Server.Metrics returns it.
-func TestStats2SharedRegistry(t *testing.T) {
-	reg := metrics.NewRegistry()
-	srv, addr := newTestServer(t, 1, Config{Metrics: reg})
-	if srv.Metrics() != reg {
-		t.Fatal("Server.Metrics() did not return the supplied registry")
-	}
-	c, err := wire.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.Ping(); err != nil {
-		t.Fatal(err)
-	}
-	snap := reg.Snapshot()
-	if snap.Histograms["server.latency.Ping"].Count == 0 {
-		t.Error("shared registry saw no Ping latency observations")
-	}
-}
-
-// TestStats2Disabled checks the off switch: no registry, and STATS2
-// answers an error instead of a document.
-func TestStats2Disabled(t *testing.T) {
-	srv, addr := newTestServer(t, 1, Config{DisableMetrics: true})
-	if srv.Metrics() != nil {
-		t.Fatal("Server.Metrics() non-nil with DisableMetrics")
-	}
-	c, err := wire.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.Ping(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Stats2(); err == nil {
-		t.Fatal("Stats2 succeeded with metrics disabled")
-	}
-}

@@ -74,18 +74,14 @@ func (c *core) handleProcExec(sess proc.Session, q wire.Request, tid uint64) wir
 	}
 	t0 := time.Now()
 	res := c.procEng.Exec(p, sess, q.Vals, tid)
-	if c.procTel != nil {
-		c.procTel.execs.Inc()
-		c.procTel.histFor(p.Name).ObserveSince(t0)
-	}
+	c.procTel.execs.Inc()
+	c.procTel.histFor(p.Name).ObserveSince(t0)
 	c.srv.logProcMutations(res.Applied, tid)
 	switch res.Status {
 	case proc.StatusOK:
 		return ok(res.Out...)
 	case proc.StatusViolation:
-		if c.procTel != nil {
-			c.procTel.violations.Inc()
-		}
+		c.procTel.violations.Inc()
 		c.noteProcDamage(p, tid,
 			fmt.Sprintf("proc %s: assert pc=%d target=%d", p.Name, res.AssertPC, res.Target))
 		return wire.ErrorResponse(q.Seq,
@@ -98,9 +94,7 @@ func (c *core) handleProcExec(sess proc.Session, q wire.Request, tid uint64) wir
 		if len(res.Applied) == 0 && errors.Is(res.Err, memdb.ErrLocked) && !p.Damaged() {
 			return wire.ErrorResponse(q.Seq, fmt.Errorf("%s: %w", p.Name, res.Err))
 		}
-		if c.procTel != nil {
-			c.procTel.faults.Inc()
-		}
+		c.procTel.faults.Inc()
 		if p.Damaged() {
 			c.noteProcDamage(p, tid,
 				fmt.Sprintf("proc %s: commit: %v (text damaged)", p.Name, res.Err))
@@ -108,9 +102,7 @@ func (c *core) handleProcExec(sess proc.Session, q wire.Request, tid uint64) wir
 		return wire.ErrorResponse(q.Seq,
 			fmt.Errorf("%s: commit: %v: %w", p.Name, res.Err, wire.ErrProcFault))
 	default: // StatusFault
-		if c.procTel != nil {
-			c.procTel.faults.Inc()
-		}
+		c.procTel.faults.Inc()
 		// A fault in a procedure whose live text differs from the pristine
 		// image is detected text damage even when no PECOS assertion fired
 		// (a flip can land on an opcode and trap before reaching a check):
@@ -142,15 +134,11 @@ func (c *core) noteProcDamage(p *proc.Procedure, tid uint64, detail string) {
 	c.noteFinding(f)
 	c.procTID = 0
 	c.procs.Reload(p.Name)
-	if c.procTel != nil {
-		c.procTel.reloads.Inc()
-	}
-	if c.procRing != nil {
-		c.procRing.Emit(trace.Event{
-			Kind: trace.KindProcLoad, Trace: tid, Op: "reload",
-			Detail: p.Name, Code: int64(p.Version),
-		})
-	}
+	c.procTel.reloads.Inc()
+	c.procRing.Emit(trace.Event{
+		Kind: trace.KindProcLoad, Trace: tid, Op: "reload",
+		Detail: p.Name, Code: int64(p.Version),
+	})
 }
 
 // handleProcLoad registers (or replaces) a procedure from wire-supplied
@@ -166,12 +154,10 @@ func (c *core) handleProcLoad(_ *conn, q wire.Request, _ uint64) wire.Response {
 	if err != nil {
 		return fail(q, err)
 	}
-	if c.procRing != nil {
-		c.procRing.Emit(trace.Event{
-			Kind: trace.KindProcLoad, Op: "load",
-			Detail: p.Name, Code: int64(p.Version), Arg: int64(p.Words()),
-		})
-	}
+	c.procRing.Emit(trace.Event{
+		Kind: trace.KindProcLoad, Op: "load",
+		Detail: p.Name, Code: int64(p.Version), Arg: int64(p.Words()),
+	})
 	return ok(uint32(p.Words()), uint32(p.Blocks()), uint32(p.Version))
 }
 
@@ -260,12 +246,7 @@ func (c *core) procInjectAt(name string, addr uint32, bit uint) bool {
 // offsets matched by Finding.Covers, and a VM text address would falsely
 // join database findings.
 func (c *core) journalProcShot(name string, addr, mask uint32) {
-	if c.procTel != nil {
-		c.procTel.shots.Inc()
-	}
-	if c.injRing == nil {
-		return
-	}
+	c.procTel.shots.Inc()
 	c.injRing.Emit(trace.Event{
 		Kind: trace.KindShot, Trace: c.srv.rec.NextTrace(), Op: "textflip",
 		Detail: name, Arg: int64(addr), Code: int64(mask),

@@ -47,72 +47,23 @@ type Config struct {
 	// QueueDepth bounds the request queue between connection goroutines
 	// and the executor. Default 256.
 	QueueDepth int
-	// AuditQueueDepth bounds the DB→audit notification queue. Default
-	// 4096.
-	AuditQueueDepth int
 	// AuditPeriod is the periodic full-sweep interval on the executor
 	// clock. Default 1s. Negative disables the audit process and manager
 	// entirely (the "without audit" configuration).
 	AuditPeriod time.Duration
-	// HeartbeatPeriod/HeartbeatTimeout drive the manager's supervision of
-	// the audit process. Defaults 5s / 2s.
-	HeartbeatPeriod  time.Duration
-	HeartbeatTimeout time.Duration
-	// IdleTimeout closes a connection with no complete request for this
-	// long. Default 2m.
-	IdleTimeout time.Duration
-	// WriteTimeout bounds each response write. Default 10s.
-	WriteTimeout time.Duration
 	// ReplyTimeout bounds how long a connection goroutine waits for the
 	// executor before answering CodeTimeout. Default 10s.
 	ReplyTimeout time.Duration
 	// ClockTick is how often the executor advances the audit clock when
 	// idle. Default 20ms.
 	ClockTick time.Duration
-	// BatchSize bounds how many queued requests the executor drains per
-	// wakeup. Draining a batch amortizes channel wakeups and lets the
-	// batch's WAL appends share one buffered write; the audit clock still
-	// advances only on ClockTick, between batches. Default 64.
-	BatchSize int
-	// DisableFastLane forces every read opcode through the executor
-	// queue, disabling the connection-goroutine read view. Exists for
-	// benchmarks and for debugging suspected fast-lane divergence.
-	DisableFastLane bool
-	// MaxFrame bounds accepted request payloads. Default wire.MaxFrame.
-	MaxFrame int
-	// Seed seeds the executor's simulation environment RNG.
-	Seed int64
 	// Guard, when set, arms the memdb concurrent-access detector for the
 	// server's lifetime; any violation panics the executor — by contract
 	// there can be none.
 	Guard bool
-	// Metrics, when set, is the registry the server publishes its
-	// telemetry into; nil creates a private registry (retrieve it with
-	// Server.Metrics). Ignored when DisableMetrics is set.
-	Metrics *metrics.Registry
-	// DisableMetrics turns the observability layer off entirely: no
-	// registry, no latency histograms, STATS2 answers an error. Exists so
-	// BenchmarkServerThroughput can quantify the instrumentation overhead.
-	DisableMetrics bool
 	// Trace, when set, is the flight recorder the server emits structured
-	// events into; nil creates a private recorder (retrieve it with
-	// Server.Trace). Ignored when DisableTrace is set.
+	// events into; nil creates a private one (read it with TraceEvents).
 	Trace *trace.Recorder
-	// DisableTrace turns the flight recorder off entirely: no rings, no
-	// per-request events, TRACE answers an error. Exists so the
-	// "audited" benchmark baseline excludes recorder overhead.
-	DisableTrace bool
-	// TraceRingSize overrides the per-ring event capacity
-	// (default trace.DefaultRingSize).
-	TraceRingSize int
-	// SLO declares the health plane's objectives and evaluator windows;
-	// the zero value takes every documented default. Ignored when the
-	// plane is off.
-	SLO health.SLO
-	// DisableHealth turns the health & SLO plane off. The plane also
-	// stays off when metrics or tracing are disabled — it is built from
-	// the registry's gauges and the recorder's live tap.
-	DisableHealth bool
 	// WAL, when set, is the operation log: every successful mutating
 	// request is appended, fsync batched on the executor clock tick. The
 	// server owns it from here on — Shutdown syncs, checkpoints, and
@@ -171,35 +122,14 @@ func (c *Config) applyDefaults() {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 256
 	}
-	if c.AuditQueueDepth <= 0 {
-		c.AuditQueueDepth = 4096
-	}
 	if c.AuditPeriod == 0 {
 		c.AuditPeriod = time.Second
-	}
-	if c.HeartbeatPeriod <= 0 {
-		c.HeartbeatPeriod = 5 * time.Second
-	}
-	if c.HeartbeatTimeout <= 0 {
-		c.HeartbeatTimeout = 2 * time.Second
-	}
-	if c.IdleTimeout <= 0 {
-		c.IdleTimeout = 2 * time.Minute
-	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 10 * time.Second
 	}
 	if c.ReplyTimeout <= 0 {
 		c.ReplyTimeout = 10 * time.Second
 	}
 	if c.ClockTick <= 0 {
 		c.ClockTick = 20 * time.Millisecond
-	}
-	if c.BatchSize <= 0 {
-		c.BatchSize = 64
-	}
-	if c.MaxFrame <= 0 {
-		c.MaxFrame = wire.MaxFrame
 	}
 	if c.ReplPoll <= 0 {
 		c.ReplPoll = 100 * time.Millisecond
@@ -214,6 +144,28 @@ func (c *Config) applyDefaults() {
 		c.CheckpointCap = 4 << 20
 	}
 }
+
+// Fixed serving parameters. Request frames are bounded by wire.MaxFrame,
+// trace rings hold trace.DefaultRingSize events, and the health plane takes
+// every documented default of health.SLO.
+const (
+	// auditQueueDepth bounds the DB→audit notification queue.
+	auditQueueDepth = 4096
+	// heartbeatPeriod/heartbeatTimeout drive the manager's supervision of
+	// the audit process.
+	heartbeatPeriod  = 5 * time.Second
+	heartbeatTimeout = 2 * time.Second
+	// idleTimeout closes a connection with no complete request for this
+	// long.
+	idleTimeout = 2 * time.Minute
+	// writeTimeout bounds each response write.
+	writeTimeout = 10 * time.Second
+	// batchSize bounds how many queued requests the executor drains per
+	// wakeup. Draining a batch amortizes channel wakeups and lets the
+	// batch's WAL appends share one buffered write; the audit clock still
+	// advances only on ClockTick, between batches.
+	batchSize = 64
+)
 
 // OpStat is the per-operation counter pair.
 type OpStat struct {
@@ -274,8 +226,7 @@ func newTelemetry(reg *metrics.Registry) *telemetry {
 	for op := 1; op < wire.NumOps; op++ {
 		t.latency[op] = reg.Histogram("server.latency."+wire.Op(op).String(), nil)
 	}
-	// Batches are capped by Config.BatchSize (default 64): power-of-two
-	// buckets up to 256.
+	// Batches are capped by batchSize (64): power-of-two buckets up to 256.
 	buckets := make([]int64, 9)
 	for i := range buckets {
 		buckets[i] = 1 << i
@@ -327,16 +278,14 @@ type Server struct {
 	// bounds oracle, so out-of-range errors carry global limits.
 	globalRecs []int
 
-	// reg and tel are nil when Config.DisableMetrics; rec and srvRing (the
-	// ring carrying connection/request lifecycle events) when DisableTrace.
+	// The observability planes: the registry and its shared metric set, the
+	// flight recorder with the ring carrying connection/request lifecycle
+	// events, and the health & SLO plane built from both.
 	reg     *metrics.Registry
 	tel     *telemetry
 	rec     *trace.Recorder
 	srvRing *trace.Ring
-
-	// health is nil when Config.DisableHealth, or when metrics or tracing
-	// are off.
-	health *health.Plane
+	health  *health.Plane
 
 	// standby mirrors the cores' role for the front end's own decisions;
 	// it flips once, with the first core's promotion.
@@ -396,8 +345,6 @@ func (s *Server) newConn(nc net.Conn) *conn {
 // not name one.
 const defaultTraceTail = 256
 
-var errMetricsDisabled = errors.New("server: metrics disabled")
-
 // New builds a server over one region. The database must not be touched by
 // anyone else while the server runs — the server is its single writer
 // (enable cfg.Guard to have violations fail loudly).
@@ -411,8 +358,8 @@ func New(db *memdb.DB, cfg Config) (*Server, error) {
 
 // NewSharded builds a server over the per-core regions (derive them with
 // memdb.ShardSchemas) and optional per-core WALs (nil, or one entry per
-// core, entries may be nil). Metrics, Trace and the health plane are shared
-// by the cores; Config.WAL must be nil.
+// core, entries may be nil). The metrics registry, the flight recorder and
+// the health plane are shared by the cores; Config.WAL must be nil.
 func NewSharded(dbs []*memdb.DB, wals []*wal.Log, cfg Config) (*Server, error) {
 	n := len(dbs)
 	if n == 0 {
@@ -462,28 +409,24 @@ func NewSharded(dbs []*memdb.DB, wals []*wal.Log, cfg Config) (*Server, error) {
 		}
 	}
 
+	reg, rec := metrics.NewRegistry(), cfg.Trace
+	if rec == nil {
+		rec = trace.New()
+	}
 	s := &Server{
 		cfg:        cfg,
 		cores:      make([]*core, n),
 		globalRecs: globalRecs,
+		reg:        reg,
+		tel:        newTelemetry(reg),
+		rec:        rec,
+		srvRing:    rec.Ring("server", trace.DefaultRingSize),
 		quit:       make(chan struct{}),
 		down:       make(chan struct{}),
 		conns:      make(map[*conn]struct{}),
 		start:      time.Now(),
 	}
 	s.standby.Store(cfg.Standby)
-	if !cfg.DisableMetrics {
-		if s.reg = cfg.Metrics; s.reg == nil {
-			s.reg = metrics.NewRegistry()
-		}
-		s.tel = newTelemetry(s.reg)
-	}
-	if !cfg.DisableTrace {
-		if s.rec = cfg.Trace; s.rec == nil {
-			s.rec = trace.New()
-		}
-		s.srvRing = s.rec.Ring("server", cfg.TraceRingSize)
-	}
 	var debt *health.DebtMeter
 	if cfg.AuditPeriod > 0 {
 		// N schedulers complete N sweeps per period; metering at period/N
@@ -502,9 +445,7 @@ func NewSharded(dbs []*memdb.DB, wals []*wal.Log, cfg Config) (*Server, error) {
 		s.cores[k] = c
 	}
 	s.buildHealthPlane(debt)
-	if s.reg != nil {
-		s.registerMetrics()
-	}
+	s.registerMetrics()
 	for _, c := range s.cores {
 		go c.executor()
 	}
@@ -524,12 +465,10 @@ func (s *Server) registerMetrics() {
 		return int64(len(s.conns))
 	})
 	reg.GaugeFunc("server.conns.total", func() int64 { return int64(s.totalConns.Load()) })
-	if s.rec != nil {
-		// Every ring the server will ever emit on exists by now, so ring
-		// overflow (events lost to the bounded buffers) is first-class
-		// telemetry from the start.
-		s.rec.RegisterMetrics(reg)
-	}
+	// Every ring the server will ever emit on exists by now, so ring
+	// overflow (events lost to the bounded buffers) is first-class
+	// telemetry from the start.
+	s.rec.RegisterMetrics(reg)
 	if len(s.cores) == 1 {
 		return // the one core's gauges already carry the plain names
 	}
@@ -605,46 +544,32 @@ func (s *Server) registerMetrics() {
 	sumGauges("memdb.guard.violations")
 }
 
-// Metrics returns the registry the server publishes into, or nil when
-// Config.DisableMetrics was set.
-func (s *Server) Metrics() *metrics.Registry { return s.reg }
-
-// Trace returns the flight recorder the server emits into, or nil when
-// Config.DisableTrace was set.
-func (s *Server) Trace() *trace.Recorder { return s.rec }
-
 // TraceEvents snapshots the merged journal, filtered to one kind (0 =
 // every kind) and capped to the most recent n events (n <= 0 = all).
-// Safe from any goroutine; returns nil when tracing is disabled.
+// Safe from any goroutine.
 func (s *Server) TraceEvents(kind trace.Kind, n int) []trace.Event {
-	if s.rec == nil {
-		return nil
-	}
 	return trace.Tail(trace.Filter(s.rec.Snapshot(), kind), n)
 }
 
 // SnapshotMetrics refreshes the executor-owned gauges and snapshots the
 // registry, from any goroutine: the refresh rides each executor's control
 // channel, so the returned snapshot is current rather than one clock tick
-// stale. Returns an error when metrics are disabled.
-func (s *Server) SnapshotMetrics() (metrics.Snapshot, error) {
+// stale.
+func (s *Server) SnapshotMetrics() metrics.Snapshot {
 	return s.snapshot((*metrics.Registry).Snapshot)
 }
 
 // SnapshotMetricsFull is SnapshotMetrics with per-histogram bucket arrays
 // included — the Prometheus exposition path. Same freshness contract.
-func (s *Server) SnapshotMetricsFull() (metrics.Snapshot, error) {
+func (s *Server) SnapshotMetricsFull() metrics.Snapshot {
 	return s.snapshot((*metrics.Registry).SnapshotFull)
 }
 
-func (s *Server) snapshot(take func(*metrics.Registry) metrics.Snapshot) (metrics.Snapshot, error) {
-	if s.reg == nil {
-		return metrics.Snapshot{}, errMetricsDisabled
-	}
+func (s *Server) snapshot(take func(*metrics.Registry) metrics.Snapshot) metrics.Snapshot {
 	for _, c := range s.cores {
 		c.onExecutor(c.refreshExecutorMetrics)
 	}
-	return take(s.reg), nil
+	return take(s.reg)
 }
 
 // Addr returns the bound listener address, or nil before Serve.
@@ -707,9 +632,7 @@ func (s *Server) Serve(ln net.Listener) error {
 		s.conns[cn] = struct{}{}
 		s.mu.Unlock()
 		cn.id = s.totalConns.Add(1)
-		if s.srvRing != nil {
-			s.srvRing.Emit(trace.Event{Kind: trace.KindConnAccept, Aux: int64(cn.id)})
-		}
+		s.srvRing.Emit(trace.Event{Kind: trace.KindConnAccept, Aux: int64(cn.id)})
 		s.connWG.Add(1)
 		go s.serveConn(cn)
 	}
@@ -741,7 +664,7 @@ func (s *Server) serveConn(cn *conn) {
 		// frames already buffered (the pipelined case) are covered by the
 		// deadline from the read that fetched them.
 		if br.Buffered() == 0 {
-			if err := cn.nc.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout)); err != nil {
+			if err := cn.nc.SetReadDeadline(time.Now().Add(idleTimeout)); err != nil {
 				return
 			}
 		}
@@ -752,7 +675,7 @@ func (s *Server) serveConn(cn *conn) {
 			return
 		default:
 		}
-		payload, err := wire.ReadFrame(br, s.cfg.MaxFrame)
+		payload, err := wire.ReadFrame(br, wire.MaxFrame)
 		if err != nil {
 			// Idle timeout, peer close, shutdown poke, or garbage:
 			// in every case the connection is done. A malformed
@@ -793,26 +716,20 @@ type connWriter struct {
 }
 
 func (w *connWriter) write(resp wire.Response) bool {
-	tel := w.s.tel
-	var t0 time.Time
-	if tel != nil {
-		t0 = time.Now()
-	}
+	t0 := time.Now()
 	w.buf = wire.AppendResponse(w.buf[:0], resp)
 	if w.bw.Buffered() == 0 {
-		if err := w.cn.nc.SetWriteDeadline(time.Now().Add(w.s.cfg.WriteTimeout)); err != nil {
+		if err := w.cn.nc.SetWriteDeadline(time.Now().Add(writeTimeout)); err != nil {
 			return false
 		}
 	}
 	ok := wire.WriteFrame(w.bw, w.buf) == nil
-	if tel != nil {
-		tel.stageReplyWrite.Observe(int64(time.Since(t0)))
-	}
+	w.s.tel.stageReplyWrite.Observe(int64(time.Since(t0)))
 	return ok
 }
 
 func (w *connWriter) flush() bool {
-	if err := w.cn.nc.SetWriteDeadline(time.Now().Add(w.s.cfg.WriteTimeout)); err != nil {
+	if err := w.cn.nc.SetWriteDeadline(time.Now().Add(writeTimeout)); err != nil {
 		return false
 	}
 	return w.bw.Flush() == nil
@@ -825,9 +742,7 @@ func (s *Server) teardownConn(cn *conn) {
 	s.mu.Lock()
 	delete(s.conns, cn)
 	s.mu.Unlock()
-	if s.srvRing != nil {
-		s.srvRing.Emit(trace.Event{Kind: trace.KindConnClose, Aux: int64(cn.id)})
-	}
+	s.srvRing.Emit(trace.Event{Kind: trace.KindConnClose, Aux: int64(cn.id)})
 	for _, c := range s.cores {
 		select {
 		case c.ctrl <- func() { c.closeSession(cn) }:
@@ -981,15 +896,8 @@ func control(c *core, _ *conn, q wire.Request, _ uint64) wire.Response {
 	case wire.OpReplStatus:
 		return s.replStatus()
 	case wire.OpHealth:
-		st, on := s.Health()
-		if !on {
-			return fail(q, errors.New("server: health plane disabled"))
-		}
-		data, err = st.MarshalJSON()
+		data, err = s.Health().MarshalJSON()
 	case wire.OpTrace:
-		if s.rec == nil {
-			return fail(q, errors.New("server: tracing disabled"))
-		}
 		n := int(q.Aux)
 		if n <= 0 {
 			n = defaultTraceTail

@@ -534,8 +534,7 @@ func TestNewShardedValidates(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer viaNew.Shutdown(time.Second)
-	a, _ := one.SnapshotMetrics()
-	b, _ := viaNew.SnapshotMetrics()
+	a, b := one.SnapshotMetrics(), viaNew.SnapshotMetrics()
 	if len(a.Gauges) != len(b.Gauges) {
 		t.Errorf("NewSharded(1 region) publishes %d gauges, New %d", len(a.Gauges), len(b.Gauges))
 	}
@@ -1057,9 +1056,8 @@ func testStatsAggregation(t *testing.T, n int) {
 	if _, err := c.Health(); err != nil {
 		t.Fatalf("HEALTH: %v", err)
 	}
-	st, ok := sd.Health()
-	if !ok || st.Role != "primary" {
-		t.Fatalf("Health = %+v ok=%v, want primary role", st, ok)
+	if st := sd.Health(); st.Role != "primary" {
+		t.Fatalf("Health = %+v, want primary role", st)
 	}
 	if _, err := c.Sweep(); err != nil {
 		t.Fatalf("SWEEP: %v", err)

@@ -149,23 +149,3 @@ func TestTraceJournalJoinsShotsToRecovery(t *testing.T) {
 		}
 	}
 }
-
-// TestTraceDisabled: with DisableTrace the recorder is absent, the
-// accessor answers nil, and the wire op reports an error.
-func TestTraceDisabled(t *testing.T) {
-	srv, addr := newTestServer(t, 1, Config{DisableTrace: true})
-	if srv.Trace() != nil {
-		t.Fatal("Trace() non-nil with DisableTrace")
-	}
-	if evs := srv.TraceEvents(0, 0); evs != nil {
-		t.Fatalf("TraceEvents returned %d events with DisableTrace", len(evs))
-	}
-	c, err := wire.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if _, err := c.TraceJSON(0, 0); err == nil {
-		t.Fatal("TRACE succeeded with DisableTrace")
-	}
-}
