@@ -17,6 +17,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/experiment"
@@ -24,13 +25,14 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Stdout, os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "reproduce:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+// run parses args and writes every selected experiment's rendering to w.
+func run(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("reproduce", flag.ContinueOnError)
 	exp := fs.String("exp", "all", "experiment to regenerate")
 	scale := fs.Float64("scale", 1.0, "scale factor in (0,1] for runs and durations")
@@ -90,13 +92,13 @@ func run(args []string) error {
 		if err != nil {
 			return fmt.Errorf("%s: %w", r.name, err)
 		}
-		fmt.Println(out.String())
+		fmt.Fprintln(w, out.String())
 	}
 	if !matched {
 		return fmt.Errorf("unknown experiment %q", *exp)
 	}
 	if rec != nil {
-		return writeJournal(rec, *traceFile)
+		return writeJournal(w, rec, *traceFile)
 	}
 	return nil
 }
@@ -105,7 +107,7 @@ func run(args []string) error {
 // validates it: the journal must be non-empty (a traced run that emitted
 // nothing is a wiring bug, not a quiet success) and must round-trip
 // through the decoder.
-func writeJournal(rec *trace.Recorder, path string) error {
+func writeJournal(w io.Writer, rec *trace.Recorder, path string) error {
 	evs := rec.Snapshot()
 	if len(evs) == 0 {
 		return fmt.Errorf("trace: journal is empty (-trace only captures table8/table9 campaigns)")
@@ -124,7 +126,7 @@ func writeJournal(rec *trace.Recorder, path string) error {
 	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("trace: %d events (%d dropped) to %s\n", len(evs), totalDrops(rec), path)
+	fmt.Fprintf(w, "trace: %d events (%d dropped) to %s\n", len(evs), totalDrops(rec), path)
 	return nil
 }
 

@@ -1,6 +1,9 @@
 package main
 
-import "testing"
+import (
+	"io"
+	"testing"
+)
 
 func TestSingleExperiments(t *testing.T) {
 	// Tiny scales keep this a smoke test of the CLI plumbing; the
@@ -12,17 +15,17 @@ func TestSingleExperiments(t *testing.T) {
 		{"-exp", "table8", "-scale", "0.05", "-detail"},
 	}
 	for _, args := range cases {
-		if err := run(args); err != nil {
+		if err := run(io.Discard, args); err != nil {
 			t.Fatalf("run(%v): %v", args, err)
 		}
 	}
 }
 
 func TestUnknownExperimentRejected(t *testing.T) {
-	if err := run([]string{"-exp", "bogus"}); err == nil {
+	if err := run(io.Discard, []string{"-exp", "bogus"}); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
-	if err := run([]string{"-exp", "table3", "-scale", "7"}); err == nil {
+	if err := run(io.Discard, []string{"-exp", "table3", "-scale", "7"}); err == nil {
 		t.Fatal("out-of-range scale accepted")
 	}
 }
