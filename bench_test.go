@@ -18,8 +18,8 @@ import (
 
 	"repro/internal/audit"
 	"repro/internal/callproc"
-	"repro/internal/core"
 	"repro/internal/experiment"
+	"repro/internal/framework"
 	"repro/internal/inject"
 	"repro/internal/ipc"
 	"repro/internal/isa"
@@ -404,7 +404,7 @@ func BenchmarkSimEventLoop(b *testing.B) {
 
 func BenchmarkFrameworkCleanRun(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		fw, err := core.New(core.DefaultConfig(
+		fw, err := framework.New(framework.DefaultConfig(
 			callproc.Schema(callproc.DefaultSchemaConfig()), callproc.CallLoop()))
 		if err != nil {
 			b.Fatal(err)

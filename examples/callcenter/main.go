@@ -11,7 +11,7 @@ import (
 
 	"repro/internal/audit"
 	"repro/internal/callproc"
-	"repro/internal/core"
+	"repro/internal/framework"
 	"repro/internal/inject"
 )
 
@@ -25,7 +25,7 @@ func run() error {
 	schema := callproc.Schema(callproc.SchemaConfig{
 		ConfigRecords: 56, ConfigFields: 20, CallRecords: 24,
 	})
-	fw, err := core.New(core.DefaultConfig(schema, callproc.CallLoop()))
+	fw, err := framework.New(framework.DefaultConfig(schema, callproc.CallLoop()))
 	if err != nil {
 		return err
 	}

@@ -10,7 +10,7 @@ import (
 
 	"repro/internal/audit"
 	"repro/internal/callproc"
-	"repro/internal/core"
+	"repro/internal/framework"
 )
 
 func main() {
@@ -24,7 +24,7 @@ func run() error {
 	// Process/Connection/Resource tables whose records form the semantic
 	// referential-integrity loop.
 	schema := callproc.Schema(callproc.DefaultSchemaConfig())
-	fw, err := core.New(core.DefaultConfig(schema, callproc.CallLoop()))
+	fw, err := framework.New(framework.DefaultConfig(schema, callproc.CallLoop()))
 	if err != nil {
 		return err
 	}

@@ -12,7 +12,7 @@ import (
 
 	"repro/internal/audit"
 	"repro/internal/callproc"
-	"repro/internal/core"
+	"repro/internal/framework"
 	"repro/internal/sim"
 )
 
@@ -24,7 +24,7 @@ func main() {
 
 func run() error {
 	schema := callproc.Schema(callproc.DefaultSchemaConfig())
-	fw, err := core.New(core.DefaultConfig(schema, callproc.CallLoop()))
+	fw, err := framework.New(framework.DefaultConfig(schema, callproc.CallLoop()))
 	if err != nil {
 		return err
 	}

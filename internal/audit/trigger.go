@@ -96,20 +96,7 @@ func (e *PeriodicElement) Stop() {
 // Sweeps reports how many audit passes have run.
 func (e *PeriodicElement) Sweeps() uint64 { return e.sweeps }
 
-// RunNow forces one audit pass outside the periodic schedule (used by
-// event escalation and tests).
-func (e *PeriodicElement) RunNow() []Finding {
-	if e.ctx == nil {
-		return nil
-	}
-	return e.sweepOnce()
-}
-
 func (e *PeriodicElement) sweep() {
-	e.sweepOnce()
-}
-
-func (e *PeriodicElement) sweepOnce() []Finding {
 	e.sweeps++
 	if e.debt != nil {
 		e.debt.SweepStart(len(e.checks))
@@ -149,7 +136,6 @@ func (e *PeriodicElement) sweepOnce() []Finding {
 		e.debt.SweepEnd()
 	}
 	e.ctx.Stats.Add(findings)
-	return findings
 }
 
 // RecordChecker is implemented by checkers that can audit a single record —

@@ -15,7 +15,7 @@ import (
 
 	"repro/internal/audit"
 	"repro/internal/callproc"
-	"repro/internal/core"
+	"repro/internal/framework"
 	"repro/internal/inject"
 	"repro/internal/memdb"
 )
@@ -170,11 +170,11 @@ func oneEffectRun(cfg EffectConfig, seed int64, res *EffectResult,
 		ConfigFields:  cfg.ConfigFields,
 		CallRecords:   cfg.CallRecords,
 	})
-	fcfg := core.DefaultConfig(schema, callproc.CallLoop())
+	fcfg := framework.DefaultConfig(schema, callproc.CallLoop())
 	fcfg.Seed = seed
 	fcfg.AuditPeriod = cfg.AuditPeriod
 	fcfg.EventTriggered = cfg.EventTriggered
-	fw, err := core.New(fcfg)
+	fw, err := framework.New(fcfg)
 	if err != nil {
 		return err
 	}

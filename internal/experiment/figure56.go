@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"repro/internal/audit"
-	"repro/internal/core"
+	"repro/internal/framework"
 	"repro/internal/inject"
 	"repro/internal/memdb"
 )
@@ -140,14 +140,14 @@ func RunPriority(cfg PriorityConfig) (*PriorityResult, error) {
 // and count for cross-run aggregation.
 func runPriorityOnce(cfg PriorityConfig) (*PriorityResult, time.Duration, int, error) {
 	schema := prioritySchema()
-	fcfg := core.DefaultConfig(schema)
+	fcfg := framework.DefaultConfig(schema)
 	fcfg.Seed = cfg.Seed
 	fcfg.AuditPeriod = cfg.AuditSlot
-	fcfg.Trigger = core.SlicedRoundRobin
+	fcfg.Trigger = framework.SlicedRoundRobin
 	if cfg.Prioritized {
-		fcfg.Trigger = core.SlicedPrioritized
+		fcfg.Trigger = framework.SlicedPrioritized
 	}
-	fw, err := core.New(fcfg)
+	fw, err := framework.New(fcfg)
 	if err != nil {
 		return nil, 0, 0, err
 	}

@@ -7,7 +7,7 @@ import (
 
 	"repro/internal/audit"
 	"repro/internal/callproc"
-	"repro/internal/core"
+	"repro/internal/framework"
 	"repro/internal/inject"
 	"repro/internal/memdb"
 )
@@ -72,10 +72,10 @@ func resilienceRun(cfg EffectConfig, crashPeriod time.Duration, seed int64) (cau
 		ConfigFields:  cfg.ConfigFields,
 		CallRecords:   cfg.CallRecords,
 	})
-	fcfg := core.DefaultConfig(schema, callproc.CallLoop())
+	fcfg := framework.DefaultConfig(schema, callproc.CallLoop())
 	fcfg.Seed = seed
 	fcfg.AuditPeriod = cfg.AuditPeriod
-	fw, err := core.New(fcfg)
+	fw, err := framework.New(fcfg)
 	if err != nil {
 		return 0, 0, 0, err
 	}

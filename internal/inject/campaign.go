@@ -341,9 +341,8 @@ func (c Campaign) oneRun(run int, seed int64) (Outcome, bool, error) {
 		if dbError && !dbFlipped && steps >= dbFlipAt {
 			// Mixed campaign: the database error strikes now, at a
 			// uniformly random byte of the shared region.
-			off := rng.Intn(db.Size())
-			bit := rng.Intn(8)
-			_ = db.FlipBit(off, uint(bit))
+			off, bit := RandomBit(rng, db.Size())
+			_ = db.FlipBit(off, bit)
 			dbFlipped = true
 			if injRing != nil {
 				injRing.Emit(trace.Event{

@@ -81,12 +81,8 @@ func (di *DBInjector) InjectRandomBit(now time.Duration) (*DBInjection, error) {
 	if length <= 0 {
 		return nil, errors.New("inject: empty injection extent")
 	}
-	inj := &DBInjection{
-		Offset: off + di.rng.Intn(length),
-		Bit:    uint(di.rng.Intn(8)),
-		At:     now,
-		State:  DBOutstanding,
-	}
+	pos, bit := RandomBit(di.rng, length)
+	inj := &DBInjection{Offset: off + pos, Bit: bit, At: now, State: DBOutstanding}
 	if err := di.db.FlipBit(inj.Offset, inj.Bit); err != nil {
 		return nil, err
 	}

@@ -45,14 +45,6 @@ type Manager struct {
 // Option configures a Manager.
 type Option func(*Manager)
 
-// WithHeartbeat overrides the probe period and reply timeout.
-func WithHeartbeat(period, timeout time.Duration) Option {
-	return func(m *Manager) {
-		m.Period = period
-		m.Timeout = timeout
-	}
-}
-
 // WithOnRestart installs an observer invoked with the restart ordinal each
 // time the audit process is restarted.
 func WithOnRestart(fn func(restart int)) Option {

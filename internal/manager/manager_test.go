@@ -52,7 +52,7 @@ func newRig(t *testing.T, opts ...Option) *rig {
 }
 
 func TestHealthyProcessIsNotRestarted(t *testing.T) {
-	r := newRig(t, WithHeartbeat(5*time.Second, 2*time.Second))
+	r := newRig(t)
 	if err := r.mgr.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -72,10 +72,7 @@ func TestHealthyProcessIsNotRestarted(t *testing.T) {
 
 func TestCrashedProcessIsRestarted(t *testing.T) {
 	var restartsSeen []int
-	r := newRig(t,
-		WithHeartbeat(5*time.Second, 2*time.Second),
-		WithOnRestart(func(n int) { restartsSeen = append(restartsSeen, n) }),
-	)
+	r := newRig(t, WithOnRestart(func(n int) { restartsSeen = append(restartsSeen, n) }))
 	if err := r.mgr.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +96,7 @@ func TestCrashedProcessIsRestarted(t *testing.T) {
 }
 
 func TestHungProcessIsRestarted(t *testing.T) {
-	r := newRig(t, WithHeartbeat(5*time.Second, 2*time.Second))
+	r := newRig(t)
 	if err := r.mgr.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +110,7 @@ func TestHungProcessIsRestarted(t *testing.T) {
 }
 
 func TestRepeatedCrashesRepeatedlyRestarted(t *testing.T) {
-	r := newRig(t, WithHeartbeat(5*time.Second, 2*time.Second))
+	r := newRig(t)
 	if err := r.mgr.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +141,7 @@ func TestRepeatedCrashesRepeatedlyRestarted(t *testing.T) {
 }
 
 func TestQueueResetOnRestart(t *testing.T) {
-	r := newRig(t, WithHeartbeat(5*time.Second, 2*time.Second))
+	r := newRig(t)
 	if err := r.mgr.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +176,7 @@ func TestDoubleStartRejected(t *testing.T) {
 }
 
 func TestStopHaltsSupervision(t *testing.T) {
-	r := newRig(t, WithHeartbeat(5*time.Second, 2*time.Second))
+	r := newRig(t)
 	if err := r.mgr.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +221,7 @@ func TestFactoryFailureDoesNotWedgeManager(t *testing.T) {
 		}
 		return p, nil
 	}
-	m := New(env, q, factory, WithHeartbeat(5*time.Second, 2*time.Second))
+	m := New(env, q, factory)
 	if err := m.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -258,10 +255,7 @@ func TestStartFailsWhenFactoryFails(t *testing.T) {
 
 func TestHeartbeatMissObserved(t *testing.T) {
 	var misses []int
-	r := newRig(t,
-		WithHeartbeat(5*time.Second, 2*time.Second),
-		WithOnMiss(func(n int) { misses = append(misses, n) }),
-	)
+	r := newRig(t, WithOnMiss(func(n int) { misses = append(misses, n) }))
 	if err := r.mgr.Start(); err != nil {
 		t.Fatal(err)
 	}

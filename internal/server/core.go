@@ -75,12 +75,9 @@ type core struct {
 	procTel  *procTelemetry
 	greg     *metrics.Registry
 
-	// debt is the audit-debt meter the periodic element reports into (shared
-	// by every core; the front end's health plane reads it), hbMisses the
-	// manager's cumulative heartbeat-miss count for the plane's rate
-	// objective, and onRefresh the front end's ride on this core's metrics
-	// refresh (set on core 0 only).
-	debt      *health.DebtMeter
+	// hbMisses is the manager's cumulative heartbeat-miss count for the
+	// health plane's rate objective, and onRefresh the front end's ride on
+	// this core's metrics refresh (set on core 0 only).
 	hbMisses  atomic.Uint64
 	onRefresh func()
 
@@ -97,17 +94,14 @@ type core struct {
 	// Fault injector state; executor thread only. shots retains the most
 	// recent injections so resolveShot can join audit findings back to the
 	// shot that caused them. The tickers are retained so OpInjectCtl can
-	// re-arm the injectors at runtime; injMode selects the targeting policy
-	// (wire.InjectMode*), and the walk cursor plus cached static extents
-	// drive the detectable-byte stride walk.
+	// re-arm the injectors at runtime; injTarget is the targeting policy of
+	// the current mode, and staticWalk keeps its cursor across re-arms.
 	injRNG        *sim.RNG
 	shots         []shot
 	injTicker     *sim.Ticker
 	procInjTicker *sim.Ticker
-	injMode       int
-	injWalk       int
-	injStride     int
-	injTargets    []memdb.Extent
+	injTarget     faultTarget
+	staticWalk    *inject.StaticWalk
 
 	// Procedure subsystem (executor thread only). PROC_EXEC runs on core 0,
 	// so only its registry is ever executed from. procTID carries the
@@ -119,11 +113,10 @@ type core struct {
 	procRNG  *sim.RNG
 	procTID  uint64
 
-	// Audit-process elements of the most recent buildAuditProcess run,
-	// retained so refreshExecutorMetrics can publish their counters.
-	hbElem   *audit.HeartbeatElement
-	progElem *audit.ProgressElement
-	periodic *audit.PeriodicElement
+	// auditBuilder is the manager's audit-process factory; it retains the
+	// elements of the process it built last, whose counters
+	// refreshExecutorMetrics publishes.
+	auditBuilder *audit.Builder
 
 	reqs     chan task
 	ctrl     chan func()   // executor-thread closures (session teardown, snapshots)
@@ -169,6 +162,12 @@ type shot struct {
 	off int
 }
 
+// faultTarget is the data injector's targeting policy: inject.Uniform in
+// random mode, the core's *inject.StaticWalk in static mode.
+type faultTarget interface {
+	Next(rng *sim.RNG) (off int, bit uint, ok bool)
+}
+
 // maxRecentShots bounds the executor's shot history used for
 // finding → shot correlation.
 const maxRecentShots = 64
@@ -186,7 +185,7 @@ type coreGauges struct {
 func newCore(srv *Server, id int, db *memdb.DB, walLog *wal.Log, debt *health.DebtMeter) (*core, error) {
 	cfg := &srv.cfg
 	c := &core{
-		srv: srv, id: id, db: db, walLog: walLog, debt: debt,
+		srv: srv, id: id, db: db, walLog: walLog,
 		// Distinct executor and injector streams per core; identical seeds
 		// would corrupt the same stripe offsets in lockstep. Core k's
 		// executor environment is seeded with k.
@@ -229,6 +228,7 @@ func newCore(srv *Server, id int, db *memdb.DB, walLog *wal.Log, debt *health.De
 	// The inject ring exists from the start — OpInjectCtl can arm the
 	// injectors at runtime long after construction.
 	c.injRing = srv.rec.Ring("inject", trace.DefaultRingSize)
+	c.staticWalk = inject.NewStaticWalk(db)
 	c.procRing = srv.rec.Ring("proc", trace.DefaultRingSize)
 
 	// Procedure subsystem: registry preloaded with the built-in library so
@@ -300,8 +300,13 @@ func newCore(srv *Server, id int, db *memdb.DB, walLog *wal.Log, debt *health.De
 		}
 		c.audit = q
 		db.EnableAudit(q)
-		c.mgr = manager.New(c.env, q, c.buildAuditProcess,
-			manager.WithHeartbeat(heartbeatPeriod, heartbeatTimeout),
+		// debt, the audit-debt meter shared by every core and read by the
+		// front end's health plane, is non-nil whenever audits run.
+		c.auditBuilder = &audit.Builder{Env: c.env, DB: db, Period: cfg.AuditPeriod, Debt: debt, Recovery: rec}
+		for _, ch := range c.checks {
+			c.auditBuilder.Checks = append(c.auditBuilder.Checks, ch)
+		}
+		c.mgr = manager.New(c.env, q, c.auditBuilder.Build,
 			manager.WithOnRestart(func(n int) {
 				c.restarts.Store(int64(n))
 				c.auditTracer.Ring().Emit(trace.Event{Kind: trace.KindRestart, Aux: int64(n)})
@@ -417,14 +422,10 @@ func (c *core) refreshExecutorMetrics() {
 		p := c.mgr.Process()
 		g.mgrAlive.Set(b2i(p != nil && p.Alive()))
 	}
-	if c.hbElem != nil {
-		g.hbReplies.Set(int64(c.hbElem.Replies()))
-	}
-	if c.progElem != nil {
-		g.progRecoveries.Set(int64(c.progElem.Recoveries()))
-	}
-	if c.periodic != nil {
-		g.perSweeps.Set(int64(c.periodic.Sweeps()))
+	if b := c.auditBuilder; b != nil && b.Periodic != nil {
+		g.hbReplies.Set(int64(b.Heartbeat.Replies()))
+		g.progRecoveries.Set(int64(b.Progress.Recoveries()))
+		g.perSweeps.Set(int64(b.Periodic.Sweeps()))
 	}
 	c.procTel.registered.Set(int64(c.procs.Len()))
 	if c.onRefresh != nil {
@@ -450,38 +451,6 @@ func (c *core) onExecutor(f func()) bool {
 	case <-c.done:
 		return false
 	}
-}
-
-// buildAuditProcess is the manager's factory: heartbeat responder,
-// progress indicator, and the periodic full-sweep element over the
-// static/structural/range checks. Called at start and on every restart.
-func (c *core) buildAuditProcess(q *ipc.Queue) (*audit.Process, error) {
-	p := audit.NewProcess(c.env, c.db, q)
-	hb := audit.NewHeartbeatElement()
-	if err := p.Register(hb); err != nil {
-		return nil, err
-	}
-	prog := audit.NewProgressElement(audit.Recovery{OnFinding: c.noteFinding})
-	if err := p.Register(prog); err != nil {
-		return nil, err
-	}
-	checkers := make([]audit.Checker, len(c.checks))
-	for i, ch := range c.checks {
-		checkers[i] = ch
-	}
-	per := audit.NewPeriodicElement(c.srv.cfg.AuditPeriod, audit.FullSweep, nil, checkers...)
-	if c.debt != nil {
-		// Re-attached on every restart, so schedule accounting survives a
-		// heartbeat-driven rebuild of the audit process.
-		per.SetDebt(c.debt)
-	}
-	if err := p.Register(per); err != nil {
-		return nil, err
-	}
-	// Retained for refreshExecutorMetrics; buildAuditProcess runs only on
-	// the executor thread (manager start/restart), same as the refresher.
-	c.hbElem, c.progElem, c.periodic = hb, prog, per
-	return p, nil
 }
 
 // --- Executor -------------------------------------------------------------
@@ -623,7 +592,10 @@ func (c *core) drainAndStop() {
 // executes from could never be detected and would sit as false open debt.
 func (c *core) setInjectPeriods(data, text time.Duration, mode int) {
 	cfg := &c.srv.cfg
-	c.injMode = mode
+	c.injTarget = inject.Uniform(c.db.Size())
+	if mode == wire.InjectModeStatic {
+		c.injTarget = c.staticWalk
+	}
 	if c.injTicker != nil {
 		c.injTicker.Stop()
 		c.injTicker = nil
@@ -651,64 +623,14 @@ func (c *core) setInjectPeriods(data, text time.Duration, mode int) {
 	}
 }
 
-// injectOnce is the data fault injector: flip one bit in the live region
-// and journal the shot, so the next audit pass demonstrably detects and
-// recovers a known corruption. Executor thread only (env ticker).
+// injectOnce is the data fault injector: flip one bit where the current
+// targeting policy draws it and journal the shot, so the next audit pass
+// demonstrably detects and recovers a known corruption. Executor thread only
+// (env ticker).
 func (c *core) injectOnce() {
-	if c.injMode == wire.InjectModeStatic {
-		if off, ok := c.nextStaticTarget(); ok {
-			c.injectAt(off, uint(c.injRNG.Intn(8)))
-		}
-		return
+	if off, bit, ok := c.injTarget.Next(c.injRNG); ok {
+		c.injectAt(off, bit)
 	}
-	c.injectAt(c.injRNG.Intn(c.db.Size()), uint(c.injRNG.Intn(8)))
-}
-
-// nextStaticTarget walks the non-catalog static extents with a stride
-// coprime to their total length, so consecutive shots land on distinct,
-// non-adjacent bytes: each one becomes its own damaged run for the static
-// checksum audit, and every shot joins exactly one finding. The catalog is
-// excluded so injection never turns live requests into catalog errors.
-// Executor thread only.
-func (c *core) nextStaticTarget() (int, bool) {
-	if c.injTargets == nil {
-		c.injTargets = []memdb.Extent{} // computed, possibly empty
-		for _, e := range c.db.StaticExtents() {
-			if e.Name == "catalog" || e.Len <= 0 {
-				continue
-			}
-			c.injTargets = append(c.injTargets, e)
-		}
-	}
-	total := 0
-	for _, e := range c.injTargets {
-		total += e.Len
-	}
-	if total == 0 {
-		return 0, false
-	}
-	if c.injStride == 0 {
-		c.injStride = 5
-		for gcd(c.injStride, total) != 1 {
-			c.injStride++
-		}
-	}
-	pos := (c.injWalk * c.injStride) % total
-	c.injWalk++
-	for _, e := range c.injTargets {
-		if pos < e.Len {
-			return e.Off + pos, true
-		}
-		pos -= e.Len
-	}
-	return 0, false
-}
-
-func gcd(a, b int) int {
-	for b != 0 {
-		a, b = b, a%b
-	}
-	return a
 }
 
 // injectAt flips one bit at a region offset and journals the shot,

@@ -151,10 +151,6 @@ func (c *Config) applyDefaults() {
 const (
 	// auditQueueDepth bounds the DB→audit notification queue.
 	auditQueueDepth = 4096
-	// heartbeatPeriod/heartbeatTimeout drive the manager's supervision of
-	// the audit process.
-	heartbeatPeriod  = 5 * time.Second
-	heartbeatTimeout = 2 * time.Second
 	// idleTimeout closes a connection with no complete request for this
 	// long.
 	idleTimeout = 2 * time.Minute
