@@ -9,15 +9,18 @@ all: check
 build:
 	$(GO) build ./...
 
+# The nested bench/ module imports internal packages (memdb.View among
+# them), so vetting it here catches an internal API break locally.
 vet:
 	$(GO) vet ./...
 	$(GO) vet -tags smoke ./smoke
+	cd bench && $(GO) vet ./...
 
 test:
 	$(GO) test -race ./...
 
-# The CI gate: compile everything, vet, full test suite under the race
-# detector (includes the server end-to-end tests).
+# The CI gate: compile everything, vet (the bench/ module included), full
+# test suite under the race detector (includes the server end-to-end tests).
 check: build vet test
 
 # Coverage over every package, with the per-function summary and an HTML

@@ -537,8 +537,7 @@ func watchLine(snap metrics.Snapshot, rate float64) string {
 		}
 	}
 	if reads, ok := snap.Counters["fastlane.reads"]; ok {
-		line += fmt.Sprintf(" fast=%d/%d/%d", reads,
-			snap.Counters["fastlane.retries"], snap.Counters["fastlane.fallbacks"])
+		line += fmt.Sprintf(" fast=%d", reads)
 	}
 	if execs, ok := snap.Counters["proc.execs"]; ok && execs > 0 {
 		line += fmt.Sprintf(" proc=%d/%d/%d", execs,

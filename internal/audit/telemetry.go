@@ -2,7 +2,6 @@ package audit
 
 import (
 	"sync"
-	"time"
 
 	"repro/internal/metrics"
 )
@@ -62,8 +61,10 @@ func (t *Telemetry) Note(f Finding) {
 	ac.Inc()
 }
 
-// NoteSweep counts one completed full sweep.
-func (t *Telemetry) NoteSweep() { t.sweeps.Inc() }
+// Sweeps returns the count of completed full sweeps. Every Telemetry over
+// one registry shares the "audit.sweeps" counter, so this is the
+// registry-wide total.
+func (t *Telemetry) Sweeps() uint64 { return t.sweeps.Load() }
 
 // histogramFor returns the runtime histogram for the named check.
 func (t *Telemetry) histogramFor(name string) *metrics.Histogram {
@@ -75,34 +76,4 @@ func (t *Telemetry) histogramFor(name string) *metrics.Histogram {
 		t.checkTime[name] = h
 	}
 	return h
-}
-
-// WrapFull decorates one audit technique so that every CheckAll/CheckTable
-// run is timed into the "audit.check.<name>" histogram. The wrapper adds
-// two time.Now calls and two atomic updates per run; the check itself is
-// untouched.
-func (t *Telemetry) WrapFull(fc FullChecker) FullChecker {
-	return &timedChecker{FullChecker: fc, h: t.histogramFor(fc.Name())}
-}
-
-// timedChecker times a FullChecker's passes.
-type timedChecker struct {
-	FullChecker
-	h *metrics.Histogram
-}
-
-// CheckAll times one whole-purview pass.
-func (c *timedChecker) CheckAll() []Finding {
-	t0 := time.Now()
-	fs := c.FullChecker.CheckAll()
-	c.h.ObserveSince(t0)
-	return fs
-}
-
-// CheckTable times one table-scoped pass.
-func (c *timedChecker) CheckTable(table int) []Finding {
-	t0 := time.Now()
-	fs := c.FullChecker.CheckTable(table)
-	c.h.ObserveSince(t0)
-	return fs
 }

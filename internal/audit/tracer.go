@@ -3,6 +3,7 @@ package audit
 import (
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/trace"
 )
 
@@ -73,40 +74,58 @@ func (t *Tracer) Note(f Finding) {
 	}
 }
 
-// WrapFull decorates one audit technique so every CheckAll/CheckTable
-// pass brackets its findings with check-start and check-end events
-// (check-end carries the finding count and the runtime in nanoseconds).
-func (t *Tracer) WrapFull(fc FullChecker) FullChecker {
-	return &tracedChecker{FullChecker: fc, ring: t.ring, name: fc.Name()}
+// Instrument decorates one audit technique with the audit layer's
+// observability: every CheckAll/CheckTable pass is bracketed by
+// check-start and check-end events in tr's ring (check-end carries the
+// finding count and the runtime in nanoseconds) and timed into tel's
+// "audit.check.<name>" histogram, both from one clock reading at each end
+// of the pass. With countSweeps set, every CheckAll also counts one
+// completed full sweep ("audit.sweeps"); set it on exactly one of the
+// techniques a full sweep runs once each.
+func Instrument(fc FullChecker, tel *Telemetry, tr *Tracer, countSweeps bool) FullChecker {
+	c := &instrumented{FullChecker: fc, name: fc.Name(), h: tel.histogramFor(fc.Name()), ring: tr.ring}
+	if countSweeps {
+		c.sweeps = tel.sweeps
+	}
+	return c
 }
 
-// tracedChecker emits pass events around a FullChecker.
-type tracedChecker struct {
+// instrumented is the one decorator around an audit technique.
+type instrumented struct {
 	FullChecker
-	ring *trace.Ring
-	name string
+	name   string
+	h      *metrics.Histogram
+	ring   *trace.Ring
+	sweeps *metrics.Counter // nil unless this technique counts sweeps
 }
 
-// CheckAll brackets one whole-purview pass.
-func (c *tracedChecker) CheckAll() []Finding {
-	c.ring.Emit(trace.Event{Kind: trace.KindCheckStart, Op: c.name})
-	t0 := time.Now()
-	fs := c.FullChecker.CheckAll()
-	c.ring.Emit(trace.Event{
-		Kind: trace.KindCheckEnd, Op: c.name,
-		Code: int64(len(fs)), Arg: int64(time.Since(t0)),
-	})
-	return fs
+// CheckAll counts the sweep (when this technique counts them) and
+// brackets one whole-purview pass.
+func (c *instrumented) CheckAll() []Finding {
+	if c.sweeps != nil {
+		c.sweeps.Inc()
+	}
+	t0 := c.start(0)
+	return c.end(0, t0, c.FullChecker.CheckAll())
 }
 
 // CheckTable brackets one table-scoped pass.
-func (c *tracedChecker) CheckTable(table int) []Finding {
-	c.ring.Emit(trace.Event{Kind: trace.KindCheckStart, Op: c.name, Aux: int64(table)})
-	t0 := time.Now()
-	fs := c.FullChecker.CheckTable(table)
+func (c *instrumented) CheckTable(table int) []Finding {
+	t0 := c.start(int64(table))
+	return c.end(int64(table), t0, c.FullChecker.CheckTable(table))
+}
+
+func (c *instrumented) start(table int64) time.Time {
+	c.ring.Emit(trace.Event{Kind: trace.KindCheckStart, Op: c.name, Aux: table})
+	return time.Now()
+}
+
+func (c *instrumented) end(table int64, t0 time.Time, fs []Finding) []Finding {
+	d := int64(time.Since(t0))
+	c.h.Observe(d)
 	c.ring.Emit(trace.Event{
 		Kind: trace.KindCheckEnd, Op: c.name,
-		Code: int64(len(fs)), Arg: int64(time.Since(t0)), Aux: int64(table),
+		Code: int64(len(fs)), Arg: d, Aux: table,
 	})
 	return fs
 }

@@ -3,6 +3,7 @@ package audit
 import (
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/trace"
 )
 
@@ -77,10 +78,17 @@ func TestTracerRolePrefixesFindingDetail(t *testing.T) {
 	}
 }
 
-func TestTracerWrapFullBracketsPasses(t *testing.T) {
+// TestInstrumentBracketsPasses checks the one audit-check decorator: each
+// pass is journaled as check-start/check-end, timed into the per-check
+// histogram with the same runtime the check-end event carries, and only a
+// sweep-counting technique's CheckAll counts a sweep.
+func TestInstrumentBracketsPasses(t *testing.T) {
 	rec := trace.New()
 	tr := NewTracer(rec, 0)
-	chk := tr.WrapFull(fakeChecker{findings: []Finding{{Class: ClassStatic}, {Class: ClassRange}}})
+	reg := metrics.NewRegistry()
+	tel := NewTelemetry(reg)
+	fake := fakeChecker{findings: []Finding{{Class: ClassStatic}, {Class: ClassRange}}}
+	chk := Instrument(fake, tel, tr, true)
 
 	if n := len(chk.CheckAll()); n != 2 {
 		t.Fatalf("CheckAll returned %d findings", n)
@@ -112,5 +120,18 @@ func TestTracerWrapFullBracketsPasses(t *testing.T) {
 		if evs[i].Seq <= evs[i-1].Seq {
 			t.Fatalf("sequence not increasing at %d: %d then %d", i, evs[i-1].Seq, evs[i].Seq)
 		}
+	}
+
+	h := reg.Snapshot().Histograms["audit.check.fake"]
+	if h.Count != 2 || h.Sum != evs[1].Arg+evs[3].Arg {
+		t.Fatalf("audit.check.fake count=%d sum=%d, want 2 passes summing the check-end runtimes %d",
+			h.Count, h.Sum, evs[1].Arg+evs[3].Arg)
+	}
+	if tel.Sweeps() != 1 {
+		t.Fatalf("sweeps = %d after one CheckAll and one CheckTable, want 1", tel.Sweeps())
+	}
+	Instrument(fake, tel, tr, false).CheckAll()
+	if tel.Sweeps() != 1 {
+		t.Fatalf("a technique without countSweeps counted a sweep: %d", tel.Sweeps())
 	}
 }

@@ -27,9 +27,10 @@ type lockState struct {
 // DB is the in-memory database: one contiguous byte region, a pristine
 // disk snapshot, lock table, shadow metadata, and the optional audit hook.
 //
-// DB is not safe for concurrent use; in this repository all access is
-// serialized on the simulation event loop, matching the single shared
-// memory region of the target controller.
+// DB has one owner goroutine: every Client call, mutation and audit runs on
+// it (the simulation event loop, or a server core's executor), matching the
+// single shared memory region of the target controller. Other goroutines
+// may only read, through a View (see view.go).
 type DB struct {
 	schema   Schema
 	region   []byte
@@ -46,14 +47,15 @@ type DB struct {
 	guard    *guardState   // debug concurrent-access detector; nil when off
 	metrics  *boundMetrics // gauges published by RefreshMetrics; nil when unbound
 
+	// tableOffs[t] is table t's region offset, computed once from the
+	// schema: the true layout the audits and View reads address records by.
+	tableOffs []int
+
 	// Read fast lane (see view.go). regionMu serializes region access
-	// between the single writer and validated View readers; regionVer is
-	// the seqlock generation — even while stable, odd while a mutation is
-	// in progress. viewReads accumulates per-table View read counts off
-	// the owner thread until FoldViewReads drains them into the shadow
-	// activity stats.
+	// between the single writer and View readers. viewReads accumulates
+	// per-table View read counts off the owner thread until FoldViewReads
+	// drains them into the shadow activity stats.
 	regionMu  sync.RWMutex
-	regionVer atomic.Uint64
 	viewReads []atomic.Uint64
 }
 
@@ -79,14 +81,15 @@ func New(schema Schema, opts ...Option) (*DB, error) {
 	}
 	total, tableOffs, fieldOffs := layoutSize(schema)
 	db := &DB{
-		schema:  schema,
-		region:  make([]byte, total),
-		shadow:  newShadow(schema),
-		locks:   make([]lockState, len(schema.Tables)),
-		now:     func() time.Duration { return 0 },
-		costs:   DefaultCostModel(),
-		counts:  newOpCounts(),
-		clients: make(map[int]*Client),
+		schema:    schema,
+		region:    make([]byte, total),
+		tableOffs: tableOffs,
+		shadow:    newShadow(schema),
+		locks:     make([]lockState, len(schema.Tables)),
+		now:       func() time.Duration { return 0 },
+		costs:     DefaultCostModel(),
+		counts:    newOpCounts(),
+		clients:   make(map[int]*Client),
 	}
 	db.viewReads = make([]atomic.Uint64, len(schema.Tables))
 	for _, opt := range opts {
@@ -266,10 +269,9 @@ func (db *DB) ReloadAll() {
 // CatalogExtent returns the byte range of the system catalog, computed from
 // the schema (not the possibly corrupted on-region catalog).
 func (db *DB) CatalogExtent() Extent {
-	_, tableOffs, _ := layoutSize(db.schema)
 	end := len(db.region)
-	if len(tableOffs) > 0 {
-		end = tableOffs[0]
+	if len(db.tableOffs) > 0 {
+		end = db.tableOffs[0]
 	}
 	return Extent{Off: 0, Len: end, Name: "catalog"}
 }
@@ -279,11 +281,10 @@ func (db *DB) TableExtent(ti int) (Extent, error) {
 	if ti < 0 || ti >= len(db.schema.Tables) {
 		return Extent{}, &BoundsError{What: "table", Index: ti, Limit: len(db.schema.Tables)}
 	}
-	_, tableOffs, _ := layoutSize(db.schema)
 	t := db.schema.Tables[ti]
 	recSize := RecordHeaderSize + FieldSize*len(t.Fields)
 	length := groupDirSize(t.Groups) + recSize*t.NumRecords
-	return Extent{Off: tableOffs[ti], Len: length, Name: t.Name}, nil
+	return Extent{Off: db.tableOffs[ti], Len: length, Name: t.Name}, nil
 }
 
 // StaticExtents returns the extents covered by the golden static checksum:
@@ -315,9 +316,8 @@ func (db *DB) TrueRecordOffset(ti, ri int) (int, error) {
 	if ri < 0 || ri >= t.NumRecords {
 		return 0, &BoundsError{What: "record", Index: ri, Limit: t.NumRecords}
 	}
-	_, tableOffs, _ := layoutSize(db.schema)
 	recSize := RecordHeaderSize + FieldSize*len(t.Fields)
-	return tableOffs[ti] + groupDirSize(t.Groups) + recSize*ri, nil
+	return db.tableOffs[ti] + groupDirSize(t.Groups) + recSize*ri, nil
 }
 
 // HeaderAt decodes the record header at a known-true offset.
@@ -452,7 +452,7 @@ func (db *DB) Locate(off int) (Location, error) {
 	if off < 0 || off >= len(db.region) {
 		return Location{}, &BoundsError{What: "byte", Index: off, Limit: len(db.region)}
 	}
-	_, tableOffs, _ := layoutSize(db.schema)
+	tableOffs := db.tableOffs
 	if len(tableOffs) == 0 || off < tableOffs[0] {
 		return Location{Catalog: true, Table: -1, Record: -1, Field: -1}, nil
 	}

@@ -27,8 +27,7 @@ func (db *DB) groupDirBase(ti int) (int, error) {
 	if db.groupCount(ti) == 0 {
 		return 0, fmt.Errorf("table %d: %w", ti, ErrNoGroups)
 	}
-	_, tableOffs, _ := layoutSize(db.schema)
-	return tableOffs[ti], nil
+	return db.tableOffs[ti], nil
 }
 
 // GroupDirExtent returns the byte range of table ti's chain directory.

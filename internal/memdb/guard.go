@@ -18,9 +18,9 @@ import (
 // The guard is a debug facility — enabled in tests and optionally by the
 // server — and costs one nil check per API call when disabled.
 //
-// Validated readers are exempt: View reads (see view.go) run concurrently
-// with API calls by design, proving consistency through the seqlock
-// generation instead of serialization, so they never take the busy flag.
+// View readers are exempt: View reads (see view.go) run concurrently with
+// API calls by design, excluded from mutations by the region read lock
+// instead of by serialization, so they never take the busy flag.
 type guardState struct {
 	busy       atomic.Int32
 	violations atomic.Uint64

@@ -26,11 +26,12 @@ import (
 // the executor's discrete-event clock, the fault injectors, the procedure
 // registry, the operation log with its shipper or applier, and the fast-lane
 // read view. It owns no socket; the Server front end decides which core a
-// request reaches and hands it over through submit, tryFastLane, or
+// request reaches and hands it over through submit, fastLane, or
 // onExecutor.
 //
-// memdb.DB is not safe for concurrent use, so the executor goroutine is the
-// only code that touches db, the audit process, and the manager. A full
+// memdb.DB has one owner goroutine, so the executor goroutine is the only
+// code that touches db (apart from fast-lane reads through its View), the
+// audit process, and the manager. A full
 // queue sheds the request at once with CodeOverload (backpressure, never
 // unbounded buffering), with drop accounting in internal/ipc's DropStats
 // shape. Audits sweep the live region between requests, never during one.
@@ -128,7 +129,6 @@ type core struct {
 	perOpErr [wire.NumOps]atomic.Uint64
 	executed atomic.Uint64
 	findings atomic.Uint64
-	sweeps   atomic.Uint64
 	restarts atomic.Int64
 
 	// Request-queue drop accounting (ipc.DropStats semantics): written by
@@ -287,11 +287,10 @@ func newCore(srv *Server, id int, db *memdb.DB, walLog *wal.Log, debt *health.De
 	}
 	c.checks = []audit.FullChecker{c.staticChk, c.structChk, c.rangeChk}
 	for i, ch := range c.checks {
-		c.checks[i] = c.auditTracer.WrapFull(c.auditTel.WrapFull(ch))
+		// The first check counts completed sweeps: every full pass
+		// (periodic or forced) runs each check exactly once.
+		c.checks[i] = audit.Instrument(ch, c.auditTel, c.auditTracer, i == 0)
 	}
-	// The first check is wrapped to count completed sweeps: every full
-	// pass (periodic or forced) runs each check exactly once.
-	c.checks[0] = countedCheck{FullChecker: c.checks[0], n: &c.sweeps, tel: c.auditTel}
 
 	if cfg.AuditPeriod > 0 {
 		q, err := ipc.NewQueue(auditQueueDepth)
@@ -352,20 +351,6 @@ func (c *core) resolveShot(f audit.Finding) uint64 {
 		}
 	}
 	return 0
-}
-
-// countedCheck wraps one audit technique with a sweep counter.
-type countedCheck struct {
-	audit.FullChecker
-	n   *atomic.Uint64
-	tel *audit.Telemetry
-}
-
-// CheckAll counts one sweep and delegates.
-func (c countedCheck) CheckAll() []audit.Finding {
-	c.n.Add(1)
-	c.tel.NoteSweep()
-	return c.FullChecker.CheckAll()
 }
 
 // registerMetrics wires the gauge functions that read the core's own
@@ -709,15 +694,14 @@ func ok(vals ...uint32) wire.Response { return wire.Response{Vals: vals} }
 // fail builds the error response for q.
 func fail(q wire.Request, err error) wire.Response { return wire.ErrorResponse(q.Seq, err) }
 
-// record executes one record-addressed Table 1 call (or DBalloc) against the
-// connection's session on this core; q.Record is already core-local.
+// record executes one record-addressing Table 1 write (or DBalloc) against
+// the connection's session on this core; q.Record is already core-local.
 func (c *core) record(cn *conn, q wire.Request, _ uint64) wire.Response {
 	if c.standby.Load() {
-		// Routed reads on a serve-reads standby are session-less (a standby
-		// refuses DBinit), answered by direct region reads: the fast lane's
-		// executor fallback. Anything else reaching a standby core is a
-		// request that raced this core's promotion.
-		return c.handleStandbyRead(q)
+		// Reads never reach the executor (the fast lane answers them), so
+		// a record call on a standby core is a write that raced this core's
+		// promotion.
+		return fail(q, wire.ErrStandby)
 	}
 	sess := cn.on[c.id].sess.Load()
 	if sess == nil {
@@ -727,11 +711,6 @@ func (c *core) record(cn *conn, q wire.Request, _ uint64) wire.Response {
 	var vals []uint32
 	var err error
 	switch q.Op {
-	case wire.OpReadRec:
-		vals, err = sess.ReadRec(table, rec)
-	case wire.OpReadFld:
-		vals = []uint32{0}
-		vals[0], err = sess.ReadFld(table, rec, field)
 	case wire.OpWriteRec:
 		err = sess.WriteRec(table, rec, q.Vals)
 	case wire.OpWriteFld:
@@ -747,10 +726,6 @@ func (c *core) record(cn *conn, q wire.Request, _ uint64) wire.Response {
 		vals = []uint32{uint32(ri)}
 	case wire.OpFree:
 		err = sess.Free(table, rec)
-	case wire.OpStatus:
-		var st int
-		st, err = sess.Status(table, rec)
-		vals = []uint32{uint32(st)}
 	default:
 		err = wire.ErrUnknownOp
 	}

@@ -1,37 +1,35 @@
 package server
 
 import (
-	"errors"
 	"time"
 
-	"repro/internal/memdb"
 	"repro/internal/trace"
 	"repro/internal/wire"
 )
 
-// Read fast lane: the connection goroutine serves read opcodes directly
-// through the database's optimistic read view (memdb.View), skipping the
-// executor queue round trip that dominates read latency under load. A read
-// that cannot validate against a stable region generation within the view's
-// retry budget falls back to the executor path, which serializes with the
-// writer and therefore always succeeds — so the fast lane is an
-// optimization, never a different answer.
+// Read fast lane: the connection goroutine answers every read opcode
+// (READ_REC, READ_FLD, STATUS) through the database's read view
+// (memdb.View), skipping the executor queue round trip that dominates read
+// latency under load. A view read holds the region read lock, which every
+// mutation's write lock excludes, so it never sees a record half written.
 //
-// Two deliberate semantic deltas versus the executor path, both documented
-// in DESIGN.md: fast-lane reads do not touch the advisory table locks (a
-// transaction holding a table lock does not delay them), and a session the
-// progress-indicator audit has terminated can still be answered until the
-// executor processes the connection's next non-read request or teardown.
+// Three deliberate semantic deltas versus the memdb Client API
+// (Client.ReadRec/ReadFld/Status), documented in DESIGN.md: a view read
+// does not touch the advisory table locks (a transaction holding a table
+// lock neither delays it nor makes it answer ErrLocked); it addresses
+// records by the schema's true layout rather than the on-region catalog;
+// and a session the progress-indicator audit has terminated can still be
+// answered until the executor processes the connection's next non-read
+// request or teardown.
 
 // fastTraceSample journals one in this many fast-lane reads: frequent
 // enough to show in a TRACE tail, cheap enough to leave the hot path alone.
 const fastTraceSample = 64
 
-// tryFastLane answers a read opcode from the connection goroutine through
+// fastLane answers a read opcode from the connection goroutine through
 // the view; req.Record is core-local and the front end has already checked
-// the session and the global bounds. served=false means the caller must
-// submit the request to the executor as usual.
-func (c *core) tryFastLane(cn *conn, req wire.Request) (wire.Response, bool) {
+// the session and the global bounds.
+func (c *core) fastLane(cn *conn, req wire.Request) wire.Response {
 	// Serve-reads standby: check the lease floor first — the applied
 	// sequence is stored only after a record's effects reach the region, so
 	// applied >= floor here guarantees the view read below observes
@@ -40,7 +38,7 @@ func (c *core) tryFastLane(cn *conn, req wire.Request) (wire.Response, bool) {
 	if c.standby.Load() && c.behindLease(req) {
 		resp := fail(req, wire.ErrStale)
 		c.noteFastLane(cn, req, resp, time.Now())
-		return resp, true
+		return resp
 	}
 	t0 := time.Now()
 	table, rec, field := int(req.Table), int(req.Record), int(req.Field)
@@ -48,9 +46,6 @@ func (c *core) tryFastLane(cn *conn, req wire.Request) (wire.Response, bool) {
 	switch req.Op {
 	case wire.OpReadRec:
 		vals, err := c.view.ReadRec(table, rec)
-		if errors.Is(err, memdb.ErrContended) {
-			return wire.Response{}, false
-		}
 		if err != nil {
 			resp = fail(req, err)
 		} else {
@@ -58,9 +53,6 @@ func (c *core) tryFastLane(cn *conn, req wire.Request) (wire.Response, bool) {
 		}
 	case wire.OpReadFld:
 		v, err := c.view.ReadFld(table, rec, field)
-		if errors.Is(err, memdb.ErrContended) {
-			return wire.Response{}, false
-		}
 		if err != nil {
 			resp = fail(req, err)
 		} else {
@@ -68,9 +60,6 @@ func (c *core) tryFastLane(cn *conn, req wire.Request) (wire.Response, bool) {
 		}
 	case wire.OpStatus:
 		st, err := c.view.Status(table, rec)
-		if errors.Is(err, memdb.ErrContended) {
-			return wire.Response{}, false
-		}
 		if err != nil {
 			resp = fail(req, err)
 		} else {
@@ -79,7 +68,7 @@ func (c *core) tryFastLane(cn *conn, req wire.Request) (wire.Response, bool) {
 	}
 	resp.Seq = req.Seq
 	c.noteFastLane(cn, req, resp, t0)
-	return resp, true
+	return resp
 }
 
 // noteFastLane applies the same accounting a queued request gets from

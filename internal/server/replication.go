@@ -314,48 +314,6 @@ func (c *core) behindLease(q wire.Request) bool {
 	return c.applier == nil || c.applier.Applied() < floor
 }
 
-// handleStandbyRead answers a routed read on a serve-reads standby with
-// direct region reads — session-less, because a standby refuses DBinit.
-// This is the executor half of the standby read path (the fastlane view
-// serves the common case); semantics match the view: raw reads with bounds
-// checks, no table-lock interaction. Executor thread only.
-func (c *core) handleStandbyRead(q wire.Request) wire.Response {
-	if c.behindLease(q) {
-		return fail(q, wire.ErrStale)
-	}
-	table, rec := int(q.Table), int(q.Record)
-	switch q.Op {
-	case wire.OpReadRec:
-		nt := c.db.Schema().Tables
-		if table < 0 || table >= len(nt) {
-			return fail(q, &memdb.BoundsError{What: "table", Index: table, Limit: len(nt)})
-		}
-		nf := len(nt[table].Fields)
-		vals := make([]uint32, 0, nf)
-		for fi := 0; fi < nf; fi++ {
-			v, err := c.db.ReadFieldDirect(table, rec, fi)
-			if err != nil {
-				return fail(q, err)
-			}
-			vals = append(vals, v)
-		}
-		return ok(vals...)
-	case wire.OpReadFld:
-		v, err := c.db.ReadFieldDirect(table, rec, int(q.Field))
-		if err != nil {
-			return fail(q, err)
-		}
-		return ok(v)
-	case wire.OpStatus:
-		st, err := c.db.StatusDirect(table, rec)
-		if err != nil {
-			return fail(q, err)
-		}
-		return ok(uint32(st))
-	}
-	return fail(q, wire.ErrStandby)
-}
-
 // standbyAllowed reports whether a standby answers op at all; everything
 // else gets ErrStandby so clients re-resolve to the primary. Serve-reads
 // mode additionally admits the read opcodes for the replica router.

@@ -752,7 +752,7 @@ func (s *Server) teardownConn(cn *conn) {
 
 // handle answers one parsed request on the connection goroutine: it is the
 // server's one dispatch over the wire ops. Single-record calls go to the
-// owning core (reads through its fast lane first), session calls and the
+// owning core (reads answered by its fast lane, writes queued), session calls and the
 // per-core control ops fan out over every core, and the rest of the control
 // plane takes a turn on core 0's executor so that it queues, sheds and is
 // accounted like any other request.
@@ -770,10 +770,7 @@ func (s *Server) handle(cn *conn, q wire.Request) wire.Response {
 		if c == nil {
 			return refused
 		}
-		if resp, served := c.tryFastLane(cn, lq); served {
-			return resp
-		}
-		return c.submit(cn, lq, (*core).record)
+		return c.fastLane(cn, lq)
 	case wire.OpWriteRec, wire.OpWriteFld, wire.OpMove, wire.OpFree:
 		c, lq, refused := s.locate(cn, q)
 		if c == nil {
@@ -1206,10 +1203,10 @@ func (s *Server) Stats() Stats {
 			addDrops(&st.AuditDrops, c.audit.Drops())
 		}
 		st.AuditFindings += c.findings.Load()
-		st.Sweeps += c.sweeps.Load()
 		st.Restarts += int(c.restarts.Load())
 		st.Executed += c.executed.Load()
 	}
+	st.Sweeps = s.cores[0].auditTel.Sweeps()
 	s.mu.Lock()
 	st.ActiveConns = len(s.conns)
 	s.mu.Unlock()
