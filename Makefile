@@ -53,11 +53,15 @@ $(SMOKES): %-smoke:
 bench:
 	$(GO) test -bench . -benchtime 0.5s -run '^$$' .
 
-# WAL-append bench smoke for CI: BenchmarkAppend runs once over a full tail
-# ring at 8 and 8192 slots, so a per-append cost that grows with the ring
-# cannot rot unnoticed. The served paths are exercised by bench-quick.
+# Microbenchmark smoke for CI: each runs once, so a per-operation cost that
+# grows with the data cannot rot unnoticed. BenchmarkAppend appends over a
+# full WAL tail ring at 8 and 8192 slots; BenchmarkAllocFill fills 3 × 4096
+# call records, BenchmarkAllocChurnFull frees and re-allocates in a full
+# 4096-record table, and BenchmarkRangeSweep runs one dynamic-data audit
+# pass over 12,288 active records. The served paths are exercised by
+# bench-quick.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/wal
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/wal ./internal/memdb ./internal/audit
 
 # Served-workload smoke for CI: builds dbserve from this checkout and runs
 # all four BENCHMARK.json workloads with 2-s phases, so only the

@@ -14,7 +14,9 @@ import (
 //
 // The range rules are read from the live on-region catalog, so this audit
 // genuinely loses rules when the catalog itself is damaged; fields with no
-// declared range are unchecked ("lack of enforceable rule", Table 4).
+// declared range are unchecked ("lack of enforceable rule", Table 4). A
+// table pass decodes the rules once and checks every record against them;
+// a damaged field descriptor drops that field's rule for the whole pass.
 type RangeCheck struct {
 	db       *memdb.DB
 	recovery Recovery
@@ -63,26 +65,63 @@ func (c *RangeCheck) CheckAll() []Finding {
 	return findings
 }
 
-// CheckTable audits every active record of table ti.
+// CheckTable audits every record of table ti against the table's range
+// rules, decoded once from the live catalog for the whole pass.
 func (c *RangeCheck) CheckTable(ti int) []Finding {
 	schema := c.db.Schema()
 	if ti < 0 || ti >= len(schema.Tables) || !schema.Tables[ti].Dynamic {
 		return nil
 	}
+	rules := c.rangeRules(ti)
 	var findings []Finding
 	for ri := 0; ri < schema.Tables[ti].NumRecords; ri++ {
-		findings = append(findings, c.CheckRecord(ti, ri)...)
+		st, err := c.db.StatusDirect(ti, ri)
+		if err != nil {
+			continue
+		}
+		fs := c.checkRecord(ti, ri, st, rules)
+		if len(fs) > 0 {
+			findings = append(findings, fs...)
+			// A repair write cannot reach the catalog, but a damaged
+			// table descriptor can point the rules at record bytes:
+			// decode again, as per-record CheckRecord calls would.
+			rules = c.rangeRules(ti)
+		}
 	}
 	return findings
 }
 
 // CheckRecord audits one record; it is also the event-triggered audit's
-// unit of work after a database write (§4.3).
+// unit of work after a database write (§4.3). It decodes the table's range
+// rules once per call.
 func (c *RangeCheck) CheckRecord(ti, ri int) []Finding {
 	st, err := c.db.StatusDirect(ti, ri)
 	if err != nil {
 		return nil
 	}
+	var rules []memdb.FieldSpec
+	if st == memdb.StatusActive {
+		rules = c.rangeRules(ti)
+	}
+	return c.checkRecord(ti, ri, st, rules)
+}
+
+// rangeRules decodes table ti's field rules from the live on-region
+// catalog. A field whose descriptor cannot be decoded gets the zero spec,
+// which declares no range: no enforceable rule.
+func (c *RangeCheck) rangeRules(ti int) []memdb.FieldSpec {
+	rules := make([]memdb.FieldSpec, len(c.db.Schema().Tables[ti].Fields))
+	for fi := range rules {
+		if spec, err := c.db.CatalogFieldSpec(ti, fi); err == nil {
+			rules[fi] = spec
+		}
+	}
+	return rules
+}
+
+// checkRecord audits record ri of table ti, whose status byte is st,
+// against rules (one per field, as rangeRules decodes them).
+func (c *RangeCheck) checkRecord(ti, ri, st int, rules []memdb.FieldSpec) []Finding {
 	if st != memdb.StatusActive {
 		if c.CheckFreeRecords {
 			return c.checkFreeRecord(ti, ri)
@@ -94,7 +133,6 @@ func (c *RangeCheck) CheckRecord(ti, ri int) []Finding {
 	// version is sampled before and re-validated after the scan.
 	verBefore := c.db.Version(ti, ri)
 
-	schema := c.db.Schema()
 	type bad struct {
 		field    int
 		value    uint32
@@ -102,9 +140,8 @@ func (c *RangeCheck) CheckRecord(ti, ri int) []Finding {
 		min, max uint32
 	}
 	var bads []bad
-	for fi := range schema.Tables[ti].Fields {
-		spec, err := c.db.CatalogFieldSpec(ti, fi)
-		if err != nil || !spec.HasRange {
+	for fi, spec := range rules {
+		if !spec.HasRange {
 			continue // no enforceable rule for this field
 		}
 		v, err := c.db.ReadFieldDirect(ti, ri, fi)

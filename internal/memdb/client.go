@@ -139,7 +139,7 @@ func (c *Client) ReadFld(table, rec, field int) (uint32, error) {
 // WriteRec writes all fields of an active record (DBwrite_rec).
 func (c *Client) WriteRec(table, rec int, vals []uint32) error {
 	defer c.db.guardEnter("DBwrite_rec")()
-	defer c.db.mutate()()
+	defer c.db.clientMutate()()
 	if c.closed {
 		return ErrClosed
 	}
@@ -149,7 +149,7 @@ func (c *Client) WriteRec(table, rec int, vals []uint32) error {
 	}
 	defer unlock()
 	defer c.db.charge(OpWriteRec, c.pid, table, rec)
-	td, off, err := c.locate(table, rec)
+	td, off, err := c.locateMut(table, rec)
 	if err != nil {
 		return err
 	}
@@ -169,7 +169,7 @@ func (c *Client) WriteRec(table, rec int, vals []uint32) error {
 // WriteFld writes one field of an active record (DBwrite_fld).
 func (c *Client) WriteFld(table, rec, field int, v uint32) error {
 	defer c.db.guardEnter("DBwrite_fld")()
-	defer c.db.mutate()()
+	defer c.db.clientMutate()()
 	if c.closed {
 		return ErrClosed
 	}
@@ -179,7 +179,7 @@ func (c *Client) WriteFld(table, rec, field int, v uint32) error {
 	}
 	defer unlock()
 	defer c.db.charge(OpWriteFld, c.pid, table, rec)
-	td, off, err := c.locate(table, rec)
+	td, off, err := c.locateMut(table, rec)
 	if err != nil {
 		return err
 	}
@@ -197,7 +197,7 @@ func (c *Client) WriteFld(table, rec, field int, v uint32) error {
 // Move reassigns a record to another logical group (DBmove).
 func (c *Client) Move(table, rec, newGroup int) error {
 	defer c.db.guardEnter("DBmove")()
-	defer c.db.mutate()()
+	defer c.db.clientMutate()()
 	if c.closed {
 		return ErrClosed
 	}
@@ -207,18 +207,18 @@ func (c *Client) Move(table, rec, newGroup int) error {
 	}
 	defer unlock()
 	defer c.db.charge(OpMove, c.pid, table, rec)
-	_, off, err := c.locate(table, rec)
+	_, off, err := c.locateMut(table, rec)
 	if err != nil {
 		return err
 	}
 	if c.db.region[off+1] != StatusActive {
 		return fmt.Errorf("table %d record %d: %w", table, rec, ErrNotActive)
 	}
-	if n := c.db.groupCount(table); n > 0 {
+	if err := c.db.checkGroup(table, newGroup); err != nil {
+		return err
+	}
+	if c.db.groupCount(table) > 0 {
 		// DBmove relinks the record between logical-group chains.
-		if newGroup < 0 || newGroup >= n {
-			return &BoundsError{What: "group", Index: newGroup, Limit: n}
-		}
 		if err := c.db.unlinkFromGroup(table, rec); err != nil {
 			return err
 		}
@@ -226,9 +226,6 @@ func (c *Client) Move(table, rec, newGroup int) error {
 			return err
 		}
 	} else {
-		if newGroup < 0 || newGroup > 0xFFFF {
-			return &BoundsError{What: "group", Index: newGroup, Limit: 0x10000}
-		}
 		putU16(c.db.region, off+4, uint16(newGroup))
 	}
 	c.db.shadow.noteWrite(table, rec, c.pid, c.db.now())
@@ -239,9 +236,15 @@ func (c *Client) Move(table, rec, newGroup int) error {
 // returns its index. The pre-allocated table is a finite resource: records
 // left allocated by failed clients are the "resource leaks" the semantic
 // audit reclaims.
+//
+// The answer is exactly first fit — the lowest free index — in amortised
+// O(1): the scan starts at the table's free floor (see DB.allocFloor),
+// below which no record is free. Alloc raises the floor past the record it
+// claims and Free lowers it to the record it frees; any other region write
+// marks every floor stale, and the next Alloc rebuilds them as 0.
 func (c *Client) Alloc(table, group int) (int, error) {
 	defer c.db.guardEnter("DBalloc")()
-	defer c.db.mutate()()
+	defer c.db.clientMutate()()
 	if c.closed {
 		return 0, ErrClosed
 	}
@@ -251,39 +254,45 @@ func (c *Client) Alloc(table, group int) (int, error) {
 	}
 	defer unlock()
 	defer c.db.charge(OpAlloc, c.pid, table, -1)
-	td, err := readTableDesc(c.db.region, table)
+	db := c.db
+	td, err := readTableDesc(db.region, table)
 	if err != nil {
 		return 0, err
 	}
-	if n := c.db.groupCount(table); n > 0 && (group < 0 || group >= n) {
-		return 0, &BoundsError{What: "group", Index: group, Limit: n}
+	if err := db.checkGroup(table, group); err != nil {
+		return 0, err
 	}
-	for ri := 0; ri < td.NumRecords; ri++ {
-		off, err := recordOffset(c.db.region, td, ri)
-		if err != nil {
+	// readTableDesc validated the table's extent, so every record offset
+	// below NumRecords lies inside the region.
+	ri := db.allocStart(table, td)
+	off := td.Offset + groupDirSize(td.NumGroups) + td.RecordSize*ri
+	for ri < td.NumRecords && db.region[off+1] != StatusFree {
+		ri++
+		off += td.RecordSize
+	}
+	if ri == td.NumRecords {
+		db.allocFloor[table] = ri
+		return 0, fmt.Errorf("table %d: %w", table, ErrNoFreeRecord)
+	}
+	db.region[off+1] = StatusActive
+	if db.groupCount(table) > 0 {
+		if err := db.linkIntoGroup(table, ri, group); err != nil {
+			db.region[off+1] = StatusFree
+			db.allocFloor[table] = ri
 			return 0, err
 		}
-		if c.db.region[off+1] == StatusFree {
-			c.db.region[off+1] = StatusActive
-			if c.db.groupCount(table) > 0 {
-				if err := c.db.linkIntoGroup(table, ri, group); err != nil {
-					c.db.region[off+1] = StatusFree
-					return 0, err
-				}
-			} else {
-				putU16(c.db.region, off+4, uint16(group))
-			}
-			c.db.shadow.noteWrite(table, ri, c.pid, c.db.now())
-			return ri, nil
-		}
+	} else {
+		putU16(db.region, off+4, uint16(group))
 	}
-	return 0, fmt.Errorf("table %d: %w", table, ErrNoFreeRecord)
+	db.allocFloor[table] = ri + 1
+	db.shadow.noteWrite(table, ri, c.pid, db.now())
+	return ri, nil
 }
 
 // Free releases a record back to the table's free pool.
 func (c *Client) Free(table, rec int) error {
 	defer c.db.guardEnter("DBfree")()
-	defer c.db.mutate()()
+	defer c.db.clientMutate()()
 	if c.closed {
 		return ErrClosed
 	}
@@ -293,7 +302,7 @@ func (c *Client) Free(table, rec int) error {
 	}
 	defer unlock()
 	defer c.db.charge(OpFree, c.pid, table, rec)
-	td, off, err := c.locate(table, rec)
+	td, off, err := c.locateMut(table, rec)
 	if err != nil {
 		return err
 	}
@@ -303,6 +312,7 @@ func (c *Client) Free(table, rec int) error {
 		}
 	}
 	formatHeader(c.db.region, off, table, rec)
+	c.db.allocFloor[table] = min(c.db.allocFloor[table], rec)
 	for fi := 0; fi < td.NumFields; fi++ {
 		fd, err := readFieldDesc(c.db.region, td, fi)
 		if err != nil {
@@ -339,6 +349,46 @@ func (c *Client) locate(table, rec int) (tableDesc, int, error) {
 		return tableDesc{}, 0, err
 	}
 	return td, off, nil
+}
+
+// locateMut is locate for the Client mutators. They keep the free floors
+// valid only while they write through the table's true layout (see
+// DB.floorSafe).
+func (c *Client) locateMut(table, rec int) (tableDesc, int, error) {
+	td, off, err := c.locate(table, rec)
+	if err != nil {
+		return tableDesc{}, 0, err
+	}
+	c.db.floorSafe(table, td)
+	return td, off, nil
+}
+
+// allocStart returns the record index Alloc's first-fit scan of table
+// starts from: the table's free floor, with every floor rebuilt as 0 when
+// they are stale, or 0 when td is not the table's true layout.
+func (db *DB) allocStart(table int, td tableDesc) int {
+	if !db.floorSafe(table, td) {
+		return 0
+	}
+	if !db.floorValid {
+		clear(db.allocFloor)
+		db.floorValid = true
+	}
+	return db.allocFloor[table]
+}
+
+// floorSafe reports whether td, the live-catalog descriptor a Client
+// mutator addresses table through, matches the schema's layout, and marks
+// the free floors stale when it does not: a write through a damaged
+// descriptor can land on the status byte of any record, of any table.
+func (db *DB) floorSafe(table int, td tableDesc) bool {
+	t := db.schema.Tables[table]
+	if td.Offset == db.tableOffs[table] && td.NumRecords == t.NumRecords &&
+		td.NumFields == len(t.Fields) && td.NumGroups == t.Groups {
+		return true
+	}
+	db.floorValid = false
+	return false
 }
 
 // LastChargedCost returns the most recent charge for op — a convenience

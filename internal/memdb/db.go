@@ -57,6 +57,14 @@ type DB struct {
 	// drains them into the shadow activity stats.
 	regionMu  sync.RWMutex
 	viewReads []atomic.Uint64
+
+	// Free floors (see Client.Alloc). While floorValid is set, no record
+	// of table t below allocFloor[t] is free, so DBalloc's first-fit scan
+	// starts there. mutate and Raw clear the flag; only the Client
+	// mutators, which maintain the floors, write the region without
+	// clearing it.
+	allocFloor []int
+	floorValid bool
 }
 
 // Option configures a DB.
@@ -81,15 +89,16 @@ func New(schema Schema, opts ...Option) (*DB, error) {
 	}
 	total, tableOffs, fieldOffs := layoutSize(schema)
 	db := &DB{
-		schema:    schema,
-		region:    make([]byte, total),
-		tableOffs: tableOffs,
-		shadow:    newShadow(schema),
-		locks:     make([]lockState, len(schema.Tables)),
-		now:       func() time.Duration { return 0 },
-		costs:     DefaultCostModel(),
-		counts:    newOpCounts(),
-		clients:   make(map[int]*Client),
+		schema:     schema,
+		region:     make([]byte, total),
+		tableOffs:  tableOffs,
+		allocFloor: make([]int, len(schema.Tables)),
+		shadow:     newShadow(schema),
+		locks:      make([]lockState, len(schema.Tables)),
+		now:        func() time.Duration { return 0 },
+		costs:      DefaultCostModel(),
+		counts:     newOpCounts(),
+		clients:    make(map[int]*Client),
 	}
 	db.viewReads = make([]atomic.Uint64, len(schema.Tables))
 	for _, opt := range opts {
@@ -228,8 +237,14 @@ func (db *DB) ReleaseAllLocks(pid int) int {
 // from the shadow metadata to detect intervening updates.
 
 // Raw returns the live region. Callers must treat it as volatile shared
-// memory; it is exposed for audits and the error injector.
-func (db *DB) Raw() []byte { return db.region }
+// memory; it is exposed for audits and the error injector. Raw marks the
+// free floors stale because its caller may write through the slice, so a
+// slice kept across later Client calls must not be written: call Raw
+// again for each write. Owner-thread only.
+func (db *DB) Raw() []byte {
+	db.floorValid = false
+	return db.region
+}
 
 // SnapshotBytes returns the pristine startup image ("permanent storage").
 func (db *DB) SnapshotBytes() []byte { return db.snapshot }

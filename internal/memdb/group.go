@@ -22,6 +22,24 @@ func (db *DB) groupCount(ti int) int {
 	return db.schema.Tables[ti].Groups
 }
 
+// checkGroup validates group as a logical-group label of table ti: an
+// index into the table's chain directory, or, on a table without one, any
+// value the record header's 16-bit group field can hold. DBalloc, DBmove
+// and their log replays share it, so replay accepts every label the API
+// acknowledged.
+func (db *DB) checkGroup(ti, group int) error {
+	if n := db.groupCount(ti); n > 0 {
+		if group < 0 || group >= n {
+			return &BoundsError{What: "group", Index: group, Limit: n}
+		}
+		return nil
+	}
+	if group < 0 || group > 0xFFFF {
+		return &BoundsError{What: "group", Index: group, Limit: 0x10000}
+	}
+	return nil
+}
+
 // groupDirBase returns the region offset of table ti's directory.
 func (db *DB) groupDirBase(ti int) (int, error) {
 	if db.groupCount(ti) == 0 {

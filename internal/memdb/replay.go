@@ -39,11 +39,11 @@ func (db *DB) AllocDirect(ti, ri, group int) error {
 	if err != nil {
 		return err
 	}
+	if err := db.checkGroup(ti, group); err != nil {
+		return err
+	}
 	defer db.mutate()()
-	if n := db.groupCount(ti); n > 0 {
-		if group < 0 || group >= n {
-			return &BoundsError{What: "group", Index: group, Limit: n}
-		}
+	if db.groupCount(ti) > 0 {
 		if db.region[off+1] == StatusActive {
 			if err := db.unlinkFromGroup(ti, ri); err != nil {
 				return err
@@ -54,9 +54,6 @@ func (db *DB) AllocDirect(ti, ri, group int) error {
 			return err
 		}
 	} else {
-		if group < 0 || group > 0xFFFF {
-			return &BoundsError{What: "group", Index: group, Limit: 0x10000}
-		}
 		db.region[off+1] = StatusActive
 		putU16(db.region, off+4, uint16(group))
 	}
@@ -74,10 +71,10 @@ func (db *DB) MoveDirect(ti, ri, newGroup int) error {
 	if db.region[off+1] != StatusActive {
 		return fmt.Errorf("table %d record %d: %w", ti, ri, ErrNotActive)
 	}
-	if n := db.groupCount(ti); n > 0 {
-		if newGroup < 0 || newGroup >= n {
-			return &BoundsError{What: "group", Index: newGroup, Limit: n}
-		}
+	if err := db.checkGroup(ti, newGroup); err != nil {
+		return err
+	}
+	if db.groupCount(ti) > 0 {
 		if err := db.unlinkFromGroup(ti, ri); err != nil {
 			return err
 		}
@@ -85,9 +82,6 @@ func (db *DB) MoveDirect(ti, ri, newGroup int) error {
 			return err
 		}
 	} else {
-		if newGroup < 0 || newGroup > 0xFFFF {
-			return &BoundsError{What: "group", Index: newGroup, Limit: 0x10000}
-		}
 		putU16(db.region, off+4, uint16(newGroup))
 	}
 	db.shadow.noteWrite(ti, ri, 0, db.now())

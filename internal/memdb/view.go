@@ -7,8 +7,9 @@ package memdb
 // (TrueRecordOffset, ReadFieldDirect, StatusDirect) without weakening the
 // single-writer contract for mutations and audits:
 //
-//   - Every region mutation runs inside db.mutate(), which holds the region
-//     write lock for the whole mutation.
+//   - Every region mutation runs inside db.mutate() (clientMutate() for the
+//     Client mutators), which holds the region write lock for the whole
+//     mutation.
 //   - A View read holds the region read lock while it copies, so it never
 //     observes a mutation (API write, audit repair, reload, replication
 //     apply) half done — no torn reads across the fields of one record.
@@ -24,7 +25,24 @@ import "repro/internal/metrics"
 // mutate brackets a region mutation: defer db.mutate()() holds the region
 // write lock until the mutation is complete. Owner-thread only,
 // non-reentrant.
+//
+// mutate is the one chokepoint every region writer outside the Client API
+// goes through (FlipBit, the reloads, header and link repairs, the *Direct
+// accessors, log replay, RestoreFrom, RebuildGroups), so it also marks the
+// free floors stale: any of them may free a record below a floor, and a
+// writer added later is safe by default.
 func (db *DB) mutate() func() {
+	db.regionMu.Lock()
+	db.floorValid = false
+	return db.regionMu.Unlock
+}
+
+// clientMutate is mutate for the five Client mutators (DBwrite_rec,
+// DBwrite_fld, DBmove, DBalloc, DBfree). It keeps the free floors valid:
+// Alloc and Free maintain them, and the other three never write a status
+// byte while they address the table through its true layout (see
+// locateMut).
+func (db *DB) clientMutate() func() {
 	db.regionMu.Lock()
 	return db.regionMu.Unlock
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -299,6 +300,32 @@ func TestWALTornTailRecovery(t *testing.T) {
 	}
 	if res2.LastSeq != n-1 || !bytes.Equal(res2.DB.Raw(), res.DB.Raw()) {
 		t.Fatal("second recovery diverged")
+	}
+}
+
+// TestAllocGroupBoundNotLogged sends DBalloc with group -1 to the Process
+// table, which has no group directory. The header stores the label in 16
+// bits and replay refuses it, so the executor must answer CodeBounds and
+// log nothing: an acknowledged allocation that replay skips is lost at
+// recovery and stalls a standby's applier.
+func TestAllocGroupBoundNotLogged(t *testing.T) {
+	l := openTestWAL(t, t.TempDir(), wal.Config{})
+	_, addr := newTestServer(t, 1, Config{WAL: l})
+	conn := dialInit(t, addr)
+
+	_, err := conn.Alloc(callproc.TblProc, -1)
+	var be *memdb.BoundsError
+	if !errors.As(err, &be) || be.What != "group" || be.Index != -1 {
+		t.Fatalf("DBalloc(Process, group -1) = %v, want a CodeBounds group error", err)
+	}
+	if seq := l.LastSeq(); seq != 0 {
+		t.Fatalf("refused DBalloc left the log at seq %d, want 0", seq)
+	}
+	if _, err := conn.Alloc(callproc.TblProc, 0); err != nil {
+		t.Fatalf("DBalloc(Process, group 0): %v", err)
+	}
+	if seq := l.LastSeq(); seq != 1 {
+		t.Fatalf("accepted DBalloc left the log at seq %d, want 1", seq)
 	}
 }
 
