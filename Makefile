@@ -58,10 +58,11 @@ bench:
 # full WAL tail ring at 8 and 8192 slots; BenchmarkAllocFill fills 3 × 4096
 # call records, BenchmarkAllocChurnFull frees and re-allocates in a full
 # 4096-record table, and BenchmarkRangeSweep runs one dynamic-data audit
-# pass over 12,288 active records. The served paths are exercised by
-# bench-quick.
+# pass over 12,288 active records. BenchmarkSubmitWriteFld sends one
+# WRITE_FLD through the server's dispatch and the core's turn, without a
+# socket. The served paths are exercised by bench-quick.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/wal ./internal/memdb ./internal/audit
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/wal ./internal/memdb ./internal/audit ./internal/server
 
 # Served-workload smoke for CI: builds dbserve from this checkout and runs
 # all four BENCHMARK.json workloads with 2-s phases, so only the

@@ -21,20 +21,22 @@ import (
 	"repro/internal/wire"
 )
 
-// core is one region and everything that may touch it: the single-writer
-// executor with its bounded request queue, the audit process and manager on
-// the executor's discrete-event clock, the fault injectors, the procedure
-// registry, the operation log with its shipper or applier, and the fast-lane
-// read view. It owns no socket; the Server front end decides which core a
+// core is one region and everything that may touch it: the region's turn
+// token with its bounded admission, the audit process and manager on the
+// core's discrete-event clock, the fault injectors, the procedure registry,
+// the operation log with its shipper or applier, and the fast-lane read
+// view. It owns no socket; the Server front end decides which core a
 // request reaches and hands it over through submit, fastLane, or
 // onExecutor.
 //
-// memdb.DB has one owner goroutine, so the executor goroutine is the only
-// code that touches db (apart from fast-lane reads through its View), the
-// audit process, and the manager. A full
-// queue sheds the request at once with CodeOverload (backpressure, never
-// unbounded buffering), with drop accounting in internal/ipc's DropStats
-// shape. Audits sweep the live region between requests, never during one.
+// memdb.DB has one writer at a time, so only the goroutine holding the
+// turn touches db (apart from fast-lane reads through its View), the audit
+// process, and the manager. A connection goroutine takes the turn and runs
+// its own request; the core's clock goroutine takes it each ClockTick for
+// the audits. A request that finds more than QueueDepth others waiting is
+// shed at once with CodeOverload (backpressure, never unbounded waiting),
+// with drop accounting in internal/ipc's DropStats shape. Audits sweep the
+// live region between requests, never during one.
 type core struct {
 	srv *Server
 	// id is the core's position in srv.cores: the region's shard id on the
@@ -47,7 +49,7 @@ type core struct {
 	mgr   *manager.Manager
 
 	// checks are the audit techniques run by both the periodic element
-	// and forced sweeps; executor-only after construction. The concrete
+	// and forced sweeps; turn holder only after construction. The concrete
 	// checker pointers are retained so promotion can flip them out of
 	// shadow mode and wire the mirror hook.
 	checks    []audit.FullChecker
@@ -55,17 +57,17 @@ type core struct {
 	structChk *audit.StructuralCheck
 	rangeChk  *audit.RangeCheck
 
-	// Durability & failover. walLog is executor-owned except for its
-	// thread-safe tail ring, which shipper serves replication from off
-	// the executor. standby flips exactly once, at promotion. walErr is the
-	// first durability failure; executor-only until done closes.
+	// Durability & failover. walLog is the turn holder's except for its
+	// thread-safe tail ring, which shipper serves replication from without
+	// the turn. standby flips exactly once, at promotion. walErr is the
+	// first durability failure; turn holder only until done closes.
 	walLog     *wal.Log
 	walErr     error
 	shipper    *replica.Shipper
 	applier    *replica.Applier
 	standby    atomic.Bool
 	replTicker *sim.Ticker
-	mirrorConn *wire.Conn  // executor-only cached conn to the standby
+	mirrorConn *wire.Conn  // turn holder only: cached conn to the standby
 	replRing   *trace.Ring // repl.*/wal.* events (nil without a log or a primary)
 
 	// gauges mirrors single-writer counters into the registry; greg is the
@@ -92,7 +94,7 @@ type core struct {
 	procRing    *trace.Ring
 	auditTracer *audit.Tracer
 
-	// Fault injector state; executor thread only. shots retains the most
+	// Fault injector state; turn holder only. shots retains the most
 	// recent injections so resolveShot can join audit findings back to the
 	// shot that caused them. The tickers are retained so OpInjectCtl can
 	// re-arm the injectors at runtime; injTarget is the targeting policy of
@@ -104,7 +106,7 @@ type core struct {
 	injTarget     faultTarget
 	staticWalk    *inject.StaticWalk
 
-	// Procedure subsystem (executor thread only). PROC_EXEC runs on core 0,
+	// Procedure subsystem (turn holder only). PROC_EXEC runs on core 0,
 	// so only its registry is ever executed from. procTID carries the
 	// current PROC request's trace ID across noteFinding so resolveShot can
 	// join a control-flow finding to the request that detected it.
@@ -119,19 +121,23 @@ type core struct {
 	// refreshExecutorMetrics publishes.
 	auditBuilder *audit.Builder
 
-	reqs     chan task
-	ctrl     chan func()   // executor-thread closures (session teardown, snapshots)
-	stopping chan struct{} // closed: executor drains and exits
-	done     chan struct{} // closed: executor has exited
+	// turn is the single-writer token, a channel of capacity 1: a goroutine
+	// takes the turn by sending and gives it back by receiving, and blocked
+	// takers queue in arrival order. waiting counts submitters blocked on
+	// it, the admission bound QueueDepth applies to.
+	turn     chan struct{}
+	waiting  atomic.Int64
+	stopping chan struct{} // closed: the clock goroutine takes the turn for good
+	done     chan struct{} // closed: the core has stopped; the turn is never given back
 
-	// Written by the executor or connection goroutines, read by Stats().
+	// Written by turn holders or connection goroutines, read by Stats().
 	perOpOK  [wire.NumOps]atomic.Uint64
 	perOpErr [wire.NumOps]atomic.Uint64
 	executed atomic.Uint64
 	findings atomic.Uint64
 	restarts atomic.Int64
 
-	// Request-queue drop accounting (ipc.DropStats semantics): written by
+	// Admission drop accounting (ipc.DropStats semantics): written by
 	// connection goroutines under dropMu.
 	dropMu    sync.Mutex
 	dropped   uint64
@@ -140,20 +146,8 @@ type core struct {
 	highWater int
 }
 
-// execFn is the work a task does on the executor thread.
+// execFn is the work a request does while holding the turn.
 type execFn func(c *core, cn *conn, q wire.Request, tid uint64) wire.Response
-
-// task is one request in flight from a connection goroutine to the
-// executor. reply has capacity 1 so the executor never blocks delivering,
-// even to a connection that timed out and walked away.
-type task struct {
-	cn    *conn
-	req   wire.Request
-	do    execFn
-	tid   uint64    // request trace ID (0: untraced op)
-	t0    time.Time // enqueue instant (zero for an untraced op)
-	reply chan wire.Response
-}
 
 // shot is one injection: the correlation ID journaled with the inject-shot
 // event, and the region offset it corrupted.
@@ -168,33 +162,34 @@ type faultTarget interface {
 	Next(rng *sim.RNG) (off int, bit uint, ok bool)
 }
 
-// maxRecentShots bounds the executor's shot history used for
+// maxRecentShots bounds the core's shot history used for
 // finding → shot correlation.
 const maxRecentShots = 64
 
-// coreGauges are the executor-refreshed gauges mirroring single-writer
+// coreGauges are the turn-refreshed gauges mirroring single-writer
 // counters that live in the manager and the audit-process elements.
 type coreGauges struct {
 	mgrProbes, mgrReplies, mgrAlive      *metrics.Gauge
 	hbReplies, progRecoveries, perSweeps *metrics.Gauge
 }
 
-// newCore builds core id of srv over db and its optional log. The executor
-// is not started: the front end starts every core once its own wiring (the
-// health plane in particular) is complete.
+// newCore builds core id of srv over db and its optional log, and returns
+// holding its turn: the front end starts every core's clock once its own
+// wiring (the health plane in particular) is complete, and the clock gives
+// the turn back only once the audit stack is up.
 func newCore(srv *Server, id int, db *memdb.DB, walLog *wal.Log, debt *health.DebtMeter) (*core, error) {
 	cfg := &srv.cfg
 	c := &core{
 		srv: srv, id: id, db: db, walLog: walLog,
-		// Distinct executor and injector streams per core; identical seeds
+		// Distinct clock and injector streams per core; identical seeds
 		// would corrupt the same stripe offsets in lockstep. Core k's
-		// executor environment is seeded with k.
+		// environment is seeded with k.
 		env:      sim.NewEnv(int64(id)),
-		reqs:     make(chan task, cfg.QueueDepth),
-		ctrl:     make(chan func(), 16),
+		turn:     make(chan struct{}, 1),
 		stopping: make(chan struct{}),
 		done:     make(chan struct{}),
 	}
+	c.turn <- struct{}{}
 	db.SetClock(c.env.Now)
 	if cfg.Guard {
 		db.EnableConcurrencyCheck(nil)
@@ -336,9 +331,9 @@ func (c *core) noteFinding(f audit.Finding) {
 }
 
 // resolveShot joins an audit finding back to the most recent injected
-// shot whose offset it covers. Executor thread only — findings are only
-// produced by executor-run checks, and shots only by the executor's
-// injector ticker.
+// shot whose offset it covers. Turn holder only — findings are only
+// produced by checks run under the turn, and shots only by the injector
+// ticker on the core's clock.
 func (c *core) resolveShot(f audit.Finding) uint64 {
 	if f.Class == audit.ClassControlFlow {
 		// Control-flow findings carry no region offset: they join the
@@ -358,8 +353,8 @@ func (c *core) resolveShot(f audit.Finding) uint64 {
 // exports the audit notification queue, all through c.greg.
 func (c *core) registerMetrics() {
 	reg := c.greg
-	reg.GaugeFunc("server.queue.depth", func() int64 { return int64(len(c.reqs)) })
-	reg.GaugeFunc("server.queue.capacity", func() int64 { return int64(cap(c.reqs)) })
+	reg.GaugeFunc("server.queue.depth", func() int64 { return c.waiting.Load() })
+	reg.GaugeFunc("server.queue.capacity", func() int64 { return int64(c.srv.cfg.QueueDepth) })
 	reg.GaugeFunc("server.queue.dropped", func() int64 { return int64(c.reqDrops().Dropped) })
 	reg.GaugeFunc("server.queue.drop_burst", func() int64 { return int64(c.reqDrops().Burst) })
 	reg.GaugeFunc("server.queue.high_water", func() int64 { return int64(c.reqDrops().HighWater) })
@@ -396,7 +391,7 @@ func b2i(b bool) int64 {
 
 // refreshExecutorMetrics publishes every single-writer counter — memdb
 // table activity, manager probe accounting, audit element progress — into
-// the registry's atomic gauges. Executor thread only; called on each clock
+// the registry's atomic gauges. Turn holder only; called on each clock
 // tick, before STATS2 snapshots, and at drain.
 func (c *core) refreshExecutorMetrics() {
 	g := c.gauges
@@ -418,34 +413,41 @@ func (c *core) refreshExecutorMetrics() {
 	}
 }
 
-// onExecutor runs f on the executor thread and waits for it to finish,
-// returning false when the executor has already exited (or exits before
-// running f). Safe from any goroutine; the executor's drain loop runs
-// queued control closures before it exits, so a successful send almost
-// always means f ran.
-func (c *core) onExecutor(f func()) bool {
-	ran := make(chan struct{})
+// take blocks until the caller holds the turn, behind every earlier taker,
+// and reports false once the core has stopped: the stopping clock keeps
+// the turn for good, so a later taker can only see done.
+func (c *core) take() bool {
 	select {
-	case c.ctrl <- func() { f(); close(ran) }:
-		select {
-		case <-ran:
-			return true
-		case <-c.done:
-			return false
-		}
+	case c.turn <- struct{}{}:
+		return true
 	case <-c.done:
 		return false
 	}
 }
 
-// --- Executor -------------------------------------------------------------
+// give hands the turn to the next taker.
+func (c *core) give() { <-c.turn }
 
-// executor is the single writer: the only goroutine that touches the DB,
-// the audit process, and the manager. It interleaves request execution
-// with advancing the audit clock, so sweeps and heartbeats run in the
-// gaps between requests.
-func (c *core) executor() {
-	defer close(c.done)
+// onExecutor runs f holding the turn and returns once it has run, or
+// returns false without running it when the core has stopped. Safe from
+// any goroutine that holds no turn; it is never shed and never times out.
+func (c *core) onExecutor(f func()) bool {
+	if !c.take() {
+		return false
+	}
+	f()
+	c.give()
+	return true
+}
+
+// --- Clock ----------------------------------------------------------------
+
+// clock is the core's one goroutine. Holding the turn newCore took, it
+// starts the audit stack, the injectors and the replication poll, then
+// gives the turn back; from then on it takes the turn once per ClockTick
+// to advance the audit clock, so sweeps and heartbeats run in the gaps
+// between requests. At stop it takes the turn for good.
+func (c *core) clock() {
 	cfg := &c.srv.cfg
 	if c.mgr != nil {
 		if err := c.mgr.Start(); err != nil {
@@ -456,58 +458,32 @@ func (c *core) executor() {
 		}
 	}
 	if cfg.InjectPeriod > 0 || cfg.ProcInjectPeriod > 0 {
-		// The injectors ride the executor clock: flips land between
-		// requests (and between procedure executions), never during one,
-		// like every other executor action.
+		// The injectors ride the core's clock: flips land between
+		// requests (and between procedure executions), never during one.
 		c.setInjectPeriods(cfg.InjectPeriod, cfg.ProcInjectPeriod, wire.InjectModeRandom)
 	}
 	if c.applier != nil {
-		// Replication rides the executor clock too: the applier is the
-		// standby region's single writer, interleaved with audits.
+		// Replication rides the clock too: the applier is the standby
+		// region's single writer, interleaved with audits.
 		if tk, err := c.env.NewTicker(cfg.ReplPoll, c.replStep); err == nil {
 			c.replTicker = tk
 		}
 	}
+	c.give()
 	tick := time.NewTicker(cfg.ClockTick)
 	defer tick.Stop()
 	for {
 		select {
-		case t := <-c.reqs:
-			c.executeBatch(t)
-		case f := <-c.ctrl:
-			f()
 		case <-tick.C:
+			c.turn <- struct{}{}
 			c.advanceClock()
+			c.give()
 		case <-c.stopping:
+			c.turn <- struct{}{}
 			c.drainAndStop()
+			close(c.done)
 			return
 		}
-	}
-}
-
-// executeBatch drains up to batchSize queued requests in one
-// executor wakeup, starting with the task that woke it. A batch runs
-// back-to-back with no channel round trips between requests, and because
-// the WAL buffers appends until the clock-tick Sync, the whole batch's
-// appends coalesce into the same buffered write. The audit clock is
-// untouched here: sweeps fire on the tick select arm, between batches,
-// never inside one.
-func (c *core) executeBatch(first task) {
-	c.execute(first)
-	n := 1
-drain:
-	for n < batchSize {
-		select {
-		case t := <-c.reqs:
-			c.execute(t)
-			n++
-		default:
-			break drain
-		}
-	}
-	c.srv.tel.batchSize.Observe(int64(n))
-	if n > 1 {
-		c.srv.srvRing.Emit(trace.Event{Kind: trace.KindBatchExec, Arg: int64(n)})
 	}
 }
 
@@ -522,21 +498,10 @@ func (c *core) advanceClock() {
 	c.refreshExecutorMetrics()
 }
 
-// drainAndStop finishes every queued request and control action, runs one
-// final certifying sweep, and stops the audit stack.
+// drainAndStop runs one final certifying sweep and stops the audit stack.
+// The clock calls it holding the turn for good, so every taker queued
+// before it has already run, and none runs after it.
 func (c *core) drainAndStop() {
-	for {
-		select {
-		case t := <-c.reqs:
-			c.execute(t)
-			continue
-		case f := <-c.ctrl:
-			f()
-			continue
-		default:
-		}
-		break
-	}
 	// The WAL tail must be durable BEFORE the certifying sweep: the sweep
 	// may repair the region, and a crash after repairs but before fsync
 	// would otherwise lose acknowledged writes that the repairs were
@@ -569,7 +534,7 @@ func (c *core) drainAndStop() {
 
 // setInjectPeriods stops the running injector tickers and re-arms them
 // with the given periods (zero or negative leaves the respective injector
-// off) and targeting mode. Called on the executor thread only: at startup
+// off) and targeting mode. Called by the turn holder only: at startup
 // for the Config.InjectPeriod/ProcInjectPeriod knobs, and from OpInjectCtl
 // when a scenario timeline ramps a fault storm. Every core arms its data
 // injector, so the aggregate shot rate scales with the core count; the text
@@ -610,7 +575,7 @@ func (c *core) setInjectPeriods(data, text time.Duration, mode int) {
 
 // injectOnce is the data fault injector: flip one bit where the current
 // targeting policy draws it and journal the shot, so the next audit pass
-// demonstrably detects and recovers a known corruption. Executor thread only
+// demonstrably detects and recovers a known corruption. Turn holder only
 // (env ticker).
 func (c *core) injectOnce() {
 	if off, bit, ok := c.injTarget.Next(c.injRNG); ok {
@@ -619,8 +584,8 @@ func (c *core) injectOnce() {
 }
 
 // injectAt flips one bit at a region offset and journals the shot,
-// returning the shot's correlation ID (0 when the flip failed). Executor
-// thread only; tests use it for targeted shots.
+// returning the shot's correlation ID (0 when the flip failed). Turn
+// holder only; tests use it for targeted shots.
 func (c *core) injectAt(off int, bit uint) uint64 {
 	if err := c.db.FlipBit(off, bit); err != nil {
 		return 0
@@ -638,7 +603,7 @@ func (c *core) injectAt(off int, bit uint) uint64 {
 }
 
 // runSweep executes every audit technique over the whole region and
-// returns the number of findings. Executor thread only.
+// returns the number of findings. Turn holder only.
 func (c *core) runSweep() int {
 	c.srv.tel.forcedSweeps.Inc()
 	n := 0
@@ -648,32 +613,34 @@ func (c *core) runSweep() int {
 	return n
 }
 
-// execute runs one task and delivers its response. Executor thread only.
-func (c *core) execute(t task) {
-	if t.tid != 0 {
-		c.srv.srvRing.Emit(trace.Event{Kind: trace.KindReqExecute, Trace: t.tid, Op: t.req.Op.String()})
+// execute runs do for one request and finishes its response. Turn holder
+// only.
+func (c *core) execute(cn *conn, q wire.Request, do execFn, tid uint64, t0 time.Time) wire.Response {
+	if tid != 0 {
+		c.srv.srvRing.Emit(trace.Event{Kind: trace.KindReqExecute, Trace: tid, Op: q.Op.String()})
 	}
-	// Stage decomposition: everything before this instant was queue wait,
-	// t.do is the execute stage (reply_write is observed in connWriter).
-	tel, staged := c.srv.tel, !t.t0.IsZero()
+	// Stage decomposition: everything before this instant was the wait for
+	// the turn, do is the execute stage (reply_write is observed in
+	// connWriter).
+	tel, staged := c.srv.tel, !t0.IsZero()
 	var e0 time.Time
 	if staged {
 		e0 = time.Now()
-		tel.stageQueueWait.Observe(int64(e0.Sub(t.t0)))
+		tel.stageQueueWait.Observe(int64(e0.Sub(t0)))
 	}
-	resp := t.do(c, t.cn, t.req, t.tid)
+	resp := do(c, cn, q, tid)
 	if staged {
 		tel.stageExecute.Observe(int64(time.Since(e0)))
 	}
-	resp.Seq = t.req.Seq
-	if seq := c.logMutation(t.req, resp, t.tid); seq != 0 {
+	resp.Seq = q.Seq
+	if seq := c.logMutation(q, resp, tid); seq != 0 {
 		// The WAL position of an acknowledged write doubles as the
 		// client's read-your-writes lease token.
 		resp.SetToken(seq)
 	}
-	c.count(t.req.Op, resp.Code)
+	c.count(q.Op, resp.Code)
 	c.executed.Add(1)
-	t.reply <- resp
+	return resp
 }
 
 // count books one answered request in the per-op counters.
@@ -698,8 +665,8 @@ func fail(q wire.Request, err error) wire.Response { return wire.ErrorResponse(q
 // the connection's session on this core; q.Record is already core-local.
 func (c *core) record(cn *conn, q wire.Request, _ uint64) wire.Response {
 	if c.standby.Load() {
-		// Reads never reach the executor (the fast lane answers them), so
-		// a record call on a standby core is a write that raced this core's
+		// Reads never take the turn (the fast lane answers them), so a
+		// record call on a standby core is a write that raced this core's
 		// promotion.
 		return fail(q, wire.ErrStandby)
 	}
@@ -779,7 +746,7 @@ func (c *core) session(cn *conn, q wire.Request, _ uint64) wire.Response {
 }
 
 // closeSession retires the connection's session here, releasing its locks.
-// Executor thread only.
+// Turn holder only.
 func (c *core) closeSession(cn *conn) {
 	slot := &cn.on[c.id].sess
 	if sess := slot.Load(); sess != nil {
@@ -790,8 +757,8 @@ func (c *core) closeSession(cn *conn) {
 
 // unlock drops the session's transaction lock on table and nothing else.
 // Commit releases every lock, so the others are taken again; they cannot be
-// lost in between, because the executor runs nothing else meanwhile.
-// Executor thread only.
+// lost in between, because nothing else runs on the region meanwhile. Turn
+// holder only.
 func (c *core) unlock(cn *conn, table int) {
 	sess := cn.on[c.id].sess.Load()
 	if sess == nil {
@@ -829,8 +796,8 @@ func (c *core) promoteLeg(_ *conn, q wire.Request, _ uint64) wire.Response {
 }
 
 // handleInjectCtl decodes one OpInjectCtl request and retimes the
-// injectors. Runs on the executor thread, so the ticker swap cannot race a
-// flip in progress.
+// injectors. Runs holding the turn, so the ticker swap cannot race a flip
+// in progress.
 func (c *core) handleInjectCtl(_ *conn, q wire.Request, _ uint64) wire.Response {
 	if len(q.Vals) < 4 {
 		return fail(q, fmt.Errorf("%w: InjectCtl carries %d values, want 4", wire.ErrBadFrame, len(q.Vals)))
@@ -848,10 +815,14 @@ func (c *core) handleInjectCtl(_ *conn, q wire.Request, _ uint64) wire.Response 
 	return ok()
 }
 
-// --- Queue ------------------------------------------------------------------
+// --- Admission ---------------------------------------------------------------
 
-// submit funnels one request into the executor queue, applying
-// backpressure and the reply deadline; do runs on the executor thread.
+// submit runs do for req on the calling connection goroutine while holding
+// the turn. A free turn is taken at once; otherwise the request waits
+// behind the other waiters. It is shed when more than QueueDepth already
+// wait, answers CodeTimeout after ReplyTimeout, and CodeShutdown when the
+// core stops first — in all three cases without ever running. Once it
+// holds the turn it runs to completion.
 func (c *core) submit(cn *conn, req wire.Request, do execFn) wire.Response {
 	s := c.srv
 	select {
@@ -859,44 +830,67 @@ func (c *core) submit(cn *conn, req wire.Request, do execFn) wire.Response {
 		return fail(req, wire.ErrShutdown)
 	default:
 	}
-	// Latency is measured from enqueue to reply delivery: queue wait plus
-	// execution. Shed and timed-out requests are not observed — they would
-	// fold two failure modes into the service-time distribution. An invalid
-	// op is neither timed nor traced.
+	// Latency is measured from enqueue to reply: turn wait plus execution.
+	// Shed and timed-out requests are not observed — they would fold two
+	// failure modes into the service-time distribution. An invalid op is
+	// neither timed nor traced.
 	valid := req.Op.Valid()
-	if cn.reply == nil {
-		cn.reply = make(chan wire.Response, 1)
-	}
-	t := task{cn: cn, req: req, do: do, reply: cn.reply}
+	var tid uint64
+	var t0 time.Time
 	if valid {
-		t.t0 = time.Now()
-		// The enqueue event is journaled before the send so its sequence
-		// number precedes the executor's req-execute for the same trace.
-		t.tid = s.rec.NextTrace()
+		t0 = time.Now()
+		tid = s.rec.NextTrace()
 		s.srvRing.Emit(trace.Event{
-			Kind: trace.KindReqEnqueue, Trace: t.tid,
+			Kind: trace.KindReqEnqueue, Trace: tid,
 			Op: req.Op.String(), Aux: int64(cn.id),
 		})
 	}
 	select {
-	case c.reqs <- t:
-		c.noteAdmit(len(c.reqs))
+	case c.turn <- struct{}{}:
+		c.noteAdmit(0)
 	default:
-		// Queue full: shed immediately rather than buffer or block —
-		// the same discipline as the audit notification queue.
-		c.noteDrop()
-		if valid {
-			s.srvRing.Emit(trace.Event{
-				Kind: trace.KindReqDrop, Trace: t.tid,
-				Op: req.Op.String(), Aux: int64(cn.id),
-			})
+		if err := c.await(cn); err != nil {
+			if err == wire.ErrOverload && valid {
+				s.srvRing.Emit(trace.Event{
+					Kind: trace.KindReqDrop, Trace: tid,
+					Op: req.Op.String(), Aux: int64(cn.id),
+				})
+			}
+			return fail(req, err)
 		}
-		return fail(req, wire.ErrOverload)
 	}
-	// One timer per connection instead of a time.After allocation per
-	// request; stop-and-drain before Reset per pre-1.23 timer semantics.
+	resp := c.execute(cn, req, do, tid, t0)
+	c.give()
+	if valid {
+		d := int64(time.Since(t0))
+		s.tel.latency[req.Op].Observe(d)
+		s.srvRing.Emit(trace.Event{
+			Kind: trace.KindReqReply, Trace: tid, Op: req.Op.String(),
+			Code: int64(resp.Code), Arg: d, Aux: int64(cn.id),
+		})
+	}
+	return resp
+}
+
+// await admits the caller as a waiter and blocks for the turn. A nil error
+// means the caller holds the turn; otherwise it was shed (ErrOverload),
+// timed out (ErrTimeout) or the core stopped (ErrShutdown), and holds
+// nothing.
+func (c *core) await(cn *conn) error {
+	n := c.waiting.Add(1)
+	defer c.waiting.Add(-1)
+	if n > int64(c.srv.cfg.QueueDepth) {
+		// Shed immediately rather than wait unboundedly — the same
+		// discipline as the audit notification queue.
+		c.noteDrop()
+		return wire.ErrOverload
+	}
+	c.noteAdmit(int(n))
+	// One timer per connection instead of a time.After allocation per wait;
+	// stop-and-drain before Reset per pre-1.23 timer semantics.
+	timeout := c.srv.cfg.ReplyTimeout
 	if cn.rtimer == nil {
-		cn.rtimer = time.NewTimer(s.cfg.ReplyTimeout)
+		cn.rtimer = time.NewTimer(timeout)
 	} else {
 		if !cn.rtimer.Stop() {
 			select {
@@ -904,26 +898,15 @@ func (c *core) submit(cn *conn, req wire.Request, do execFn) wire.Response {
 			default:
 			}
 		}
-		cn.rtimer.Reset(s.cfg.ReplyTimeout)
+		cn.rtimer.Reset(timeout)
 	}
 	select {
-	case resp := <-t.reply:
-		if valid {
-			d := int64(time.Since(t.t0))
-			s.tel.latency[req.Op].Observe(d)
-			s.srvRing.Emit(trace.Event{
-				Kind: trace.KindReqReply, Trace: t.tid, Op: req.Op.String(),
-				Code: int64(resp.Code), Arg: d, Aux: int64(cn.id),
-			})
-		}
-		return resp
+	case c.turn <- struct{}{}:
+		return nil
 	case <-cn.rtimer.C:
-		// The executor is wedged or far behind. The buffered reply
-		// channel lets it finish without blocking; this connection
-		// reports the timeout — and abandons the channel, because the
-		// executor still owes it the late reply.
-		cn.reply = nil
-		return fail(req, wire.ErrTimeout)
+		return wire.ErrTimeout
+	case <-c.done:
+		return wire.ErrShutdown
 	}
 }
 
@@ -946,7 +929,7 @@ func (c *core) noteDrop() {
 	c.dropMu.Unlock()
 }
 
-// reqDrops snapshots the queue's drop accounting.
+// reqDrops snapshots the admission drop accounting.
 func (c *core) reqDrops() ipc.DropStats {
 	c.dropMu.Lock()
 	defer c.dropMu.Unlock()

@@ -133,7 +133,7 @@ func TestFailoverEndToEnd(t *testing.T) {
 	// true value — so the audit must restore goldenQ from the standby and
 	// spare the record the preemptive free.
 	shotID := make(chan uint64, 1)
-	primary.cores[0].ctrl <- func() {
+	primary.cores[0].onExecutor(func() {
 		off, err := primary.cores[0].db.TrueRecordOffset(callproc.TblRes, lastRi)
 		if err != nil {
 			shotID <- 0
@@ -141,7 +141,7 @@ func TestFailoverEndToEnd(t *testing.T) {
 		}
 		fOff := off + memdb.RecordHeaderSize + memdb.FieldSize*callproc.FldResQuality
 		shotID <- primary.cores[0].injectAt(fOff+3, 7)
-	}
+	})
 	tid := <-shotID
 	if tid == 0 {
 		t.Fatal("targeted injection failed")

@@ -9,9 +9,10 @@ import (
 
 // Read fast lane: the connection goroutine answers every read opcode
 // (READ_REC, READ_FLD, STATUS) through the database's read view
-// (memdb.View), skipping the executor queue round trip that dominates read
-// latency under load. A view read holds the region read lock, which every
-// mutation's write lock excludes, so it never sees a record half written.
+// (memdb.View) without taking the region's turn, so reads never wait
+// behind writes or audits for it. A view read holds the region read lock,
+// which every mutation's write lock excludes, so it never sees a record
+// half written.
 //
 // Three deliberate semantic deltas versus the memdb Client API
 // (Client.ReadRec/ReadFld/Status), documented in DESIGN.md: a view read
@@ -19,8 +20,8 @@ import (
 // lock neither delays it nor makes it answer ErrLocked); it addresses
 // records by the schema's true layout rather than the on-region catalog;
 // and a session the progress-indicator audit has terminated can still be
-// answered until the executor processes the connection's next non-read
-// request or teardown.
+// answered until the connection's next non-read request or its teardown
+// takes the turn.
 
 // fastTraceSample journals one in this many fast-lane reads: frequent
 // enough to show in a TRACE tail, cheap enough to leave the hot path alone.

@@ -1,82 +1,16 @@
 package server
 
 import (
-	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/callproc"
 	"repro/internal/metrics"
-	"repro/internal/trace"
 	"repro/internal/wire"
 )
 
-// TestExecutorBatchDrain proves the executor batches: with the executor
-// stalled on a control function, several connections queue writes, and
-// releasing the stall must drain them in one wakeup — observable as a
-// batch-exec trace event with the batch size.
-func TestExecutorBatchDrain(t *testing.T) {
-	srv, addr := newTestServer(t, 1, Config{})
-
-	const writers = 3
-	conns := make([]*wire.Conn, writers)
-	recs := make([]int, writers)
-	for i := range conns {
-		c, err := wire.Dial(addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { c.Close() })
-		if _, err := c.Init(); err != nil {
-			t.Fatal(err)
-		}
-		ri, err := c.Alloc(callproc.TblRes, i%callproc.ResourceBanks)
-		if err != nil {
-			t.Fatal(err)
-		}
-		conns[i], recs[i] = c, ri
-	}
-
-	// Stall the executor so the writes below pile up in the request queue.
-	release := make(chan struct{})
-	srv.cores[0].ctrl <- func() { <-release }
-
-	var wg sync.WaitGroup
-	errs := make([]error, writers)
-	for i := 0; i < writers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = conns[i].WriteFld(callproc.TblRes, recs[i], callproc.FldResQuality, 7)
-		}(i)
-	}
-	time.Sleep(50 * time.Millisecond) // let every write reach the queue
-	close(release)
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("writer %d: %v", i, err)
-		}
-	}
-
-	evs := srv.TraceEvents(trace.KindBatchExec, 0)
-	if len(evs) == 0 {
-		t.Fatal("no batch-exec events after a stalled-queue drain")
-	}
-	var best int64
-	for _, e := range evs {
-		if e.Arg > best {
-			best = e.Arg
-		}
-	}
-	if best < writers {
-		t.Errorf("largest drained batch = %d, want >= %d", best, writers)
-	}
-}
-
 // TestFastLaneCountersInSnapshot drives reads through the fast lane and
-// checks the fastlane.reads counter and batch-size histogram reach the
-// STATS2 snapshot clients poll.
+// checks the fastlane.reads counter reaches the STATS2 snapshot clients
+// poll.
 func TestFastLaneCountersInSnapshot(t *testing.T) {
 	_, addr := newTestServer(t, 1, Config{})
 	c, err := wire.Dial(addr)
@@ -114,9 +48,6 @@ func TestFastLaneCountersInSnapshot(t *testing.T) {
 	}
 	if snap.Counters["fastlane.reads"] < 100 {
 		t.Errorf("fastlane.reads = %d, want >= 100", snap.Counters["fastlane.reads"])
-	}
-	if snap.Histograms["server.batch.size"].Count == 0 {
-		t.Error("server.batch.size histogram has no observations")
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 // damage), the audit-debt meter every core's periodic element reports into,
 // and the SLO evaluator over the serving, audit, and replication
 // subsystems, each objective reading the cores in aggregate. Called once
-// from NewSharded, before any executor starts, so every objective is
+// from NewSharded, before any core's clock starts, so every objective is
 // declared before the first evaluation. The detector is fed by the
 // recorder's live tap, and the gauges ride STATS2. Every objective takes its
 // documented default bound (the zero health.SLO).
@@ -29,7 +29,7 @@ func (s *Server) buildHealthPlane(debt *health.DebtMeter) {
 		}
 	}
 
-	// serving: request sheds per second at the bounded executor queues.
+	// serving: request sheds per second at the cores' bounded admission.
 	p.AddObjective(health.Objective{
 		Name: "shed-rate", Subsystem: "serving", Bound: slo.MaxShedRate,
 		Value: health.Rate(sum(func(c *core) uint64 { return c.reqDrops().Dropped }), time.Second),
@@ -114,7 +114,7 @@ func (s *Server) replLag() uint64 {
 // node's replication role so /healthz and the HEALTH op attribute a
 // read-serving standby's shadow-audit state to the standby rather than the
 // primary's SLOs. Safe from any goroutine — the plane's state is read
-// lock-free or under its own short locks, never via the executor.
+// lock-free or under its own short locks, never under a turn.
 func (s *Server) Health() health.Status {
 	st := s.health.Status()
 	if st.Role = roleTag(s.standby.Load(), s.cfg.ServeReads); st.Role == "" {

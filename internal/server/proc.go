@@ -19,8 +19,7 @@ import (
 // This file is the serving-plane face of the procedure subsystem: the PROC
 // wire handlers, the control-flow finding that rides the audit escalation
 // ladder, the operation-log translation for procedure mutations, and the
-// executor-clock text injector. Everything here runs on the executor
-// thread.
+// clock-driven text injector. Everything here runs holding the turn.
 
 // procTelemetry is the procedure metric set: outcome counters, injection
 // shots, a registered-count gauge, and one latency histogram per procedure
@@ -207,7 +206,7 @@ func (s *Server) logProcMutations(applied []proc.Mutation, tid uint64) {
 
 // procInjectOnce is the procedure text injector (Config.ProcInjectPeriod):
 // flip one bit in a random registered procedure's control words while real
-// connections invoke it. Executor thread only (env ticker).
+// connections invoke it. Turn holder only (env ticker).
 func (c *core) procInjectOnce() {
 	if c.procFlip == nil || c.procs.Len() == 0 {
 		return
@@ -223,7 +222,7 @@ func (c *core) procInjectOnce() {
 }
 
 // procInjectAt flips one bit of one registered procedure's live text — the
-// deterministic variant for targeted tests. Executor thread only.
+// deterministic variant for targeted tests. Turn holder only.
 func (c *core) procInjectAt(name string, addr uint32, bit uint) bool {
 	p := c.procs.Get(name)
 	if p == nil {
@@ -255,8 +254,8 @@ func (c *core) journalProcShot(name string, addr, mask uint32) {
 
 // spanSession is the proc.Session a procedure runs against: each call
 // translates the global record index and runs on the owning core's session
-// client. Only valid on core 0's executor while every other executor is
-// parked (see Server.procExec).
+// client. Only valid while the caller holds every core's turn (see
+// Server.procExec).
 type spanSession struct {
 	s    *Server
 	sess []*memdb.Client

@@ -75,10 +75,10 @@ func TestProcExecDetectionJoinRecovery(t *testing.T) {
 		t.Fatalf("committed quality = %d (%v), want 42", v, err)
 	}
 
-	// Targeted shot: flip the critical valid-target word of res_touch on
-	// the executor thread, exactly as the injector ticker would.
+	// Targeted shot: flip the critical valid-target word of res_touch
+	// holding the turn, exactly as the injector ticker would.
 	flipped := make(chan bool, 1)
-	srv.cores[0].ctrl <- func() {
+	srv.cores[0].onExecutor(func() {
 		p := srv.cores[0].procs.Get("res_touch")
 		addr, ok := p.CriticalWord()
 		if !ok {
@@ -86,7 +86,7 @@ func TestProcExecDetectionJoinRecovery(t *testing.T) {
 			return
 		}
 		flipped <- srv.cores[0].procInjectAt("res_touch", addr, 3)
-	}
+	})
 	if !<-flipped {
 		t.Fatal("targeted text flip failed")
 	}

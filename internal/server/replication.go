@@ -4,10 +4,10 @@ package server
 // internal/replica.
 //
 // A primary appends every successful mutating request to its operation log
-// (fsync batched on the executor clock tick) and serves the log to a
-// polling standby entirely off the executor, from the WAL's tail ring. A
-// standby replays that stream on its own executor — the region's single
-// writer there, exactly as the request executor is on the primary — and
+// (fsync batched on the clock tick) and serves the log to a polling standby
+// without taking the turn, from the WAL's tail ring. A standby replays that
+// stream on its own clock, holding the region's turn there exactly as a
+// request does on the primary, and
 // runs the full audit process in shadow mode: findings journaled, repairs
 // deferred. When the standby's polls fail ReplFailLimit times in a row it
 // promotes itself, flipping the audits live and accepting sessions.
@@ -35,9 +35,9 @@ import (
 	"repro/internal/wire"
 )
 
-// mirrorTimeout bounds the primary-executor's mirror fetch from the
-// standby during audit recovery. Short: an audit sweep must not stall the
-// executor on a dead mirror.
+// mirrorTimeout bounds the primary's mirror fetch from the standby during
+// audit recovery. Short: an audit sweep must not hold the turn long on a
+// dead mirror.
 const mirrorTimeout = 250 * time.Millisecond
 
 // snapChunk is the bootstrap snapshot chunk size; it leaves headroom under
@@ -56,7 +56,7 @@ func role(standby bool) int {
 
 // walFault records a failed durability step: an event on the repl ring named
 // for the step, and the first such error kept for Shutdown to return. A nil
-// err is not a fault. Executor thread only.
+// err is not a fault. Turn holder only.
 func (c *core) walFault(step string, err error) {
 	if err == nil {
 		return
@@ -72,8 +72,8 @@ func (c *core) walFault(step string, err error) {
 // logMutation appends one successfully executed mutating request to the
 // operation log and returns the assigned log sequence (zero when nothing
 // was logged) — the write-acknowledgement token the client's router uses
-// as its read-your-writes lease floor. Alloc logs the index the executor
-// chose (resp.Vals[0]), so replay is deterministic. Executor thread only.
+// as its read-your-writes lease floor. Alloc logs the index the region
+// chose (resp.Vals[0]), so replay is deterministic. Turn holder only.
 func (c *core) logMutation(q wire.Request, resp wire.Response, tid uint64) uint64 {
 	if c.walLog == nil || resp.Code != wire.CodeOK || c.standby.Load() {
 		return 0
@@ -114,7 +114,7 @@ func walRecordFor(q wire.Request, resp wire.Response) (wal.Record, bool) {
 }
 
 // syncWAL batches pending appends into one fsync and writes a fresh
-// checkpoint once enough log has accumulated. Executor clock tick only.
+// checkpoint once enough log has accumulated. Clock tick only.
 func (c *core) syncWAL() {
 	if c.walLog == nil {
 		return
@@ -129,7 +129,7 @@ func (c *core) syncWAL() {
 }
 
 // checkpointNow captures the live region as the log's new recovery base.
-// Executor thread only.
+// Turn holder only.
 func (c *core) checkpointNow() {
 	if err := c.walLog.Checkpoint(c.db.SnapshotInto); err != nil {
 		c.walFault("checkpoint-error", err)
@@ -142,8 +142,8 @@ func (c *core) checkpointNow() {
 }
 
 // replStep is the standby's poll tick: one Applier round, promoting when
-// the primary has been unreachable for the configured streak. Executor
-// thread only (env ticker).
+// the primary has been unreachable for the configured streak. Turn holder
+// only (env ticker).
 func (c *core) replStep() {
 	if !c.standby.Load() || c.applier == nil {
 		return
@@ -157,7 +157,7 @@ func (c *core) replStep() {
 // audits leave shadow mode, and sessions are accepted. This is the fifth
 // escalation level of the recovery ladder — beyond field reset, record
 // free, extent reload, and full reload, the service itself moves to the
-// mirror. Executor thread only (poll ticker or OpReplPromote).
+// mirror. Turn holder only (poll ticker or OpReplPromote).
 func (c *core) promote(reason string) {
 	if !c.standby.CompareAndSwap(true, false) {
 		return
@@ -184,7 +184,7 @@ func (c *core) promote(reason string) {
 }
 
 // fetchMirror reads the standby's copy of a record for mirror-sourced audit
-// repair (audit.RangeCheck.Mirror). Executor thread only; the cached
+// repair (audit.RangeCheck.Mirror). Turn holder only; the cached
 // connection is dropped on any error so the next sweep redials.
 func (c *core) fetchMirror(table, rec int) ([]uint32, bool) {
 	if c.shipper == nil || c.standby.Load() {
@@ -214,7 +214,7 @@ func (c *core) fetchMirror(table, rec int) ([]uint32, bool) {
 	return vals, true
 }
 
-// handleReplicate answers a standby poll off the executor: the shipper
+// handleReplicate answers a standby poll without the turn: the shipper
 // reads the WAL tail ring, which is safe from any goroutine, so shipping
 // never costs the request path anything (resource isolation).
 func (c *core) handleReplicate(q wire.Request) wire.Response {
@@ -238,9 +238,9 @@ func (c *core) handleReplicate(q wire.Request) wire.Response {
 }
 
 // handleReplSnap serves one chunk of the bootstrap snapshot. The snapshot
-// is captured atomically on the executor at offset 0 — log position and
+// is captured atomically under the turn at offset 0 — log position and
 // region image taken together — and retained per connection so every chunk
-// comes from the same image. Executor thread only.
+// comes from the same image. Turn holder only.
 func (c *core) handleReplSnap(cn *conn, q wire.Request, _ uint64) wire.Response {
 	slot := &cn.on[c.id]
 	if c.walLog == nil {
@@ -271,7 +271,7 @@ func (c *core) handleReplSnap(cn *conn, q wire.Request, _ uint64) wire.Response 
 }
 
 // handleReplFetch reads a record's status and fields directly from the
-// region for the primary's mirror-sourced repair. Executor thread only.
+// region for the primary's mirror-sourced repair. Turn holder only.
 func (c *core) handleReplFetch(_ *conn, q wire.Request, _ uint64) wire.Response {
 	table, rec := int(q.Table), int(q.Record)
 	st, err := c.db.StatusDirect(table, rec)

@@ -7,19 +7,21 @@
 // # Architecture
 //
 // The package has two halves. A core (core.go) is one database region and
-// its single writer: memdb.DB is documented as not safe for concurrent use —
-// the controller's database is one shared memory region with audits running
-// live against it — so one executor goroutine per region is the only code
-// that touches it, fed by a bounded queue, with the audit process and the
-// manager heartbeat on the executor's clock exactly as in the simulator.
+// its turn: memdb.DB is documented as not safe for concurrent use — the
+// controller's database is one shared memory region with audits running
+// live against it — so only the goroutine holding the region's turn token
+// touches it. A connection goroutine takes the turn and makes its Table 1
+// call itself, as the paper's call-processing thread does; the core's clock
+// goroutine takes it each tick to run the audit process and the manager
+// heartbeat on the discrete-event clock exactly as in the simulator.
 // The Server (this file) is the front end over N >= 1 cores: listener,
 // connections, sessions, routing, the control plane, and shutdown. New
 // serves one region; NewSharded stripes the database over several, and is
 // the same code with a longer core list.
 //
 // Shutdown is drain-then-stop: the listener closes, connection goroutines
-// finish their in-flight request, queued work executes, a final audit
-// sweep certifies each region, and only then do the executors exit.
+// finish their in-flight request, every waiter for a turn runs, a final
+// audit sweep certifies each region, and the stopped core keeps its turn.
 package server
 
 import (
@@ -44,28 +46,29 @@ import (
 // Config tunes the serving subsystem. The zero value is usable: every
 // field has a default applied by New.
 type Config struct {
-	// QueueDepth bounds the request queue between connection goroutines
-	// and the executor. Default 256.
+	// QueueDepth bounds how many requests may wait for one core's turn;
+	// one more is shed with CodeOverload. Default 256.
 	QueueDepth int
-	// AuditPeriod is the periodic full-sweep interval on the executor
+	// AuditPeriod is the periodic full-sweep interval on the core's
 	// clock. Default 1s. Negative disables the audit process and manager
 	// entirely (the "without audit" configuration).
 	AuditPeriod time.Duration
-	// ReplyTimeout bounds how long a connection goroutine waits for the
-	// executor before answering CodeTimeout. Default 10s.
+	// ReplyTimeout bounds how long a request waits for the core's turn
+	// before answering CodeTimeout. A request that times out never ran;
+	// one that got the turn runs to completion. Default 10s.
 	ReplyTimeout time.Duration
-	// ClockTick is how often the executor advances the audit clock when
-	// idle. Default 20ms.
+	// ClockTick is how often the core's clock takes the turn to advance
+	// the audit clock. Default 20ms.
 	ClockTick time.Duration
 	// Guard, when set, arms the memdb concurrent-access detector for the
-	// server's lifetime; any violation panics the executor — by contract
+	// server's lifetime; any violation panics the turn holder — by contract
 	// there can be none.
 	Guard bool
 	// Trace, when set, is the flight recorder the server emits structured
 	// events into; nil creates a private one (read it with TraceEvents).
 	Trace *trace.Recorder
 	// WAL, when set, is the operation log: every successful mutating
-	// request is appended, fsync batched on the executor clock tick. The
+	// request is appended, fsync batched on the clock tick. The
 	// server owns it from here on — Shutdown syncs, checkpoints, and
 	// closes it. Build it with wal.Open after wal.Recover. New only;
 	// NewSharded takes one log per region instead.
@@ -80,14 +83,13 @@ type Config struct {
 	// primary so its audit can mirror-fetch from here. Standby only.
 	AdvertiseAddr string
 	// ServeReads lets a standby answer READ_REC/READ_FLD/STATUS itself —
-	// session-less, through the fastlane read view with an executor
-	// direct-read fallback — for a client-side replica router. A routed
-	// read may carry a lease floor (Vals [seq-lo, seq-hi]); the standby
-	// refuses with CodeStale when its applied sequence is below it, which
-	// is what bounds staleness. Ignored without Standby (a primary always
-	// serves reads).
+	// session-less, through the fastlane read view — for a client-side
+	// replica router. A routed read may carry a lease floor (Vals [seq-lo,
+	// seq-hi]); the standby refuses with CodeStale when its applied
+	// sequence is below it, which is what bounds staleness. Ignored without
+	// Standby (a primary always serves reads).
 	ServeReads bool
-	// ReplPoll is the standby's replication poll interval on the executor
+	// ReplPoll is the standby's replication poll interval on the core's
 	// clock. Default 100ms.
 	ReplPoll time.Duration
 	// ReplFailLimit is the consecutive poll-failure streak after which the
@@ -101,7 +103,7 @@ type Config struct {
 	// checkpoints.
 	CheckpointCap int64
 	// InjectPeriod, when positive, arms a server-side fault injector on
-	// the executor clock: each period flips one random bit in the live
+	// the core's clock: each period flips one random bit in the live
 	// database region and journals it as an inject-shot event, so a trace
 	// can follow shot → audit finding → recovery end to end. For tests
 	// and demos only — it deliberately corrupts the region.
@@ -109,7 +111,7 @@ type Config struct {
 	// InjectSeed seeds the injector RNG.
 	InjectSeed int64
 	// ProcInjectPeriod, when positive, arms a procedure text injector on
-	// the executor clock: each period flips one bit in a random registered
+	// the core's clock: each period flips one bit in a random registered
 	// procedure's live text segment (targeting its control words), so PROC
 	// traffic exercises the PECOS detection → finding → reload loop under
 	// live load. For tests and demos only.
@@ -156,11 +158,6 @@ const (
 	idleTimeout = 2 * time.Minute
 	// writeTimeout bounds each response write.
 	writeTimeout = 10 * time.Second
-	// batchSize bounds how many queued requests the executor drains per
-	// wakeup. Draining a batch amortizes channel wakeups and lets the
-	// batch's WAL appends share one buffered write; the audit clock still
-	// advances only on ClockTick, between batches.
-	batchSize = 64
 )
 
 // OpStat is the per-operation counter pair.
@@ -174,7 +171,7 @@ type OpStat struct {
 type Stats struct {
 	// PerOp is indexed by wire.Op.
 	PerOp [wire.NumOps]OpStat
-	// ReqDrops accounts requests shed at the bounded executor queues,
+	// ReqDrops accounts requests shed at the cores' bounded admission,
 	// in internal/ipc's DropStats shape.
 	ReqDrops ipc.DropStats
 	// AuditDrops accounts DB→audit notifications shed by the ipc queues.
@@ -197,15 +194,12 @@ type Stats struct {
 // distribution.
 type telemetry struct {
 	// latency is indexed by wire.Op (index 0, the invalid op, stays nil).
-	// Each histogram observes queue wait + execution, measured in submit;
+	// Each histogram observes turn wait + execution, measured in submit;
 	// fast-lane reads observe their in-goroutine service time instead.
 	latency [wire.NumOps]*metrics.Histogram
 
-	// batchSize observes how many requests each executor wakeup drained.
-	batchSize *metrics.Histogram
-
-	// Per-stage request latency: time on the executor queue, time inside
-	// the executor, and time spent encoding + buffering the response frame.
+	// Per-stage request latency: time waiting for the turn, time holding
+	// it, and time spent encoding + buffering the response frame.
 	// Together they decompose the per-op latency histograms, so a latency
 	// regression is attributable to queueing vs execution vs the socket.
 	stageQueueWait  *metrics.Histogram
@@ -222,12 +216,6 @@ func newTelemetry(reg *metrics.Registry) *telemetry {
 	for op := 1; op < wire.NumOps; op++ {
 		t.latency[op] = reg.Histogram("server.latency."+wire.Op(op).String(), nil)
 	}
-	// Batches are capped by batchSize (64): power-of-two buckets up to 256.
-	buckets := make([]int64, 9)
-	for i := range buckets {
-		buckets[i] = 1 << i
-	}
-	t.batchSize = reg.Histogram("server.batch.size", buckets)
 	t.stageQueueWait = reg.Histogram("server.stage.queue_wait", nil)
 	t.stageExecute = reg.Histogram("server.stage.execute", nil)
 	t.stageReplyWrite = reg.Histogram("server.stage.reply_write", nil)
@@ -240,7 +228,7 @@ func newTelemetry(reg *metrics.Registry) *telemetry {
 // request reaches, and answers the control plane from the cores in
 // aggregate. With several cores the database is striped across them —
 // global record g lives on core g mod N at local index g div N
-// (memdb.ShardOf) — so unrelated records never serialize on one executor,
+// (memdb.ShardOf) — so unrelated records never serialize on one turn,
 // while every audit technique runs unchanged per core because each stripe
 // is a complete memdb region.
 //
@@ -250,9 +238,10 @@ func newTelemetry(reg *metrics.Registry) *telemetry {
 // (DBbegin answers ErrLocked rather than waiting), so no lock-order
 // deadlock is possible even against an adversarial interleaving; ascending
 // order adds determinism — of two racing transactions, whichever wins core
-// 0 wins everything. A request is queued and accounted on the first core it
-// visits; further cores are reached through their control channels, which
-// never shed, so a fan-out cannot be refused halfway.
+// 0 wins everything. A request is admitted and accounted on the first core
+// it visits; further cores' turns are taken with onExecutor, which never
+// sheds, so a fan-out cannot be refused halfway. No code holding one core's
+// turn waits for another's, except procExec under procMu.
 //
 // Semantics that depend on the core count, all conservative:
 //   - Write tokens come from the owning core's WAL sequence space. A client
@@ -287,8 +276,8 @@ type Server struct {
 	// it flips once, with the first core's promotion.
 	standby atomic.Bool
 
-	// procMu serializes procedure barriers: one PROC_EXEC parks the
-	// executors at a time. allocSeq is the DBalloc rotation cursor.
+	// procMu serializes procedure barriers: one PROC_EXEC holds every
+	// core's turn at a time. allocSeq is the DBalloc rotation cursor.
 	procMu   sync.Mutex
 	allocSeq atomic.Uint64
 
@@ -315,18 +304,16 @@ type conn struct {
 	id uint64 // connection ordinal, tags this conn's trace events
 	on []connSlot
 
-	// submit scratch, reused across requests (the conn goroutine is the
-	// only user). reply is dropped after a timeout — the executor still
-	// owes the orphaned channel a late send — and reallocated on demand.
-	reply  chan wire.Response
+	// rtimer bounds the wait for a busy turn, reused across requests (the
+	// conn goroutine is its only user).
 	rtimer *time.Timer
 }
 
 // connSlot is a connection's state on one core. sess is created and
-// destroyed only by executor-thread code (session, closeSession) but read
-// from the connection goroutine to answer ErrNoSession without a queue hop —
-// hence the atomic pointer; the bootstrap-snapshot fields stay executor-only
-// (ReplSnap chunks are served one request at a time through the executor).
+// destroyed only by turn holders (session, closeSession) but read from the
+// connection goroutine to answer ErrNoSession without taking the turn —
+// hence the atomic pointer; the bootstrap-snapshot fields are turn holder
+// only (ReplSnap chunks are served one request at a time under the turn).
 type connSlot struct {
 	sess    atomic.Pointer[memdb.Client]
 	snap    []byte // retained bootstrap snapshot being chunked out
@@ -443,7 +430,7 @@ func NewSharded(dbs []*memdb.DB, wals []*wal.Log, cfg Config) (*Server, error) {
 	s.buildHealthPlane(debt)
 	s.registerMetrics()
 	for _, c := range s.cores {
-		go c.executor()
+		go c.clock()
 	}
 	return s, nil
 }
@@ -488,8 +475,8 @@ func (s *Server) registerMetrics() {
 			return m
 		}
 	}
-	reg.GaugeFunc("server.queue.depth", sum(func(c *core) int64 { return int64(len(c.reqs)) }))
-	reg.GaugeFunc("server.queue.capacity", sum(func(c *core) int64 { return int64(cap(c.reqs)) }))
+	reg.GaugeFunc("server.queue.depth", sum(func(c *core) int64 { return c.waiting.Load() }))
+	reg.GaugeFunc("server.queue.capacity", sum(func(*core) int64 { return int64(s.cfg.QueueDepth) }))
 	reg.GaugeFunc("server.queue.dropped", sum(func(c *core) int64 { return int64(c.reqDrops().Dropped) }))
 	reg.GaugeFunc("server.queue.drop_burst", max(func(c *core) int64 { return int64(c.reqDrops().Burst) }))
 	reg.GaugeFunc("server.queue.high_water", max(func(c *core) int64 { return int64(c.reqDrops().HighWater) }))
@@ -547,10 +534,10 @@ func (s *Server) TraceEvents(kind trace.Kind, n int) []trace.Event {
 	return trace.Tail(trace.Filter(s.rec.Snapshot(), kind), n)
 }
 
-// SnapshotMetrics refreshes the executor-owned gauges and snapshots the
-// registry, from any goroutine: the refresh rides each executor's control
-// channel, so the returned snapshot is current rather than one clock tick
-// stale.
+// SnapshotMetrics refreshes the turn-owned gauges and snapshots the
+// registry, from any goroutine that holds no turn: the refresh takes each
+// core's turn in turn, so the returned snapshot is current rather than one
+// clock tick stale.
 func (s *Server) SnapshotMetrics() metrics.Snapshot {
 	return s.snapshot((*metrics.Registry).Snapshot)
 }
@@ -731,8 +718,8 @@ func (w *connWriter) flush() bool {
 	return w.bw.Flush() == nil
 }
 
-// teardownConn unregisters the connection and retires its DB sessions on
-// each core's executor thread.
+// teardownConn unregisters the connection and retires its DB sessions,
+// taking each core's turn in ascending order.
 func (s *Server) teardownConn(cn *conn) {
 	cn.nc.Close()
 	s.mu.Lock()
@@ -740,11 +727,8 @@ func (s *Server) teardownConn(cn *conn) {
 	s.mu.Unlock()
 	s.srvRing.Emit(trace.Event{Kind: trace.KindConnClose, Aux: int64(cn.id)})
 	for _, c := range s.cores {
-		select {
-		case c.ctrl <- func() { c.closeSession(cn) }:
-		case <-c.done:
-			// Executor already gone (post-drain): sessions die with it.
-		}
+		// A stopped core's sessions died with it.
+		c.onExecutor(func() { c.closeSession(cn) })
 	}
 }
 
@@ -752,10 +736,10 @@ func (s *Server) teardownConn(cn *conn) {
 
 // handle answers one parsed request on the connection goroutine: it is the
 // server's one dispatch over the wire ops. Single-record calls go to the
-// owning core (reads answered by its fast lane, writes queued), session calls and the
-// per-core control ops fan out over every core, and the rest of the control
-// plane takes a turn on core 0's executor so that it queues, sheds and is
-// accounted like any other request.
+// owning core (reads answered by its fast lane, writes under its turn),
+// session calls and the per-core control ops fan out over every core, and
+// the rest of the control plane takes core 0's turn so that it waits, sheds
+// and is accounted like any other request.
 func (s *Server) handle(cn *conn, q wire.Request) wire.Response {
 	// A standby answers only the control/replication plane (plus routed
 	// reads in serve-reads mode); everything else is refused with
@@ -857,9 +841,9 @@ func (s *Server) handle(cn *conn, q wire.Request) wire.Response {
 		case wire.OpReplFetch:
 			return c.submit(cn, q, (*core).handleReplFetch)
 		}
-		// Replication polls bypass the executor entirely: the shipper reads
-		// the WAL's thread-safe tail ring, so a standby catching up never
-		// competes with call processing for executor cycles.
+		// Replication polls never take the turn: the shipper reads the
+		// WAL's thread-safe tail ring, so a standby catching up never
+		// competes with call processing for the region.
 		resp := c.handleReplicate(q)
 		c.count(q.Op, resp.Code)
 		return resp
@@ -877,7 +861,7 @@ func (s *Server) handle(cn *conn, q wire.Request) wire.Response {
 	return home.submit(cn, q, control)
 }
 
-// control answers, on core 0's executor, the control ops that read the
+// control answers, holding core 0's turn, the control ops that read the
 // server as a whole; any other op reaching it is unknown.
 func control(c *core, _ *conn, q wire.Request, _ uint64) wire.Response {
 	s := c.srv
@@ -973,9 +957,9 @@ func (s *Server) alloc(cn *conn, q wire.Request) wire.Response {
 }
 
 // fan runs do for q on every core in ascending order and returns the
-// answers: core 0 as a queued, accounted request, the others through their
-// control channels. With stopOnErr it stops at the first failure, which is
-// then the last answer.
+// answers: core 0 as a submitted, accounted request, the others through
+// onExecutor. With stopOnErr it stops at the first failure, which is then
+// the last answer.
 func (s *Server) fan(cn *conn, q wire.Request, do execFn, stopOnErr bool) []wire.Response {
 	rs := make([]wire.Response, 0, len(s.cores))
 	for k, c := range s.cores {
@@ -1004,11 +988,12 @@ func reply(rs []wire.Response) wire.Response {
 	return rs[0]
 }
 
-// procExec runs a procedure on core 0's executor — its registry, engine,
-// telemetry and escalation ladder — while every other executor is parked on
-// its control channel: the procedure barrier. With all single writers held,
-// the program owns every region and every WAL at once, which is what lets
-// the engine's commit stage mutate records on any core mid-program.
+// procExec runs a procedure on core 0 — its registry, engine, telemetry and
+// escalation ladder — while holding every other core's turn: the procedure
+// barrier. With every region's turn held, the program owns every region and
+// every WAL at once, which is what lets the engine's commit stage mutate
+// records on any core mid-program. Cores 1..N-1 are taken before core 0,
+// under procMu: the one place a turn holder waits for another turn.
 func (s *Server) procExec(cn *conn, q wire.Request) wire.Response {
 	sess := make([]*memdb.Client, len(s.cores))
 	for k := range sess {
@@ -1018,39 +1003,15 @@ func (s *Server) procExec(cn *conn, q wire.Request) wire.Response {
 	}
 	s.procMu.Lock()
 	defer s.procMu.Unlock()
-	release := make(chan struct{})
-	defer close(release)
-	others := s.cores[1:]
-	acks := make(chan struct{}, len(others))
-	for _, c := range others {
-		select {
-		case c.ctrl <- func() {
-			acks <- struct{}{}
-			select {
-			case <-release:
-			case <-c.done:
-			}
-		}:
-		case <-c.done:
-			acks <- struct{}{} // a stopped executor is as parked as it gets
+	for _, c := range s.cores[1:] {
+		// A stopped core keeps its turn: it is as held as it gets.
+		if c.take() {
+			defer c.give()
 		}
 	}
-	for range others {
-		<-acks
-	}
-	home, ran := s.cores[0], make(chan struct{})
-	resp := home.submit(cn, q, func(c *core, _ *conn, q wire.Request, tid uint64) wire.Response {
-		defer close(ran)
+	return s.cores[0].submit(cn, q, func(c *core, _ *conn, q wire.Request, tid uint64) wire.Response {
 		return c.handleProcExec(&spanSession{s: s, sess: sess}, q, tid)
 	})
-	if resp.Code == wire.CodeTimeout {
-		// The task is still queued: the barrier must hold until it has run.
-		select {
-		case <-ran:
-		case <-home.done:
-		}
-	}
-	return resp
 }
 
 // --- Replication & control --------------------------------------------------
@@ -1115,8 +1076,8 @@ var ErrShutdownTimeout = errors.New("server: shutdown deadline exceeded")
 
 // Shutdown drains and stops the server: stop accepting, let every
 // connection finish its in-flight request, then on each core in ascending
-// order execute the queued work, run a final certifying audit sweep, stop
-// the audit stack and close the log. timeout bounds the connection drain;
+// order let every waiter for its turn run, run a final certifying audit
+// sweep, stop the audit stack and close the log. timeout bounds the connection drain;
 // zero means wait indefinitely. The result is ErrShutdownTimeout, else the
 // first durability step that failed on any core, else nil; every call
 // returns it once the server is down.
@@ -1139,8 +1100,8 @@ func (s *Server) Shutdown(timeout time.Duration) error {
 	s.acceptWG.Wait()
 
 	// Poke blocked reads so connection goroutines notice the quit signal;
-	// an in-flight request still completes because the executors run
-	// until connWG drains.
+	// an in-flight request still completes because the cores keep giving
+	// turns until connWG drains.
 	s.mu.Lock()
 	for cn := range s.conns {
 		_ = cn.nc.SetReadDeadline(time.Now()) // a dead socket ends the goroutine anyway

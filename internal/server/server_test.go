@@ -400,7 +400,7 @@ func TestProtocolErrorsCrossTheWire(t *testing.T) {
 
 // TestSessionLocksReleasedOnDisconnect verifies that a connection dying
 // with an open transaction does not wedge the table: teardown closes the
-// session on the executor, releasing its locks.
+// session holding the turn, releasing its locks.
 func TestSessionLocksReleasedOnDisconnect(t *testing.T) {
 	_, addr := newTestServer(t, 1, Config{})
 	c1, err := wire.Dial(addr)
@@ -423,7 +423,8 @@ func TestSessionLocksReleasedOnDisconnect(t *testing.T) {
 	if _, err := c2.Init(); err != nil {
 		t.Fatal(err)
 	}
-	// The teardown is asynchronous (executor control path); poll briefly.
+	// The teardown is asynchronous (the connection goroutine's exit path);
+	// poll briefly.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		_, err = c2.Alloc(callproc.TblRes, 0)
@@ -461,39 +462,45 @@ func TestShutdownRejectsNewConnections(t *testing.T) {
 }
 
 // TestRequestQueueDropAccounting exercises the backpressure path directly:
-// with the executor intentionally saturated, submissions beyond the queue
-// depth must be shed with CodeOverload and accounted in DropStats shape.
+// with core 0's turn held and QueueDepth submitters already waiting, every
+// further submission must be shed with CodeOverload and accounted in
+// DropStats shape, and the waiters must time out.
 func TestRequestQueueDropAccounting(t *testing.T) {
 	db, err := memdb.New(callproc.Schema(callproc.DefaultSchemaConfig()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(db, Config{QueueDepth: 2, AuditPeriod: -1, ReplyTimeout: 50 * time.Millisecond})
+	srv, err := New(db, Config{QueueDepth: 2, AuditPeriod: -1, ReplyTimeout: 500 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Shutdown(time.Second)
+	t.Cleanup(func() { srv.Shutdown(time.Second) })
+	c0 := srv.cores[0]
+	stallTurn(t, c0) // its cleanup gives the turn back before the shutdown
 
-	// Stall the executor with a control closure so the queue backs up.
-	release := make(chan struct{})
-	stalled := make(chan struct{})
-	srv.cores[0].ctrl <- func() { close(stalled); <-release }
-	<-stalled
-
-	c := srv.newConn(&net.TCPConn{}) // never written: all submissions fail fast
+	codes := make(chan wire.Code, 6)
+	submit := func(i int) {
+		cn := srv.newConn(&net.TCPConn{}) // never written
+		codes <- c0.submit(cn, wire.Request{Seq: uint32(i), Op: wire.OpPing}, control).Code
+	}
+	for i := 0; i < 2; i++ {
+		go submit(i)
+	}
+	waitFor(t, "two waiters", 5*time.Second, func() bool { return c0.waiting.Load() == 2 })
+	for i := 2; i < 6; i++ {
+		submit(i)
+	}
 	var overloads, timeouts int
 	for i := 0; i < 6; i++ {
-		resp := srv.cores[0].submit(c, wire.Request{Seq: uint32(i), Op: wire.OpPing}, control)
-		switch resp.Code {
+		switch code := <-codes; code {
 		case wire.CodeOverload:
 			overloads++
 		case wire.CodeTimeout:
 			timeouts++
 		default:
-			t.Fatalf("submit %d: code %d", i, resp.Code)
+			t.Fatalf("submit answered code %d", code)
 		}
 	}
-	close(release)
 	if overloads != 4 || timeouts != 2 {
 		t.Fatalf("got %d overloads and %d timeouts, want 4 and 2", overloads, timeouts)
 	}

@@ -47,15 +47,16 @@ const (
 	KindConnAccept Kind = iota + 1
 	// KindConnClose: a connection was torn down (Aux = connection ID).
 	KindConnClose
-	// KindReqEnqueue: a request entered the executor queue (Op = opcode,
+	// KindReqEnqueue: a request asked for its region's turn (Op = opcode,
 	// Trace = request trace ID, Aux = connection ID).
 	KindReqEnqueue
-	// KindReqExecute: the executor started the request (same Trace).
+	// KindReqExecute: the request got the turn and started (same Trace).
 	KindReqExecute
 	// KindReqReply: the reply was delivered (Code = response code,
 	// Arg = latency ns from enqueue to reply).
 	KindReqReply
-	// KindReqDrop: the request was shed at the full executor queue.
+	// KindReqDrop: the request was shed: too many were already waiting
+	// for the turn.
 	KindReqDrop
 	// KindCheckStart: one audit technique began a pass (Op = check name).
 	KindCheckStart
@@ -104,9 +105,9 @@ const (
 	// memdb read view, sampled 1-in-N to keep the hot path cheap (Op =
 	// opcode name, Code = response code, Arg = latency ns, Aux = conn ID).
 	KindFastRead
-	// KindBatchExec: the executor drained a batch of queued requests in
-	// one wakeup (Arg = batch size); the per-request KindReqExecute events
-	// inside the span carry the individual trace IDs.
+	// KindBatchExec is reserved and no longer emitted: it marked a batch
+	// drained by the request executor the server no longer has. The number
+	// stays taken because TRACE filters kinds by number on the wire.
 	KindBatchExec
 	// KindProcLoad: the procedure registry loaded or reloaded a program
 	// (Op "load"/"reload", Detail = procedure name, Code = version).

@@ -170,9 +170,9 @@ const (
 	CodeClosed         // memdb.ErrClosed
 	CodeNotActive      // memdb.ErrNotActive
 	CodeBounds         // *memdb.BoundsError, detail carries What
-	CodeOverload       // request queue full (backpressure drop)
+	CodeOverload       // too many requests waiting for the region (backpressure drop)
 	CodeShutdown       // server draining, no new work accepted
-	CodeTimeout        // executor reply deadline exceeded
+	CodeTimeout        // waited past the reply deadline; the request never ran
 	CodeInternal       // unclassified server-side error
 	CodeStandby        // server is a hot standby; clients must use the primary
 	CodeNotPrimary     // replication op requires a WAL-backed primary
