@@ -60,9 +60,10 @@ bench:
 # 4096-record table, and BenchmarkRangeSweep runs one dynamic-data audit
 # pass over 12,288 active records. BenchmarkSubmitWriteFld sends one
 # WRITE_FLD through the server's dispatch and the core's turn, without a
-# socket. The served paths are exercised by bench-quick.
+# socket, and BenchmarkEmit records one request-sized event on a full
+# flight-recorder ring. The served paths are exercised by bench-quick.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/wal ./internal/memdb ./internal/audit ./internal/server
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/wal ./internal/memdb ./internal/audit ./internal/server ./internal/trace
 
 # Served-workload smoke for CI: builds dbserve from this checkout and runs
 # all four BENCHMARK.json workloads with 2-s phases, so only the

@@ -4,36 +4,47 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"repro/internal/metrics"
 )
 
 // detCacheTTL bounds how often a Snapshot recomputes; gauges read the
-// tracker several times per STATS2 snapshot and share one computation.
+// ledger several times per STATS2 snapshot and share one computation.
 const detCacheTTL = 50 * time.Millisecond
 
-// defaultMaxOpen caps the open-shot table: past it the oldest entry is
-// evicted (and counted), so a storm of never-detected faults cannot grow
-// the tracker without bound.
-const defaultMaxOpen = 1024
+// windowShots is how many of a core's newest shots a finding can resolve
+// to; an older shot has left the core's coverage window.
+const windowShots = 64
 
 // defaultMaxSamples is the join-latency ring capacity.
 const defaultMaxSamples = 512
 
-// Detector joins injection shots to audit findings online, as the trace
-// recorder emits them, and maintains windowed detection-latency
-// percentiles plus an open-shot age watermark. All methods are safe from
-// any goroutine; Shot/Finding are called from the recorder tap on the
-// emitting goroutine's path and do one short mutex hold each.
+// Detector is the shot ledger: the injector records every region shot in
+// its core's coverage window, and each audit finding resolves to the
+// newest shot in that window whose offset it covers. A shot's first
+// resolve catches it; a shot that leaves the window uncaught stays open for
+// good, so open = shots − caught is exact. The ledger keeps windowed
+// p50/p99 detection latency plus an open-shot age watermark, so a fault
+// the audits have NOT yet found is visible as a rising age, not an absence
+// of data. All methods are safe from any goroutine and hold one mutex
+// briefly; none waits for anything else while holding it.
 type Detector struct {
-	window  time.Duration // latency sample window
-	bound   time.Duration // open-shot age past which a shot is an overrun
-	capOpen int           // open-shot table cap
+	window time.Duration // latency sample window
+	bound  time.Duration // open-shot age past which a shot is an overrun
 
-	mu       sync.Mutex
-	open     map[uint64]*openShot
-	samples  []detSample // ring of joined (at, latency) pairs
+	mu   sync.Mutex
+	wins [][]ledgerShot // per-core coverage window, oldest first
+	// lostAt is the shot time of the oldest shot that left a window
+	// uncaught (valid once evicted > 0); lost holds those shots' times
+	// until their age passes the bound and they count as overruns.
+	lostAt   time.Duration
+	lost     []time.Duration
+	lat      *metrics.Histogram // nil until RegisterMetrics binds it
+	samples  []detSample        // ring of caught (at, latency) pairs
 	next     int
 	filled   bool
-	joined   uint64
+	shots    uint64
+	caught   uint64
 	overruns uint64
 	evicted  uint64
 	cache    DetectionStats
@@ -41,8 +52,11 @@ type Detector struct {
 	cached   bool
 }
 
-type openShot struct {
+type ledgerShot struct {
+	id      uint64
+	off     int
 	at      time.Duration
+	caught  bool
 	overrun bool // already counted against the watermark bound
 }
 
@@ -50,92 +64,109 @@ type detSample struct {
 	at, lat time.Duration
 }
 
-// NewDetector builds a tracker. window is the latency sample window,
-// bound the open-shot overrun threshold; maxOpen <= 0 means the default
-// table cap.
-func NewDetector(window, bound time.Duration, maxOpen int) *Detector {
-	if maxOpen <= 0 {
-		maxOpen = defaultMaxOpen
-	}
+// NewDetector builds a ledger. window is the latency sample window, bound
+// the open-shot overrun threshold.
+func NewDetector(window, bound time.Duration) *Detector {
 	return &Detector{
 		window:  window,
 		bound:   bound,
-		capOpen: maxOpen,
-		open:    make(map[uint64]*openShot, 16),
 		samples: make([]detSample, defaultMaxSamples),
 	}
 }
 
-// Shot records an injection at trace ID tr at recorder time at.
-func (d *Detector) Shot(tr uint64, at time.Duration) {
+// Shot records injection id at region offset off on core, at recorder time
+// at. It becomes the newest shot in the core's window; the oldest leaves
+// once the window is full.
+func (d *Detector) Shot(core int, id uint64, off int, at time.Duration) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if len(d.open) >= d.capOpen {
-		d.evictOldestLocked()
+	for len(d.wins) <= core {
+		d.wins = append(d.wins, make([]ledgerShot, 0, windowShots))
 	}
-	d.open[tr] = &openShot{at: at}
-	d.cached = false
-}
-
-// Finding closes the shot with the same trace ID, folding the detection
-// latency into the sample window. Findings without a matching open shot
-// (procedure-text detections, re-findings on an already-joined trace)
-// are ignored.
-func (d *Detector) Finding(tr uint64, at time.Duration) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	sh, ok := d.open[tr]
-	if !ok {
-		return
-	}
-	delete(d.open, tr)
-	lat := at - sh.at
-	if lat < 0 {
-		lat = 0
-	}
-	if lat > d.bound && !sh.overrun {
-		d.overruns++
-	}
-	d.samples[d.next] = detSample{at: at, lat: lat}
-	d.next++
-	if d.next == len(d.samples) {
-		d.next = 0
-		d.filled = true
-	}
-	d.joined++
-	d.cached = false
-}
-
-func (d *Detector) evictOldestLocked() {
-	var oldest uint64
-	var oldestAt time.Duration
-	first := true
-	for tr, sh := range d.open {
-		if first || sh.at < oldestAt {
-			first = false
-			oldest, oldestAt = tr, sh.at
+	w := d.wins[core]
+	if len(w) == windowShots {
+		if old := w[0]; !old.caught {
+			if d.evicted == 0 || old.at < d.lostAt {
+				d.lostAt = old.at
+			}
+			d.evicted++
+			if !old.overrun {
+				d.lost = append(d.lost, old.at)
+			}
 		}
+		w = append(w[:0], w[1:]...)
 	}
-	if !first {
-		delete(d.open, oldest)
-		d.evicted++
-	}
+	d.wins[core] = append(w, ledgerShot{id: id, off: off, at: at})
+	d.shots++
+	d.cached = false
 }
 
-// DetectionStats is the tracker's exported view at one instant.
+// Resolve returns the ID of the newest shot in core's window whose offset
+// covers reports true for, or 0 when none does. The first resolve of a shot
+// catches it and folds the detection latency (now − shot time) into the
+// sample window and the latency histogram; later resolves return the same
+// ID and change nothing. covers runs under the ledger's mutex and must not
+// call back into the Detector.
+func (d *Detector) Resolve(core int, covers func(off int) bool, now time.Duration) uint64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if core >= len(d.wins) {
+		return 0
+	}
+	w := d.wins[core]
+	for i := len(w) - 1; i >= 0; i-- {
+		sh := &w[i]
+		if !covers(sh.off) {
+			continue
+		}
+		if !sh.caught {
+			sh.caught = true
+			d.caught++
+			lat := max(now-sh.at, 0)
+			if lat > d.bound && !sh.overrun {
+				d.overruns++
+			}
+			d.samples[d.next] = detSample{at: now, lat: lat}
+			d.next++
+			if d.next == len(d.samples) {
+				d.next = 0
+				d.filled = true
+			}
+			if d.lat != nil {
+				d.lat.Observe(int64(lat))
+			}
+			d.cached = false
+		}
+		return sh.id
+	}
+	return 0
+}
+
+// bindLatency attaches the histogram every later catch observes into.
+func (d *Detector) bindLatency(h *metrics.Histogram) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.lat = h
+}
+
+// DetectionStats is the ledger's exported view at one instant.
 type DetectionStats struct {
-	// Joined is the lifetime count of shots joined to findings.
+	// Shots is the lifetime count of shots recorded; Joined how many of
+	// them a finding caught.
+	Shots  uint64
 	Joined uint64
-	// WindowJoined is how many joins fall inside the sample window; P50
+	// WindowJoined is how many catches fall inside the sample window; P50
 	// and P99 are computed over exactly these.
 	WindowJoined int
 	P50, P99     time.Duration
-	// OpenShots counts injected faults no finding has closed yet;
-	// OldestOpen is the age of the oldest — the detection watermark.
+	// OpenShots counts injected faults no finding has caught (Shots −
+	// Joined); OldestOpen is the age of the oldest — the detection
+	// watermark.
 	OpenShots  int
 	OldestOpen time.Duration
 	// Overruns counts shots whose detection (or open age) exceeded the
-	// bound; Evicted counts open shots dropped by the table cap.
+	// bound; Evicted counts open shots that left their core's window
+	// uncaught, which no later finding can catch.
 	Overruns uint64
 	Evicted  uint64
 }
@@ -148,24 +179,39 @@ func (d *Detector) Snapshot(now time.Duration) DetectionStats {
 	if d.cached && now >= d.cacheAt && now-d.cacheAt < detCacheTTL {
 		return d.cache
 	}
-	s := DetectionStats{Joined: d.joined, Evicted: d.evicted}
+	s := DetectionStats{
+		Shots: d.shots, Joined: d.caught, OpenShots: int(d.shots - d.caught),
+		Evicted: d.evicted,
+	}
 
 	// Watermark scan; age past the bound counts as an overrun exactly
 	// once per shot, whether or not a late finding eventually lands.
-	for _, sh := range d.open {
-		age := now - sh.at
-		if age < 0 {
-			age = 0
-		}
-		if age > s.OldestOpen {
-			s.OldestOpen = age
-		}
-		if age > d.bound && !sh.overrun {
-			sh.overrun = true
-			d.overruns++
+	for _, w := range d.wins {
+		for i := range w {
+			sh := &w[i]
+			if sh.caught {
+				continue
+			}
+			age := now - sh.at
+			s.OldestOpen = max(s.OldestOpen, age)
+			if age > d.bound && !sh.overrun {
+				sh.overrun = true
+				d.overruns++
+			}
 		}
 	}
-	s.OpenShots = len(d.open)
+	if d.evicted > 0 {
+		s.OldestOpen = max(s.OldestOpen, now-d.lostAt)
+	}
+	kept := d.lost[:0]
+	for _, at := range d.lost {
+		if now-at > d.bound {
+			d.overruns++
+		} else {
+			kept = append(kept, at)
+		}
+	}
+	d.lost = kept
 	s.Overruns = d.overruns
 
 	n := d.next

@@ -5,12 +5,13 @@
 //
 // Three cooperating pieces:
 //
-//   - Detector: an online detection-latency tracker fed by the trace
-//     recorder's live tap. Injection shots open an entry keyed by trace
-//     ID; the audit finding that repairs the same region closes it. The
-//     tracker keeps windowed p50/p99 detection latency plus an open-shot
-//     age watermark, so a fault the audits have NOT yet found is visible
-//     as a rising age, not an absence of data.
+//   - Detector: the shot ledger. The injector records each region shot
+//     in its core's coverage window of the newest shots, and every audit
+//     finding resolves to the newest shot there whose offset it covers; a
+//     shot's first resolve catches it. Counts are exact (open = shots −
+//     caught), and the ledger keeps windowed p50/p99 detection latency
+//     plus an open-shot age watermark, so a fault the audits have NOT yet
+//     found is visible as a rising age, not an absence of data.
 //   - DebtMeter: audit-debt accounting published from the audit
 //     scheduler — scheduled-vs-completed sweeps and per-checker elements,
 //     sweep-interval overruns, and a behind-schedule gauge. This is the
@@ -33,7 +34,6 @@ import (
 	"time"
 
 	"repro/internal/metrics"
-	"repro/internal/trace"
 )
 
 // State is a subsystem (or overall) health level. Order matters: higher
@@ -200,7 +200,7 @@ func NewPlane(slo SLO, now func() time.Duration) *Plane {
 	return &Plane{
 		slo:  slo,
 		now:  now,
-		det:  NewDetector(slo.DetectWindow, slo.DetectP99, 0),
+		det:  NewDetector(slo.DetectWindow, slo.DetectP99),
 		eval: NewEvaluator(slo, now),
 	}
 }
@@ -208,7 +208,7 @@ func NewPlane(slo SLO, now func() time.Duration) *Plane {
 // SLO returns the declaration with defaults applied.
 func (p *Plane) SLO() SLO { return p.slo }
 
-// Detect exposes the detection-latency tracker.
+// Detect exposes the shot ledger.
 func (p *Plane) Detect() *Detector { return p.det }
 
 // SetDebt attaches the audit-debt meter (nil when auditing is off).
@@ -220,25 +220,6 @@ func (p *Plane) Debt() *DebtMeter { return p.debt }
 // AddObjective declares one SLO objective. Not safe concurrently with
 // Tick/Status; wire all objectives before the server starts evaluating.
 func (p *Plane) AddObjective(o Objective) { p.eval.Add(o) }
-
-// OnTraceEvent is the recorder tap (trace.Recorder.Observe): it feeds
-// region injection shots and audit findings to the detection tracker.
-// Anything else returns after one switch, keeping the emit path cheap.
-func (p *Plane) OnTraceEvent(ev trace.Event) {
-	switch ev.Kind {
-	case trace.KindShot:
-		// Only region shots ("dbflip") are joined by region coverage;
-		// procedure text shots join through PECOS requests instead and
-		// would sit forever as false open debt.
-		if ev.Op == "dbflip" && ev.Trace != 0 {
-			p.det.Shot(ev.Trace, ev.At)
-		}
-	case trace.KindFinding:
-		if ev.Trace != 0 {
-			p.det.Finding(ev.Trace, ev.At)
-		}
-	}
-}
 
 // Tick runs an SLO evaluation if at least EvalPeriod has elapsed since
 // the last one. Safe from any goroutine; the server drives it from the
@@ -273,9 +254,10 @@ func Rate(load func() float64, perUnit time.Duration) func(now time.Duration) fl
 	}
 }
 
-// RegisterMetrics publishes the plane's gauges, so STATS2 (and with it
-// dbload -watch and the scenario sampler) carries health state with no
-// extra plumbing. Call after all objectives are added.
+// RegisterMetrics publishes the plane's gauges and the ledger's latency
+// histogram, so STATS2 (and with it dbload -watch and the scenario
+// sampler) carries health state with no extra plumbing. Call after all
+// objectives are added.
 func (p *Plane) RegisterMetrics(reg *metrics.Registry) {
 	reg.GaugeFunc("health.state", func() int64 { return int64(p.State()) })
 	for _, name := range p.eval.Subsystems() {
@@ -295,12 +277,18 @@ func (p *Plane) RegisterMetrics(reg *metrics.Registry) {
 	reg.GaugeFunc("health.detect.p99_ms", func() int64 {
 		return det.Snapshot(now()).P99.Milliseconds()
 	})
+	reg.GaugeFunc("health.detect.shots", func() int64 {
+		return int64(det.Snapshot(now()).Shots)
+	})
 	reg.GaugeFunc("health.detect.joined", func() int64 {
 		return int64(det.Snapshot(now()).Joined)
 	})
 	reg.GaugeFunc("health.detect.overruns", func() int64 {
 		return int64(det.Snapshot(now()).Overruns)
 	})
+	// Recorder-clock nanoseconds from shot to first catch, over the
+	// server's lifetime.
+	det.bindLatency(reg.Histogram("health.detect.latency", nil))
 	if p.debt != nil {
 		p.debt.Register(reg)
 	}

@@ -10,20 +10,36 @@ import (
 	"repro/internal/trace"
 )
 
+// at is a finding that covers exactly one region offset.
+func at(off int) func(int) bool { return func(o int) bool { return o == off } }
+
 func TestDetectorJoinAndWatermark(t *testing.T) {
-	d := NewDetector(time.Minute, 2*time.Second, 0)
-	// Three shots; two joined at 100ms and 300ms, one left open.
-	d.Shot(1, 1*time.Second)
-	d.Shot(2, 1*time.Second)
-	d.Shot(3, 2*time.Second)
-	d.Finding(1, 1100*time.Millisecond)
-	d.Finding(2, 1300*time.Millisecond)
-	// A finding with no open shot is ignored.
-	d.Finding(99, 1400*time.Millisecond)
+	d := NewDetector(time.Minute, 2*time.Second)
+	// Three shots; two caught at 100ms and 300ms, one left open.
+	d.Shot(0, 1, 10, 1*time.Second)
+	d.Shot(0, 2, 20, 1*time.Second)
+	d.Shot(0, 3, 30, 2*time.Second)
+	for _, r := range []struct {
+		core, off int
+		now       time.Duration
+		want      uint64
+	}{
+		{0, 10, 1100 * time.Millisecond, 1},
+		{0, 20, 1300 * time.Millisecond, 2},
+		// A repeat finding on a caught shot keeps its ID and adds nothing.
+		{0, 10, 1400 * time.Millisecond, 1},
+		// A finding that covers no shot of its own core resolves to none.
+		{0, 99, 1400 * time.Millisecond, 0},
+		{1, 10, 1400 * time.Millisecond, 0},
+	} {
+		if got := d.Resolve(r.core, at(r.off), r.now); got != r.want {
+			t.Fatalf("Resolve(core %d, off %d) = %d, want %d", r.core, r.off, got, r.want)
+		}
+	}
 
 	s := d.Snapshot(3 * time.Second)
-	if s.Joined != 2 || s.WindowJoined != 2 {
-		t.Fatalf("joined = %d/%d, want 2/2", s.Joined, s.WindowJoined)
+	if s.Shots != 3 || s.Joined != 2 || s.WindowJoined != 2 {
+		t.Fatalf("shots/joined/window = %d/%d/%d, want 3/2/2", s.Shots, s.Joined, s.WindowJoined)
 	}
 	if s.P50 != 100*time.Millisecond || s.P99 != 300*time.Millisecond {
 		t.Fatalf("p50/p99 = %v/%v, want 100ms/300ms", s.P50, s.P99)
@@ -36,33 +52,69 @@ func TestDetectorJoinAndWatermark(t *testing.T) {
 	}
 
 	// Past the 2s bound the open shot becomes an overrun — counted once,
-	// even across repeated snapshots and a late join.
+	// even across repeated snapshots and a late catch.
 	s = d.Snapshot(5 * time.Second)
 	if s.Overruns != 1 || s.OldestOpen != 3*time.Second {
 		t.Fatalf("overruns = %d oldest = %v, want 1 / 3s", s.Overruns, s.OldestOpen)
 	}
 	d.Snapshot(6 * time.Second)
-	d.Finding(3, 6*time.Second)
+	if got := d.Resolve(0, at(30), 6*time.Second); got != 3 {
+		t.Fatalf("late finding resolved to %d, want 3", got)
+	}
 	if s = d.Snapshot(7 * time.Second); s.Overruns != 1 {
 		t.Fatalf("overrun double-counted: %d", s.Overruns)
 	}
 	if s.OpenShots != 0 || s.OldestOpen != 0 {
 		t.Fatalf("watermark did not drain: open=%d oldest=%v", s.OpenShots, s.OldestOpen)
 	}
+
+	// Two shots at one offset: a finding resolves to the newer.
+	d.Shot(0, 4, 40, 8*time.Second)
+	d.Shot(0, 5, 40, 8*time.Second)
+	if got := d.Resolve(0, at(40), 9*time.Second); got != 5 {
+		t.Fatalf("finding resolved to %d, want the newest covering shot 5", got)
+	}
+	if s = d.Snapshot(9 * time.Second); s.Joined != 4 || s.OpenShots != 1 {
+		t.Fatalf("joined/open = %d/%d, want 4/1", s.Joined, s.OpenShots)
+	}
 }
 
+// TestDetectorEvictsAtCap: a shot that leaves its core's window uncaught
+// stays open for good and counts in Evicted (a caught one leaves quietly),
+// no later finding can catch it, its age keeps the watermark up, and it
+// overruns the bound exactly once.
 func TestDetectorEvictsAtCap(t *testing.T) {
-	d := NewDetector(time.Minute, time.Minute, 4)
-	for i := 1; i <= 6; i++ {
-		d.Shot(uint64(i), time.Duration(i)*time.Millisecond)
+	d := NewDetector(time.Minute, time.Second)
+	for i := 0; i < windowShots; i++ {
+		d.Shot(0, uint64(i+1), i, time.Duration(i)*time.Millisecond)
 	}
-	s := d.Snapshot(10 * time.Millisecond)
-	if s.OpenShots != 4 || s.Evicted != 2 {
-		t.Fatalf("open=%d evicted=%d, want 4/2", s.OpenShots, s.Evicted)
+	if got := d.Resolve(0, at(1), 100*time.Millisecond); got != 2 {
+		t.Fatalf("Resolve = %d, want 2", got)
 	}
-	// The evicted entries were the oldest.
-	if s.OldestOpen != 7*time.Millisecond {
-		t.Fatalf("oldest = %v, want 7ms (shot 3)", s.OldestOpen)
+	// Another core's shots never push core 0's out.
+	d.Shot(1, 1000, 0, 150*time.Millisecond)
+	// Two more shots push out shot 1 (open) and shot 2 (caught).
+	d.Shot(0, windowShots+1, windowShots, 200*time.Millisecond)
+	d.Shot(0, windowShots+2, windowShots+1, 200*time.Millisecond)
+	if got := d.Resolve(0, at(0), 250*time.Millisecond); got != 0 {
+		t.Fatalf("finding resolved to %d after its shot left the window", got)
+	}
+
+	s := d.Snapshot(300 * time.Millisecond)
+	const shots = windowShots + 3
+	if s.Shots != shots || s.Joined != 1 || s.OpenShots != shots-1 || s.Evicted != 1 {
+		t.Fatalf("shots=%d joined=%d open=%d evicted=%d, want %d/1/%d/1",
+			s.Shots, s.Joined, s.OpenShots, s.Evicted, shots, shots-1)
+	}
+	if s.OldestOpen != 300*time.Millisecond {
+		t.Fatalf("oldest = %v, want 300ms (the evicted shot 1)", s.OldestOpen)
+	}
+	// Past the bound every open shot overruns once, the evicted one too.
+	if s = d.Snapshot(2 * time.Second); s.Overruns != shots-1 {
+		t.Fatalf("overruns = %d, want %d", s.Overruns, shots-1)
+	}
+	if s = d.Snapshot(3 * time.Second); s.Overruns != shots-1 || s.OldestOpen != 3*time.Second {
+		t.Fatalf("overruns = %d oldest = %v, want %d / 3s", s.Overruns, s.OldestOpen, shots-1)
 	}
 }
 
@@ -119,9 +171,10 @@ func TestDebtMeterSchedule(t *testing.T) {
 }
 
 // TestConcurrentHealthReads is the race-detector stress test: health-state
-// readers (Status, State, gauges through a registry snapshot) run against
-// concurrent tracker updates from the trace tap, debt hooks, and evaluator
-// ticks. Run with -race (the repo's `make test` does).
+// readers (Status, State, gauges and the latency histogram through a
+// registry snapshot) run against concurrent ledger updates from two cores'
+// injectors and audits, debt hooks, and evaluator ticks. Run with -race
+// (the repo's `make test` does).
 func TestConcurrentHealthReads(t *testing.T) {
 	rec := trace.New()
 	p := NewPlane(SLO{EvalPeriod: time.Millisecond, MinSamples: 1}, rec.Now)
@@ -137,10 +190,9 @@ func TestConcurrentHealthReads(t *testing.T) {
 		Name: "audit-behind", Subsystem: "audit", Bound: 3,
 		Value: func(time.Duration) float64 { return float64(debt.Behind()) },
 	})
-	rec.Observe(p.OnTraceEvent)
 	reg := metrics.NewRegistry()
 	p.RegisterMetrics(reg)
-	ring := rec.Ring("test", 64)
+	det := p.Detect()
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -158,12 +210,13 @@ func TestConcurrentHealthReads(t *testing.T) {
 			}
 		}()
 	}
-	// Writers: shots/findings through the recorder tap, debt hooks, ticks.
-	work(func(i int) {
-		tr := rec.NextTrace()
-		ring.Emit(trace.Event{Kind: trace.KindShot, Op: "dbflip", Trace: tr})
-		ring.Emit(trace.Event{Kind: trace.KindFinding, Trace: tr})
-	})
+	// Writers: each core's shots and findings, debt hooks, ticks.
+	for core := 0; core < 2; core++ {
+		work(func(i int) {
+			det.Shot(core, rec.NextTrace(), i, rec.Now())
+			det.Resolve(core, at(i), rec.Now())
+		})
+	}
 	work(func(i int) {
 		debt.SweepStart(1)
 		debt.ElementScheduled("checksum")
@@ -184,8 +237,12 @@ func TestConcurrentHealthReads(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	if p.Detect().Snapshot(rec.Now()).Joined == 0 {
-		t.Fatal("stress run joined nothing")
+	s := det.Snapshot(rec.Now())
+	if s.Joined == 0 || s.Joined != s.Shots {
+		t.Fatalf("stress run joined %d of %d shots", s.Joined, s.Shots)
+	}
+	if h := reg.Snapshot().Histograms["health.detect.latency"]; h.Count != s.Joined {
+		t.Fatalf("latency histogram holds %d catches, ledger %d", h.Count, s.Joined)
 	}
 }
 

@@ -54,7 +54,7 @@ type DetectionStatus struct {
 }
 
 // Status assembles the full health document: overall and per-subsystem
-// states, the detection tracker, and (when attached) audit debt. It
+// states, the shot ledger, and (when attached) audit debt. It
 // self-ticks a stale evaluator first, so the document is fresh even when
 // the executor is saturated.
 func (p *Plane) Status() Status {

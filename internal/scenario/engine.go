@@ -4,14 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/health"
 	"repro/internal/metrics"
-	"repro/internal/trace"
 	"repro/internal/wire"
 )
 
@@ -28,11 +26,10 @@ type RunOptions struct {
 
 // Run builds the plan for (scenario, seed) and replays it against the
 // server: workers pace their pre-drawn ops along the tick schedule, a
-// sampler polls STATS2 and tails the trace journal each tick, and phase
-// boundaries apply the timeline's injector changes via InjectCtl. The
-// returned report is non-nil whenever the run got far enough to measure,
-// even if it also returns an error (failed acceptance still wants the
-// artifact).
+// sampler polls STATS2 each tick, and phase boundaries apply the
+// timeline's injector changes via InjectCtl. The returned report is
+// non-nil whenever the run got far enough to measure, even if it also
+// returns an error (failed acceptance still wants the artifact).
 func Run(sc *Scenario, opts RunOptions) (*Report, error) {
 	plan, err := Build(sc, opts.Options)
 	if err != nil {
@@ -90,7 +87,7 @@ func Run(sc *Scenario, opts RunOptions) (*Report, error) {
 		return nil, fmt.Errorf("STATS2 decode: %w", err)
 	}
 
-	samp := &sampler{ctl: ctl, base0: snap0, journal: map[uint64]trace.Event{}, fetchTrace: hasInject}
+	samp := &sampler{ctl: ctl, base0: snap0}
 
 	// The timeline's first injector change belongs before the first op.
 	if sc.Phases[0].Inject.Set {
@@ -147,8 +144,8 @@ func Run(sc *Scenario, opts RunOptions) (*Report, error) {
 	}
 
 	// Forced sweeps until clean: the first repairs anything still damaged
-	// (journaling the findings the join below needs); a clean pass proves
-	// the repairs held.
+	// (catching the shots it covers in the server's ledger); a clean pass
+	// proves the repairs held.
 	sweeps, found := 0, 0
 	for sweeps < 5 {
 		n, err := ctl.Sweep()
@@ -164,7 +161,6 @@ func Run(sc *Scenario, opts RunOptions) (*Report, error) {
 			break
 		}
 	}
-	samp.fetchJournal() // final tail, after the sweeps journaled their findings
 	endDoc, err := ctl.Stats2()
 	if err != nil {
 		return nil, fmt.Errorf("STATS2: %w", err)
@@ -175,6 +171,9 @@ func Run(sc *Scenario, opts RunOptions) (*Report, error) {
 	}
 
 	rep := buildReport(plan, workers, samp, endSnap, elapsed, sweeps, found)
+	if hasInject {
+		rep.Detection = detection(samp.base0, endSnap)
+	}
 	for _, pr := range rep.Phases {
 		fmt.Fprintf(out, "ScenarioThroughput/%s/%s %.0f ops/s\n", sc.Name, pr.Name, pr.OpsPerSec)
 	}
@@ -211,7 +210,7 @@ func acceptance(sc *Scenario, rep *Report) error {
 			return fmt.Errorf("scenario %s: no detection evidence", sc.Name)
 		}
 		if rep.Detection.Shots == 0 {
-			return fmt.Errorf("scenario %s: injector armed but no shots journaled", sc.Name)
+			return fmt.Errorf("scenario %s: injector armed but no shots recorded", sc.Name)
 		}
 		if rep.Detection.Unjoined > 0 {
 			return fmt.Errorf("scenario %s: %d of %d injected faults never joined a finding",
@@ -255,20 +254,14 @@ func sleepUntil(at time.Time, stop <-chan struct{}) bool {
 }
 
 // sampler owns the per-tick observation state: STATS2 polls relative to
-// the run's starting snapshot, plus a cumulative journal tail keyed by
-// recorder sequence so ring overwrites between ticks cannot lose the
-// early shot and finding events.
+// the run's starting snapshot.
 type sampler struct {
-	ctl        *wire.Conn
-	base0      metrics.Snapshot
-	samples    []Sample
-	journal    map[uint64]trace.Event
-	fetchTrace bool
-	last       metrics.Snapshot
-	haveLast   bool
-	prevDone   int64
-	prevAt     time.Time
-	err        error
+	ctl      *wire.Conn
+	base0    metrics.Snapshot
+	samples  []Sample
+	prevDone int64
+	prevAt   time.Time
+	err      error
 }
 
 func (sm *sampler) take(base time.Time, phase string, workers []*worker) {
@@ -286,8 +279,6 @@ func (sm *sampler) take(base time.Time, phase string, workers []*worker) {
 		}
 		return
 	}
-	sm.last, sm.haveLast = snap, true
-
 	var done int64
 	for _, w := range workers {
 		done += w.done.Load()
@@ -324,33 +315,6 @@ func (sm *sampler) take(base time.Time, phase string, workers []*worker) {
 		s.AuditDebt = snap.Gauges["audit.debt.behind"]
 	}
 	sm.samples = append(sm.samples, s)
-	sm.fetchJournal()
-}
-
-// fetchJournal tails the shot/finding/recovery kinds and merges them into
-// the cumulative map. A server without tracing answers with an error; the
-// sampler notes that once and stops asking.
-func (sm *sampler) fetchJournal() {
-	if !sm.fetchTrace {
-		return
-	}
-	for _, k := range []trace.Kind{trace.KindShot, trace.KindFinding, trace.KindRecovery} {
-		doc, err := sm.ctl.TraceJSON(int(k), trace.DefaultRingSize)
-		if err != nil {
-			sm.fetchTrace = false
-			return
-		}
-		evs, err := trace.DecodeJSON(doc)
-		if err != nil {
-			if sm.err == nil {
-				sm.err = fmt.Errorf("TRACE decode: %w", err)
-			}
-			return
-		}
-		for _, ev := range evs {
-			sm.journal[ev.Seq] = ev
-		}
-	}
 }
 
 // buildReport assembles the JSON artifact from the plan, the workers'
@@ -468,64 +432,25 @@ func buildReport(plan *Plan, workers []*worker, samp *sampler, end metrics.Snaps
 		}
 	}
 	rep.Server = sv
-
-	if len(samp.journal) > 0 {
-		rep.Detection = joinDetection(samp.journal)
-	}
 	return rep
 }
 
-// joinDetection replays the journal tail: each region shot ("dbflip")
-// must reappear as a finding carrying the same trace ID; the gap between
-// the two recorder timestamps is the detection latency. Procedure text
-// shots are tallied separately — PECOS joins those to the aborted PROC
-// request, not to the shot's trace ID.
-func joinDetection(journal map[uint64]trace.Event) *Detection {
-	evs := make([]trace.Event, 0, len(journal))
-	for _, ev := range journal {
-		evs = append(evs, ev)
+// detection reads the run's shot outcomes from the server's shot ledger:
+// the counts are STATS2 deltas over the run, the latencies come from the
+// ledger's lifetime histogram.
+func detection(base, end metrics.Snapshot) *Detection {
+	delta := func(g string) int { return int(end.Gauges[g] - base.Gauges[g]) }
+	lat := end.Histograms["health.detect.latency"]
+	ms := func(ns int64) float64 { return float64(ns) / 1e6 }
+	det := &Detection{
+		Shots:     delta("health.detect.shots"),
+		Joined:    delta("health.detect.joined"),
+		TextShots: int(end.Counters["proc.shots"] - base.Counters["proc.shots"]),
+		P50ms:     ms(lat.P50),
+		P95ms:     ms(lat.P95),
+		MaxMs:     ms(lat.Max),
 	}
-	sort.Slice(evs, func(i, j int) bool { return evs[i].Seq < evs[j].Seq })
-
-	det := &Detection{}
-	var shots []trace.Event
-	firstFinding := map[uint64]trace.Event{}
-	for _, ev := range evs {
-		switch ev.Kind {
-		case trace.KindShot:
-			if ev.Op == "dbflip" {
-				shots = append(shots, ev)
-			} else {
-				det.TextShots++
-			}
-		case trace.KindFinding:
-			if ev.Trace != 0 {
-				if _, ok := firstFinding[ev.Trace]; !ok {
-					firstFinding[ev.Trace] = ev
-				}
-			}
-		}
-	}
-	det.Shots = len(shots)
-	var lats []time.Duration
-	for _, sh := range shots {
-		f, ok := firstFinding[sh.Trace]
-		if !ok {
-			det.Unjoined++
-			continue
-		}
-		det.Joined++
-		if d := f.At - sh.At; d >= 0 {
-			lats = append(lats, d)
-		}
-	}
-	if len(lats) > 0 {
-		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-		ms := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
-		det.P50ms = ms(DurPct(lats, 0.50))
-		det.P95ms = ms(DurPct(lats, 0.95))
-		det.MaxMs = ms(lats[len(lats)-1])
-	}
+	det.Unjoined = det.Shots - det.Joined
 	return det
 }
 

@@ -17,7 +17,7 @@ type Report struct {
 	OpStats    map[string]OpStat `json:"op_stats"`
 	Server     ServerStats       `json:"server"`
 	// Detection is present when the timeline armed the injectors: the
-	// shot -> finding join over the trace journal.
+	// run's shot outcomes as the server's shot ledger counted them.
 	Detection  *Detection `json:"detection,omitempty"`
 	Samples    []Sample   `json:"samples"`
 	Mismatches int        `json:"mismatches"`
@@ -64,16 +64,20 @@ type ServerStats struct {
 	FinalSweepFound int              `json:"final_sweep_found"`
 }
 
-// Detection joins injected region shots to the findings that repaired them
-// by trace ID, and summarizes the shot-to-detection latency.
+// Detection is the run's share of the server's shot ledger: how many region
+// shots the injector fired during the run and how many an audit finding
+// caught, read as STATS2 deltas. The latency fields cover the server's
+// whole lifetime, not just this run: they come from the ledger's
+// shot-to-first-catch histogram, whose quantiles are interpolated from its
+// buckets and whose max is exact.
 type Detection struct {
-	Shots     int     `json:"shots"`      // dbflip shots journaled by the injector
-	Joined    int     `json:"joined"`     // shots whose trace ID reappears on a finding
-	Unjoined  int     `json:"unjoined"`   // shots never detected (must be 0 under RequireJoin)
-	TextShots int     `json:"text_shots"` // proc textflip shots (join via PECOS, not trace ID)
-	P50ms     float64 `json:"p50_ms"`
-	P95ms     float64 `json:"p95_ms"`
-	MaxMs     float64 `json:"max_ms"`
+	Shots     int     `json:"shots"`      // region (dbflip) shots recorded in the ledger
+	Joined    int     `json:"joined"`     // shots a finding caught
+	Unjoined  int     `json:"unjoined"`   // Shots − Joined (must be 0 under RequireJoin)
+	TextShots int     `json:"text_shots"` // proc textflip shots (join via PECOS, not the ledger)
+	P50ms     float64 `json:"p50_ms"`     // lifetime, interpolated
+	P95ms     float64 `json:"p95_ms"`     // lifetime, interpolated
+	MaxMs     float64 `json:"max_ms"`     // lifetime, exact
 }
 
 // Sample is one per-tick observation of the run. The health fields are

@@ -13,10 +13,10 @@
 //     a burst/flash-crowd step.
 //   - The timeline is the phase sequence; a phase can ramp the server-side
 //     fault injectors mid-run through the InjectCtl wire op (fault storms).
-//   - The report layer samples STATS2 each tick and joins the trace journal
-//     at the end, emitting a JSON artifact: ops/s and client latency
-//     percentiles per opcode, shed, findings by class, recovery counts, and
-//     the shot → finding detection-latency join, over the timeline.
+//   - The report layer samples STATS2 each tick, emitting a JSON artifact:
+//     ops/s and client latency percentiles per opcode, shed, findings by
+//     class, recovery counts, and the shot outcomes the server's shot
+//     ledger counted, over the timeline.
 //
 // Everything the engine sends is drawn from a seeded deterministic RNG
 // (internal/sim), so a fixed seed reproduces the exact op sequence and the
@@ -81,8 +81,8 @@ type Scenario struct {
 	// Lax tolerates golden-copy mismatches and audit findings, the
 	// expected state under fault injection.
 	Lax bool
-	// RequireJoin fails the run unless every injected region shot joins a
-	// finding by trace ID (the fault-storm acceptance criterion).
+	// RequireJoin fails the run unless an audit finding caught every
+	// injected region shot (the fault-storm acceptance criterion).
 	RequireJoin bool
 	Phases      []Phase
 }

@@ -94,13 +94,11 @@ type core struct {
 	procRing    *trace.Ring
 	auditTracer *audit.Tracer
 
-	// Fault injector state; turn holder only. shots retains the most
-	// recent injections so resolveShot can join audit findings back to the
-	// shot that caused them. The tickers are retained so OpInjectCtl can
-	// re-arm the injectors at runtime; injTarget is the targeting policy of
-	// the current mode, and staticWalk keeps its cursor across re-arms.
+	// Fault injector state; turn holder only. The tickers are retained so
+	// OpInjectCtl can re-arm the injectors at runtime; injTarget is the
+	// targeting policy of the current mode, and staticWalk keeps its cursor
+	// across re-arms. The shots themselves go to the health plane's ledger.
 	injRNG        *sim.RNG
-	shots         []shot
 	injTicker     *sim.Ticker
 	procInjTicker *sim.Ticker
 	injTarget     faultTarget
@@ -149,22 +147,11 @@ type core struct {
 // execFn is the work a request does while holding the turn.
 type execFn func(c *core, cn *conn, q wire.Request, tid uint64) wire.Response
 
-// shot is one injection: the correlation ID journaled with the inject-shot
-// event, and the region offset it corrupted.
-type shot struct {
-	id  uint64
-	off int
-}
-
 // faultTarget is the data injector's targeting policy: inject.Uniform in
 // random mode, the core's *inject.StaticWalk in static mode.
 type faultTarget interface {
 	Next(rng *sim.RNG) (off int, bit uint, ok bool)
 }
-
-// maxRecentShots bounds the core's shot history used for
-// finding → shot correlation.
-const maxRecentShots = 64
 
 // coreGauges are the turn-refreshed gauges mirroring single-writer
 // counters that live in the manager and the audit-process elements.
@@ -330,22 +317,16 @@ func (c *core) noteFinding(f audit.Finding) {
 	c.auditTracer.Note(f)
 }
 
-// resolveShot joins an audit finding back to the most recent injected
-// shot whose offset it covers. Turn holder only — findings are only
-// produced by checks run under the turn, and shots only by the injector
-// ticker on the core's clock.
+// resolveShot joins an audit finding back to the newest injected shot in
+// this core's ledger window whose offset it covers, catching that shot on
+// its first finding. Turn holder only.
 func (c *core) resolveShot(f audit.Finding) uint64 {
 	if f.Class == audit.ClassControlFlow {
 		// Control-flow findings carry no region offset: they join the
 		// PROC request whose execution tripped the assertion.
 		return c.procTID
 	}
-	for i := len(c.shots) - 1; i >= 0; i-- {
-		if f.Covers(c.shots[i].off) {
-			return c.shots[i].id
-		}
-	}
-	return 0
+	return c.srv.health.Detect().Resolve(c.id, f.Covers, c.srv.rec.Now())
 }
 
 // registerMetrics wires the gauge functions that read the core's own
@@ -583,18 +564,15 @@ func (c *core) injectOnce() {
 	}
 }
 
-// injectAt flips one bit at a region offset and journals the shot,
-// returning the shot's correlation ID (0 when the flip failed). Turn
-// holder only; tests use it for targeted shots.
+// injectAt flips one bit at a region offset, records the shot in the
+// ledger and journals it, returning the shot's correlation ID (0 when the
+// flip failed). Turn holder only; tests use it for targeted shots.
 func (c *core) injectAt(off int, bit uint) uint64 {
 	if err := c.db.FlipBit(off, bit); err != nil {
 		return 0
 	}
 	id := c.srv.rec.NextTrace()
-	c.shots = append(c.shots, shot{id: id, off: off})
-	if len(c.shots) > maxRecentShots {
-		c.shots = c.shots[len(c.shots)-maxRecentShots:]
-	}
+	c.srv.health.Detect().Shot(c.id, id, off, c.srv.rec.Now())
 	c.injRing.Emit(trace.Event{
 		Kind: trace.KindShot, Trace: id, Op: "dbflip",
 		Arg: int64(off), Code: int64(bit),
@@ -633,7 +611,12 @@ func (c *core) execute(cn *conn, q wire.Request, do execFn, tid uint64, t0 time.
 		tel.stageExecute.Observe(int64(time.Since(e0)))
 	}
 	resp.Seq = q.Seq
-	if seq := c.logMutation(q, resp, tid); seq != 0 {
+	// A write the log refused is not acknowledged: it answers
+	// CodeInternal with no lease token. The region still keeps the write;
+	// nothing here undoes it.
+	if seq, err := c.logMutation(q, resp, tid); err != nil {
+		resp = wire.ErrorResponse(q.Seq, fmt.Errorf("wal append: %v", err))
+	} else if seq != 0 {
 		// The WAL position of an acknowledged write doubles as the
 		// client's read-your-writes lease token.
 		resp.SetToken(seq)

@@ -6,16 +6,15 @@ import (
 	"repro/internal/health"
 )
 
-// buildHealthPlane assembles the health & SLO plane: the detection-latency
-// tracker tapped into the trace recorder (trace IDs are unique across
-// cores, so shot/finding joins work whichever core's audit detected the
-// damage), the audit-debt meter every core's periodic element reports into,
-// and the SLO evaluator over the serving, audit, and replication
-// subsystems, each objective reading the cores in aggregate. Called once
-// from NewSharded, before any core's clock starts, so every objective is
-// declared before the first evaluation. The detector is fed by the
-// recorder's live tap, and the gauges ride STATS2. Every objective takes its
-// documented default bound (the zero health.SLO).
+// buildHealthPlane assembles the health & SLO plane: the shot ledger every
+// core's injector records into and its audit findings resolve against, the
+// audit-debt meter every core's periodic element reports into, and the SLO
+// evaluator over the serving, audit, and replication subsystems, each
+// objective reading the cores in aggregate. Called once from NewSharded,
+// before any core's clock starts, so every objective is declared before
+// the first evaluation and the ledger exists before the first shot. The
+// gauges ride STATS2. Every objective takes its documented default bound
+// (the zero health.SLO).
 func (s *Server) buildHealthPlane(debt *health.DebtMeter) {
 	p := health.NewPlane(health.SLO{}, s.rec.Now)
 	slo := p.SLO()
@@ -73,9 +72,6 @@ func (s *Server) buildHealthPlane(debt *health.DebtMeter) {
 	}
 
 	p.RegisterMetrics(s.reg)
-	// Register the recorder tap last: objectives are wired, so a shot
-	// arriving immediately is accounted against a complete plane.
-	s.rec.Observe(p.OnTraceEvent)
 	s.health = p
 	// The plane evaluates on core 0's metrics refresh: every clock tick,
 	// before STATS2 snapshots, and at drain.

@@ -75,9 +75,14 @@ func (c *core) handleProcExec(sess proc.Session, q wire.Request, tid uint64) wir
 	res := c.procEng.Exec(p, sess, q.Vals, tid)
 	c.procTel.execs.Inc()
 	c.procTel.histFor(p.Name).ObserveSince(t0)
-	c.srv.logProcMutations(res.Applied, tid)
+	walErr := c.srv.logProcMutations(res.Applied, tid)
 	switch res.Status {
 	case proc.StatusOK:
+		if walErr != nil {
+			// Not acknowledged, as in execute; the region keeps the
+			// procedure's writes.
+			return wire.ErrorResponse(q.Seq, fmt.Errorf("%s: wal append: %v", p.Name, walErr))
+		}
 		return ok(res.Out...)
 	case proc.StatusViolation:
 		c.procTel.violations.Inc()
@@ -173,11 +178,12 @@ func (c *core) handleProcList(_ *conn, q wire.Request, _ uint64) wire.Response {
 // operation log of the core that owns each record, so procedure effects
 // replicate and replay like any other write. The PROC request itself is not
 // logged (walRecordFor returns nil for it): replaying the program could
-// diverge — only its applied effects are deterministic. Runs under the
-// procedure barrier, which makes the caller every log's only writer.
-func (s *Server) logProcMutations(applied []proc.Mutation, tid uint64) {
+// diverge — only its applied effects are deterministic. It stops at the
+// first append error and returns it. Runs under the procedure barrier,
+// which makes the caller every log's only writer.
+func (s *Server) logProcMutations(applied []proc.Mutation, tid uint64) error {
 	if s.standby.Load() {
-		return
+		return nil
 	}
 	n := len(s.cores)
 	for _, m := range applied {
@@ -200,8 +206,10 @@ func (s *Server) logProcMutations(applied []proc.Mutation, tid uint64) {
 		}
 		if _, err := c.walLog.Append(rec); err != nil {
 			c.walFault("append-error", err)
+			return err
 		}
 	}
+	return nil
 }
 
 // procInjectOnce is the procedure text injector (Config.ProcInjectPeriod):
@@ -241,9 +249,9 @@ func (c *core) procInjectAt(name string, addr uint32, bit uint) bool {
 }
 
 // journalProcShot records one text-segment shot on the inject ring. The
-// shot deliberately does NOT join s.shots: those offsets are region byte
-// offsets matched by Finding.Covers, and a VM text address would falsely
-// join database findings.
+// shot deliberately does NOT enter the shot ledger: the ledger holds region
+// byte offsets matched by Finding.Covers, and a VM text address would
+// falsely join database findings.
 func (c *core) journalProcShot(name string, addr, mask uint32) {
 	c.procTel.shots.Inc()
 	c.injRing.Emit(trace.Event{

@@ -72,23 +72,24 @@ func (c *core) walFault(step string, err error) {
 // logMutation appends one successfully executed mutating request to the
 // operation log and returns the assigned log sequence (zero when nothing
 // was logged) — the write-acknowledgement token the client's router uses
-// as its read-your-writes lease floor. Alloc logs the index the region
-// chose (resp.Vals[0]), so replay is deterministic. Turn holder only.
-func (c *core) logMutation(q wire.Request, resp wire.Response, tid uint64) uint64 {
+// as its read-your-writes lease floor — or the append's error. Alloc logs
+// the index the region chose (resp.Vals[0]), so replay is deterministic.
+// Turn holder only.
+func (c *core) logMutation(q wire.Request, resp wire.Response, tid uint64) (uint64, error) {
 	if c.walLog == nil || resp.Code != wire.CodeOK || c.standby.Load() {
-		return 0
+		return 0, nil
 	}
 	rec, mutating := walRecordFor(q, resp)
 	if !mutating {
-		return 0
+		return 0, nil
 	}
 	rec.Trace = tid
 	seq, err := c.walLog.Append(rec)
 	if err != nil {
 		c.walFault("append-error", err)
-		return 0
+		return 0, err
 	}
-	return seq
+	return seq, nil
 }
 
 // walRecordFor translates a mutating request into its log record; the bool

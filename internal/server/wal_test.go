@@ -3,6 +3,8 @@ package server
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"net"
 	"os"
 	"path/filepath"
 	"strings"
@@ -238,6 +240,72 @@ func TestWALFailureSurfaces(t *testing.T) {
 	}
 	if !journaled {
 		t.Error("no sync-error event on the journal")
+	}
+}
+
+// TestWALAppendFailureNotAcked closes every region's log under a running
+// server: a write the log cannot take must not be acknowledged, whether it
+// is a direct WRITE_FLD or a PROC whose committed writes fail to log. Each
+// answers CodeInternal without a lease token, the append error is
+// journaled, and Shutdown returns it.
+func TestWALAppendFailureNotAcked(t *testing.T) {
+	for _, n := range []int{1, 2} {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			_, wals := openTestWALs(t, n)
+			srv, err := NewSharded(testDBs(t, n), wals, Config{ClockTick: 5 * time.Millisecond})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			serveErr := make(chan error, 1)
+			go func() { serveErr <- srv.Serve(ln) }()
+			conn := dialInit(t, ln.Addr().String())
+			ri, err := conn.Alloc(callproc.TblRes, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			token := conn.LastToken()
+			for k, c := range srv.cores {
+				if !c.onExecutor(func() { _ = wals[k].Close() }) {
+					t.Fatalf("core %d gone before its log was closed", k)
+				}
+			}
+
+			for _, q := range []wire.Request{
+				{Op: wire.OpWriteFld, Table: int32(callproc.TblRes), Record: int32(ri),
+					Field: int32(callproc.FldResQuality), Vals: []uint32{7}},
+				{Op: wire.OpProcExec, Detail: "res_touch", Vals: []uint32{uint32(ri), 42}},
+			} {
+				r, err := conn.Call(q)
+				if err != nil {
+					t.Fatalf("%v: %v", q.Op, err)
+				}
+				if r.Code != wire.CodeInternal || !strings.Contains(r.Detail, "wal append") {
+					t.Errorf("%v answered code %d %q, want CodeInternal with a wal append detail",
+						q.Op, r.Code, r.Detail)
+				}
+			}
+			if got := conn.LastToken(); got != token {
+				t.Errorf("lease token moved from %d to %d on unlogged writes", token, got)
+			}
+
+			if err := srv.Shutdown(5 * time.Second); err == nil {
+				t.Error("Shutdown returned nil after failed appends")
+			}
+			if err := <-serveErr; err != nil {
+				t.Errorf("serve: %v", err)
+			}
+			journaled := false
+			for _, e := range srv.TraceEvents(trace.KindWALRecover, 0) {
+				journaled = journaled || e.Op == "append-error"
+			}
+			if !journaled {
+				t.Error("no append-error event on the journal")
+			}
+		})
 	}
 }
 

@@ -204,7 +204,6 @@ type Recorder struct {
 	now   func() time.Duration
 	seq   atomic.Uint64
 	trace atomic.Uint64
-	obs   atomic.Pointer[func(Event)]
 
 	mu    sync.Mutex
 	rings []*Ring
@@ -258,19 +257,6 @@ func (r *Recorder) NextTrace() uint64 { return r.trace.Add(1) }
 // Now returns the recorder clock reading — the same timebase Event.At
 // carries — so a live consumer can relate retained events to the present.
 func (r *Recorder) Now() time.Duration { return r.now() }
-
-// Observe installs fn as the recorder's live tap: every event emitted on
-// any ring is passed to fn synchronously, after the event has been stored
-// with Seq/At/Ring filled. fn runs on the emitting goroutine's hot path
-// and must be fast, non-blocking, and safe from any goroutine. One
-// observer is supported (the health plane); nil removes it.
-func (r *Recorder) Observe(fn func(Event)) {
-	if fn == nil {
-		r.obs.Store(nil)
-		return
-	}
-	r.obs.Store(&fn)
-}
 
 // Events reports the total number of events ever emitted.
 func (r *Recorder) Events() uint64 { return r.seq.Load() }
@@ -338,8 +324,8 @@ func (g *Ring) Name() string { return g.name }
 // Cap returns the ring capacity.
 func (g *Ring) Cap() int { return len(g.buf) }
 
-// Emit records one event, filling Seq, At, and Ring. It never blocks on a
-// consumer and never allocates: ev's string fields are stored as passed.
+// Emit records one event, filling Seq, At, and Ring. It never waits for a
+// reader and never allocates: ev's string fields are stored as passed.
 func (g *Ring) Emit(ev Event) {
 	ev.Seq = g.rec.seq.Add(1)
 	ev.At = g.rec.now()
@@ -351,11 +337,6 @@ func (g *Ring) Emit(ev Event) {
 	g.buf[g.next%uint64(len(g.buf))] = ev
 	g.next++
 	g.mu.Unlock()
-	// The live tap runs outside the ring mutex so a slow observer can
-	// stall only its own emitter, never concurrent producers.
-	if fn := g.rec.obs.Load(); fn != nil {
-		(*fn)(ev)
-	}
 }
 
 // Drops reports how many events this ring has overwritten.
