@@ -2,7 +2,7 @@ GO ?= go
 
 SMOKES = failover-smoke proc-smoke scenario-smoke health-smoke replica-smoke shard-smoke
 
-.PHONY: all build vet test check cover fuzz-smoke trace-smoke $(SMOKES) bench bench-smoke bench-quick bench-test clean
+.PHONY: all build vet test check cover loc fuzz-smoke trace-smoke $(SMOKES) bench bench-smoke bench-quick bench-test clean
 
 all: check
 
@@ -29,6 +29,11 @@ cover:
 	$(GO) test -coverprofile=cover.out -covermode=atomic ./...
 	$(GO) tool cover -func=cover.out | tail -n 1
 	$(GO) tool cover -html=cover.out -o cover.html
+
+# Non-test Go lines outside bench/ (hidden directories such as
+# .bench_build/ skipped): the size figure a simplification is counted by.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' -not -path './bench/*' -not -path './.*' | xargs cat | wc -l
 
 # Short fuzzing passes: the wire codec (framing safety) and the WAL record
 # decoder (recovery must reject, never crash on, arbitrary log bytes).

@@ -11,11 +11,12 @@
 //	dbserve -addr :7420 -audit-period 250ms -queue 512
 //	dbserve -addr :7420 -wal-dir wal/           # durable: recover, log, checkpoint
 //	dbserve -addr :7421 -wal-dir wal2/ -replica-of 127.0.0.1:7420   # hot standby
-//	dbserve -addr :7420 -shards 4 -wal-dir wal/ # sharded core: 4 executors, 4 WAL streams
+//	dbserve -addr :7420 -shards 4 -wal-dir wal/ # sharded core: 4 cores, 4 WAL streams
 //
 // With -wal-dir the database is recovered from the newest checkpoint plus
-// the operation-log tail (a torn final record is truncated), every mutating
-// request is appended to the log (fsync batched on the executor clock), and
+// the operation-log tail (a torn final record is truncated), every
+// acknowledged mutation — a wire write or a procedure's effect — is
+// appended to the log (fsync batched on the core's clock), and
 // shutdown writes a final certifying checkpoint. With -replica-of the node
 // starts as a hot standby: it refuses sessions, replays the primary's log
 // stream, runs the audits in shadow mode, and promotes itself to primary
@@ -28,10 +29,10 @@
 // final audit sweep certifies the region, and a stats summary is printed.
 //
 // With -shards N the database is striped across N cores of the one server —
-// N executors, N audit schedulers, N WAL streams behind one front end; see
-// internal/server. For N > 1 the WAL directory holds
-// per-shard subdirectories (shard-0 ... shard-N-1) plus a "shards" marker
-// file recording N; recovery runs the shards in parallel. The shard count
+// N regions each with its own turn, N audit schedulers, N WAL streams
+// behind one front end; see internal/server. For N > 1 the WAL directory
+// holds per-shard subdirectories (shard-0 ... shard-N-1) plus a "shards"
+// marker file recording N; recovery runs the shards in parallel. The shard count
 // is part of the durable layout: restart with the same -shards, and give a
 // sharded standby the same -shards as its primary.
 package main
@@ -87,7 +88,7 @@ func run(args []string, out io.Writer, ready chan<- string, stop <-chan struct{}
 	addr := fs.String("addr", "127.0.0.1:7420", "listen address")
 	metricsAddr := fs.String("metrics-addr", "", "serve metrics snapshots over HTTP on this address (GET /statsz, ?format=text for the line format)")
 	img := fs.String("img", "", "serve this dbctl image instead of a pristine database")
-	shards := fs.Int("shards", 1, "partition the database into N audited shards, each with its own executor, audit scheduler, and WAL stream")
+	shards := fs.Int("shards", 1, "partition the database into N audited shards, each a core with its own turn, audit scheduler, and WAL stream")
 	queue := fs.Int("queue", 0, "request queue depth (0 = default)")
 	auditPeriod := fs.Duration("audit-period", time.Second, "periodic audit sweep interval; negative disables audits")
 	injectPeriod := fs.Duration("inject-period", 0, "flip one random database bit per interval and journal the shot (fault-injection demo; 0 disables)")
@@ -235,7 +236,7 @@ func run(args []string, out io.Writer, ready chan<- string, stop <-chan struct{}
 		return err
 	}
 	if *shards > 1 {
-		fmt.Fprintf(out, "dbserve: sharded core: %d shards, %d executors, %d audit schedulers\n",
+		fmt.Fprintf(out, "dbserve: sharded core: %d shards, %d turns, %d audit schedulers\n",
 			*shards, *shards, *shards)
 	}
 	if *replicaOf != "" {

@@ -1,7 +1,6 @@
 package health
 
 import (
-	"sort"
 	"sync"
 	"time"
 
@@ -174,18 +173,6 @@ func (m *DebtMeter) Status() *DebtStatus {
 		}
 	}
 	return s
-}
-
-// ElementNames lists the checkers the meter has seen, sorted.
-func (m *DebtMeter) ElementNames() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]string, 0, len(m.elements))
-	for n := range m.elements {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Register publishes the meter's gauges.

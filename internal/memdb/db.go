@@ -76,11 +76,6 @@ func WithClock(now func() time.Duration) Option {
 	return func(db *DB) { db.now = now }
 }
 
-// WithCostModel overrides the Figure 4 cost calibration.
-func WithCostModel(m CostModel) Option {
-	return func(db *DB) { db.costs = m }
-}
-
 // New builds the database region for schema, formats every table, and takes
 // the startup snapshot.
 func New(schema Schema, opts ...Option) (*DB, error) {

@@ -137,14 +137,6 @@ func (h *Histogram) SnapshotHistogram() HistogramSnapshot {
 	return h.snapshot(false)
 }
 
-// SnapshotHistogramFull is SnapshotHistogram with the raw bucket bounds
-// and per-bucket counts attached — the source for Prometheus exposition,
-// where cumulative buckets are first-class. The compact form keeps the
-// STATS2 wire document small.
-func (h *Histogram) SnapshotHistogramFull() HistogramSnapshot {
-	return h.snapshot(true)
-}
-
 func (h *Histogram) snapshot(full bool) HistogramSnapshot {
 	// Read count last so the quantile ranks never exceed the bucket sums
 	// under concurrent Observe (buckets are bumped before count).
@@ -219,8 +211,8 @@ func quantile(bounds []int64, counts []uint64, total uint64, max int64, q float6
 // and max plus interpolated percentiles, all in the observed unit
 // (nanoseconds for latency histograms). Bounds and Buckets carry the raw
 // distribution (ascending upper bounds plus one trailing overflow bucket)
-// only when taken via SnapshotHistogramFull / Registry.SnapshotFull; the
-// compact wire form omits them.
+// only when taken via Registry.SnapshotFull; the compact wire form omits
+// them.
 type HistogramSnapshot struct {
 	Count   uint64   `json:"count"`
 	Sum     int64    `json:"sum"`

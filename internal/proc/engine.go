@@ -7,6 +7,7 @@ import (
 	"repro/internal/pecos"
 	"repro/internal/trace"
 	"repro/internal/vm"
+	"repro/internal/wal"
 )
 
 // Status classifies one execution.
@@ -45,29 +46,6 @@ func (s Status) String() string {
 	}
 }
 
-// MutKind is one staged mutation's operation.
-type MutKind int
-
-// Mutation kinds.
-const (
-	MutWriteFld MutKind = iota + 1
-	MutAlloc
-	MutFree
-	MutMove
-)
-
-// Mutation is one database mutation a procedure performed, in program
-// order. The server translates applied mutations into operation-log
-// records so procedure effects replicate like any other write.
-type Mutation struct {
-	Kind  MutKind
-	Table int
-	Rec   int
-	Field int
-	Group int
-	Val   uint32
-}
-
 // Result is one execution's outcome.
 type Result struct {
 	Status Status
@@ -82,8 +60,11 @@ type Result struct {
 	Target   uint32
 	// Err is the database error on StatusCommitFail.
 	Err error
-	// Applied lists the mutations that reached the database, in order.
-	Applied []Mutation
+	// Applied lists the mutations that reached the database, in program
+	// order, as operation-log records (Seq and Trace unset; Rec is the
+	// index the Session was called with), so the server logs procedure
+	// effects like any other write.
+	Applied []wal.Record
 }
 
 // Procedure syscall numbers — the ABI between the assembly library and the
@@ -246,9 +227,9 @@ func boolReg(ok bool) uint32 {
 // read-your-writes overlay, and the eager-allocation ledger.
 type stage struct {
 	sess   Session
-	ops    []Mutation
+	ops    []wal.Record
 	writes map[[3]int]uint32
-	allocs []Mutation // eager allocations, for abort compensation
+	allocs []wal.Record // eager allocations, for abort compensation
 }
 
 // read resolves a field through the staged write set, falling back to the
@@ -267,7 +248,8 @@ func (st *stage) read(table, rec, field int) (uint32, bool) {
 
 func (st *stage) write(table, rec, field int, v uint32) {
 	st.writes[[3]int{table, rec, field}] = v
-	st.ops = append(st.ops, Mutation{Kind: MutWriteFld, Table: table, Rec: rec, Field: field, Val: v})
+	st.ops = append(st.ops, wal.Record{Op: wal.OpWriteFld, Table: int32(table), Rec: int32(rec),
+		Field: int32(field), Vals: []uint32{v}})
 }
 
 // alloc claims a record immediately — later syscalls address it by index —
@@ -278,42 +260,43 @@ func (st *stage) alloc(table, group int) uint32 {
 	if err != nil {
 		return allocFail
 	}
-	m := Mutation{Kind: MutAlloc, Table: table, Rec: ri, Group: group}
+	m := wal.Record{Op: wal.OpAlloc, Table: int32(table), Rec: int32(ri), Aux: int32(group)}
 	st.ops = append(st.ops, m)
 	st.allocs = append(st.allocs, m)
 	return uint32(ri)
 }
 
 func (st *stage) free(table, rec int) {
-	st.ops = append(st.ops, Mutation{Kind: MutFree, Table: table, Rec: rec})
+	st.ops = append(st.ops, wal.Record{Op: wal.OpFree, Table: int32(table), Rec: int32(rec)})
 }
 
 func (st *stage) move(table, rec, group int) {
-	st.ops = append(st.ops, Mutation{Kind: MutMove, Table: table, Rec: rec, Group: group})
+	st.ops = append(st.ops, wal.Record{Op: wal.OpMove, Table: int32(table), Rec: int32(rec), Aux: int32(group)})
 }
 
 // commit applies the staged operations in program order. Allocations were
 // already applied at execution time and only join the applied list here.
 // On the first API rejection the remaining operations are dropped and any
 // not-yet-reported allocation is compensated, so nothing half-built leaks.
-func (st *stage) commit() ([]Mutation, error) {
-	applied := make([]Mutation, 0, len(st.ops))
+func (st *stage) commit() ([]wal.Record, error) {
+	applied := make([]wal.Record, 0, len(st.ops))
 	for i, m := range st.ops {
+		table, rec := int(m.Table), int(m.Rec)
 		var err error
-		switch m.Kind {
-		case MutWriteFld:
-			err = st.sess.WriteFld(m.Table, m.Rec, m.Field, m.Val)
-		case MutFree:
-			err = st.sess.Free(m.Table, m.Rec)
-		case MutMove:
-			err = st.sess.Move(m.Table, m.Rec, m.Group)
-		case MutAlloc:
+		switch m.Op {
+		case wal.OpWriteFld:
+			err = st.sess.WriteFld(table, rec, int(m.Field), m.Vals[0])
+		case wal.OpFree:
+			err = st.sess.Free(table, rec)
+		case wal.OpMove:
+			err = st.sess.Move(table, rec, int(m.Aux))
+		case wal.OpAlloc:
 			// Applied eagerly during execution.
 		}
 		if err != nil {
 			for j := len(st.ops) - 1; j > i; j-- {
-				if st.ops[j].Kind == MutAlloc {
-					_ = st.sess.Free(st.ops[j].Table, st.ops[j].Rec)
+				if st.ops[j].Op == wal.OpAlloc {
+					_ = st.sess.Free(int(st.ops[j].Table), int(st.ops[j].Rec))
 				}
 			}
 			return applied, err
@@ -327,6 +310,6 @@ func (st *stage) commit() ([]Mutation, error) {
 // frees, and moves never touched the database, so dropping them is free.
 func (st *stage) rollback() {
 	for i := len(st.allocs) - 1; i >= 0; i-- {
-		_ = st.sess.Free(st.allocs[i].Table, st.allocs[i].Rec)
+		_ = st.sess.Free(int(st.allocs[i].Table), int(st.allocs[i].Rec))
 	}
 }

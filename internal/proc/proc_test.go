@@ -6,6 +6,7 @@ import (
 	"repro/internal/callproc"
 	"repro/internal/memdb"
 	"repro/internal/trace"
+	"repro/internal/wal"
 )
 
 func newDB(t *testing.T) (*memdb.DB, *memdb.Client) {
@@ -126,7 +127,7 @@ func TestExecResTouchCommits(t *testing.T) {
 	if err != nil || v != 77 {
 		t.Fatalf("quality after commit = %d (%v), want 77", v, err)
 	}
-	if len(res.Applied) != 1 || res.Applied[0].Kind != MutWriteFld {
+	if len(res.Applied) != 1 || res.Applied[0].Op != wal.OpWriteFld {
 		t.Fatalf("Applied = %+v", res.Applied)
 	}
 	if p.Execs != 1 {

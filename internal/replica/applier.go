@@ -85,10 +85,6 @@ func (a *Applier) SetRing(r *trace.Ring) { a.ring = r }
 // Applied returns the last applied log position. Safe from any goroutine.
 func (a *Applier) Applied() uint64 { return a.applied.Load() }
 
-// PrimaryLast returns the primary's log position as of the latest
-// successful poll (zero before the first one). Safe from any goroutine.
-func (a *Applier) PrimaryLast() uint64 { return a.primaryLast.Load() }
-
 // Lag returns how many log records this standby is behind the primary, as
 // of the latest successful poll. A standby that has lost its primary keeps
 // reporting the last known estimate; the failure streak is the signal for
@@ -100,10 +96,6 @@ func (a *Applier) Lag() uint64 {
 	}
 	return 0
 }
-
-// Failures returns the current consecutive-failure streak. Safe from any
-// goroutine.
-func (a *Applier) Failures() int { return int(a.failures.Load()) }
 
 // Step runs one replication round: poll the primary, replay whatever
 // arrived, bootstrap from a snapshot when the log position has gapped.

@@ -24,12 +24,13 @@ func startNode(t *testing.T, cfg server.Config, withWAL bool) string {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var wals []*wal.Log
 	if withWAL {
 		l, err := wal.Open(wal.Config{Dir: t.TempDir()}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg.WAL = l
+		wals = []*wal.Log{l}
 	}
 	cfg.ClockTick = 5 * time.Millisecond
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -39,7 +40,7 @@ func startNode(t *testing.T, cfg server.Config, withWAL bool) string {
 	if cfg.Standby {
 		cfg.AdvertiseAddr = ln.Addr().String()
 	}
-	srv, err := server.New(db, cfg)
+	srv, err := server.NewSharded([]*memdb.DB{db}, wals, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@
 // through S, possibly newer, never older.
 //
 // A background probe loop health-ranks the set over REPL_STATUS (role,
-// applied sequence, lag, serve-reads flag). Replica loss degrades to the
+// applied sequence, serve-reads flag). Replica loss degrades to the
 // primary: a failed read marks the target down, the read retries on the
 // primary, and the probe loop revives the target when it answers again.
 // The same machinery follows a failover — when the primary dies and a
@@ -54,9 +54,6 @@ type Config struct {
 	ProbeInterval time.Duration
 	// Timeout bounds each routed call and each probe. Default 5s.
 	Timeout time.Duration
-	// MaxLag excludes replicas whose probed lag exceeds it from routing,
-	// even for lease-free reads. Zero means no bound.
-	MaxLag uint64
 }
 
 func (c *Config) applyDefaults() {
@@ -78,7 +75,6 @@ type target struct {
 	role       atomic.Int32 // wire.RolePrimary / wire.RoleStandby; roleUnknown before first probe
 	serveReads atomic.Bool
 	applied    atomic.Uint64
-	lag        atomic.Uint64
 	reads      atomic.Uint64 // routed reads served by this target
 }
 
@@ -188,7 +184,6 @@ func (rt *Router) probeTarget(t *target) {
 	t.role.Store(int32(st.Role))
 	t.serveReads.Store(st.ServeReads)
 	t.applied.Store(st.Applied)
-	t.lag.Store(st.Lag)
 	t.healthy.Store(true)
 }
 
@@ -214,17 +209,16 @@ func (rt *Router) primaryTarget() *target {
 	return nil
 }
 
+// serving reports whether t answers routed reads at all: healthy and a
+// read-serving standby.
+func serving(t *target) bool {
+	return t.healthy.Load() && t.role.Load() == wire.RoleStandby && t.serveReads.Load()
+}
+
 // eligible reports whether t is routable for a read carrying token as its
-// lease floor: healthy, a read-serving standby, inside the lag bound, and
-// caught up to the token per the latest probe.
+// lease floor: serving, and caught up to the token per the latest probe.
 func (rt *Router) eligible(t *target, token uint64) bool {
-	if !t.healthy.Load() || t.role.Load() != wire.RoleStandby || !t.serveReads.Load() {
-		return false
-	}
-	if rt.cfg.MaxLag > 0 && t.lag.Load() > rt.cfg.MaxLag {
-		return false
-	}
-	return t.applied.Load() >= token
+	return serving(t) && t.applied.Load() >= token
 }
 
 // pickReplica chooses a read-serving standby whose probed applied
@@ -239,18 +233,17 @@ func (rt *Router) eligible(t *target, token uint64) bool {
 // lease" and "no replicas to route to at all".
 func (rt *Router) pickReplica(token uint64) (t *target, leasePinned bool) {
 	var eligible []*target
-	serving := 0
+	nServing := 0
 	for _, cand := range rt.targets {
-		if cand.healthy.Load() && cand.role.Load() == wire.RoleStandby && cand.serveReads.Load() &&
-			(rt.cfg.MaxLag == 0 || cand.lag.Load() <= rt.cfg.MaxLag) {
-			serving++
+		if serving(cand) {
+			nServing++
 		}
 		if rt.eligible(cand, token) {
 			eligible = append(eligible, cand)
 		}
 	}
 	if len(eligible) == 0 {
-		return nil, serving > 0
+		return nil, nServing > 0
 	}
 	return eligible[rt.rr.Add(1)%uint64(len(eligible))], false
 }

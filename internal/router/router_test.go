@@ -12,29 +12,26 @@ import (
 )
 
 // mkTarget builds a synthetic probe snapshot for pickReplica tests.
-func mkTarget(addr string, healthy bool, role int32, serveReads bool, applied, lag uint64) *target {
+func mkTarget(addr string, healthy bool, role int32, serveReads bool, applied uint64) *target {
 	t := &target{addr: addr}
 	t.healthy.Store(healthy)
 	t.role.Store(role)
 	t.serveReads.Store(serveReads)
 	t.applied.Store(applied)
-	t.lag.Store(lag)
 	return t
 }
 
 // TestPickReplicaLease is the lease-eligibility table: a replica is
-// routable only when healthy, a standby, read-serving, inside the lag
-// bound, and caught up to the session's token. leasePinned distinguishes
+// routable only when healthy, a standby, read-serving, and caught up to the session's token. leasePinned distinguishes
 // "excluded by the token alone" from "nothing to route to".
 func TestPickReplicaLease(t *testing.T) {
 	standby := func(addr string, applied uint64) *target {
-		return mkTarget(addr, true, wire.RoleStandby, true, applied, 0)
+		return mkTarget(addr, true, wire.RoleStandby, true, applied)
 	}
 	tests := []struct {
 		name       string
 		targets    []*target
 		token      uint64
-		maxLag     uint64
 		wantAddrs  []string // acceptable picks; empty = want nil
 		wantPinned bool
 	}{
@@ -62,33 +59,22 @@ func TestPickReplicaLease(t *testing.T) {
 		},
 		{
 			name:    "primary never routed",
-			targets: []*target{mkTarget("p", true, wire.RolePrimary, true, 1000, 0)},
+			targets: []*target{mkTarget("p", true, wire.RolePrimary, true, 1000)},
 			token:   0,
 		},
 		{
 			name:    "unhealthy standby is not serving",
-			targets: []*target{mkTarget("a", false, wire.RoleStandby, true, 100, 0)},
+			targets: []*target{mkTarget("a", false, wire.RoleStandby, true, 100)},
 			token:   150,
 			// Not even leasePinned: the node is down, not lease-excluded.
 		},
 		{
 			name:    "non-serving standby excluded",
-			targets: []*target{mkTarget("a", true, wire.RoleStandby, false, 100, 0)},
+			targets: []*target{mkTarget("a", true, wire.RoleStandby, false, 100)},
 		},
 		{
 			name:    "unknown role before first probe excluded",
-			targets: []*target{mkTarget("a", true, roleUnknown, true, 100, 0)},
-		},
-		{
-			name:    "lag bound excludes",
-			targets: []*target{mkTarget("a", true, wire.RoleStandby, true, 100, 50)},
-			maxLag:  10,
-		},
-		{
-			name:      "lag bound admits within",
-			targets:   []*target{mkTarget("a", true, wire.RoleStandby, true, 100, 5)},
-			maxLag:    10,
-			wantAddrs: []string{"a"},
+			targets: []*target{mkTarget("a", true, roleUnknown, true, 100)},
 		},
 		{
 			name:       "one eligible among laggards",
@@ -100,7 +86,7 @@ func TestPickReplicaLease(t *testing.T) {
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			rt := &Router{cfg: Config{MaxLag: tc.maxLag}, targets: tc.targets}
+			rt := &Router{targets: tc.targets}
 			got, pinned := rt.pickReplica(tc.token)
 			if len(tc.wantAddrs) == 0 {
 				if got != nil {
@@ -129,8 +115,8 @@ func TestPickReplicaLease(t *testing.T) {
 // instead of hammering one standby.
 func TestPickReplicaRoundRobin(t *testing.T) {
 	rt := &Router{targets: []*target{
-		mkTarget("a", true, wire.RoleStandby, true, 100, 0),
-		mkTarget("b", true, wire.RoleStandby, true, 100, 0),
+		mkTarget("a", true, wire.RoleStandby, true, 100),
+		mkTarget("b", true, wire.RoleStandby, true, 100),
 	}}
 	seen := map[string]int{}
 	for i := 0; i < 10; i++ {

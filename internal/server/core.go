@@ -611,16 +611,6 @@ func (c *core) execute(cn *conn, q wire.Request, do execFn, tid uint64, t0 time.
 		tel.stageExecute.Observe(int64(time.Since(e0)))
 	}
 	resp.Seq = q.Seq
-	// A write the log refused is not acknowledged: it answers
-	// CodeInternal with no lease token. The region still keeps the write;
-	// nothing here undoes it.
-	if seq, err := c.logMutation(q, resp, tid); err != nil {
-		resp = wire.ErrorResponse(q.Seq, fmt.Errorf("wal append: %v", err))
-	} else if seq != 0 {
-		// The WAL position of an acknowledged write doubles as the
-		// client's read-your-writes lease token.
-		resp.SetToken(seq)
-	}
 	c.count(q.Op, resp.Code)
 	c.executed.Add(1)
 	return resp
@@ -645,8 +635,10 @@ func ok(vals ...uint32) wire.Response { return wire.Response{Vals: vals} }
 func fail(q wire.Request, err error) wire.Response { return wire.ErrorResponse(q.Seq, err) }
 
 // record executes one record-addressing Table 1 write (or DBalloc) against
-// the connection's session on this core; q.Record is already core-local.
-func (c *core) record(cn *conn, q wire.Request, _ uint64) wire.Response {
+// the connection's session on this core — q.Record is already core-local —
+// and logs it. The reply carries the write's log sequence as its lease
+// token; a write the log refused answers the append error instead.
+func (c *core) record(cn *conn, q wire.Request, tid uint64) wire.Response {
 	if c.standby.Load() {
 		// Reads never take the turn (the fast lane answers them), so a
 		// record call on a standby core is a write that raced this core's
@@ -658,31 +650,45 @@ func (c *core) record(cn *conn, q wire.Request, _ uint64) wire.Response {
 		return fail(q, wire.ErrNoSession)
 	}
 	table, rec, field := int(q.Table), int(q.Record), int(q.Field)
+	lr := wal.Record{Table: q.Table, Rec: q.Record}
 	var vals []uint32
 	var err error
 	switch q.Op {
 	case wire.OpWriteRec:
 		err = sess.WriteRec(table, rec, q.Vals)
+		lr.Op, lr.Vals = wal.OpWriteRec, q.Vals
 	case wire.OpWriteFld:
 		if len(q.Vals) != 1 {
 			return fail(q, fmt.Errorf("%w: DBwrite_fld carries %d values", wire.ErrBadFrame, len(q.Vals)))
 		}
 		err = sess.WriteFld(table, rec, field, q.Vals[0])
+		lr.Op, lr.Field, lr.Vals = wal.OpWriteFld, q.Field, q.Vals
 	case wire.OpMove:
 		err = sess.Move(table, rec, int(q.Aux))
+		lr.Op, lr.Aux = wal.OpMove, q.Aux
 	case wire.OpAlloc:
 		var ri int
 		ri, err = sess.Alloc(table, int(q.Aux))
 		vals = []uint32{uint32(ri)}
+		// The log keeps the index the region chose, so replay is
+		// deterministic.
+		lr.Op, lr.Rec, lr.Aux = wal.OpAlloc, int32(ri), q.Aux
 	case wire.OpFree:
 		err = sess.Free(table, rec)
+		lr.Op = wal.OpFree
 	default:
 		err = wire.ErrUnknownOp
 	}
 	if err != nil {
 		return fail(q, err)
 	}
-	return ok(vals...)
+	seq, err := c.log(lr, tid)
+	if err != nil {
+		return fail(q, err)
+	}
+	resp := ok(vals...)
+	resp.SetToken(seq)
+	return resp
 }
 
 // session executes this core's leg of a session call: DBinit, DBclose,

@@ -31,7 +31,6 @@ func startPair(t *testing.T) (primary, standby *Server, addrP, addrS string) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg.WAL = l
 		cfg.AuditPeriod = 50 * time.Millisecond
 		cfg.ClockTick = 5 * time.Millisecond
 		cfg.Guard = true
@@ -42,7 +41,7 @@ func startPair(t *testing.T) (primary, standby *Server, addrP, addrS string) {
 		if cfg.Standby {
 			cfg.AdvertiseAddr = ln.Addr().String()
 		}
-		srv, err := New(db, cfg)
+		srv, err := NewSharded([]*memdb.DB{db}, []*wal.Log{l}, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,7 +119,7 @@ func TestFailoverEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, vals, err := connS.ReplFetch(callproc.TblRes, lastRi)
+	st, vals, err := connS.ReplFetchShard(0, callproc.TblRes, lastRi)
 	if err != nil {
 		t.Fatalf("replfetch: %v", err)
 	}

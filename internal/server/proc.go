@@ -18,8 +18,8 @@ import (
 
 // This file is the serving-plane face of the procedure subsystem: the PROC
 // wire handlers, the control-flow finding that rides the audit escalation
-// ladder, the operation-log translation for procedure mutations, and the
-// clock-driven text injector. Everything here runs holding the turn.
+// ladder, the logging of procedure effects, and the clock-driven text
+// injector. Everything here runs holding the turn.
 
 // procTelemetry is the procedure metric set: outcome counters, injection
 // shots, a registered-count gauge, and one latency histogram per procedure
@@ -75,15 +75,17 @@ func (c *core) handleProcExec(sess proc.Session, q wire.Request, tid uint64) wir
 	res := c.procEng.Exec(p, sess, q.Vals, tid)
 	c.procTel.execs.Inc()
 	c.procTel.histFor(p.Name).ObserveSince(t0)
-	walErr := c.srv.logProcMutations(res.Applied, tid)
+	seq, walErr := c.logApplied(res.Applied, tid)
 	switch res.Status {
 	case proc.StatusOK:
 		if walErr != nil {
-			// Not acknowledged, as in execute; the region keeps the
+			// Not acknowledged, as a wire write; the region keeps the
 			// procedure's writes.
-			return wire.ErrorResponse(q.Seq, fmt.Errorf("%s: wal append: %v", p.Name, walErr))
+			return wire.ErrorResponse(q.Seq, fmt.Errorf("%s: %v", p.Name, walErr))
 		}
-		return ok(res.Out...)
+		resp := ok(res.Out...)
+		resp.SetToken(seq)
+		return resp
 	case proc.StatusViolation:
 		c.procTel.violations.Inc()
 		c.noteProcDamage(p, tid,
@@ -174,42 +176,29 @@ func (c *core) handleProcList(_ *conn, q wire.Request, _ uint64) wire.Response {
 	return wire.Response{Detail: string(data)}
 }
 
-// logProcMutations appends a committed procedure's mutations to the
-// operation log of the core that owns each record, so procedure effects
-// replicate and replay like any other write. The PROC request itself is not
-// logged (walRecordFor returns nil for it): replaying the program could
-// diverge — only its applied effects are deterministic. It stops at the
-// first append error and returns it. Runs under the procedure barrier,
-// which makes the caller every log's only writer.
-func (s *Server) logProcMutations(applied []proc.Mutation, tid uint64) error {
-	if s.standby.Load() {
-		return nil
+// logApplied logs a procedure's applied mutations, in program order, on the
+// core that owns each record, so procedure effects replicate and replay
+// like any other write. The PROC request itself is not logged: replaying
+// the program could diverge — only its applied effects are deterministic.
+// It returns the highest sequence any core assigned — the reply's lease
+// token, conservative across cores as the Server doc states — or the first
+// append error. Runs under the procedure barrier, which makes the caller
+// every log's only writer.
+func (c *core) logApplied(applied []wal.Record, tid uint64) (uint64, error) {
+	var top uint64
+	for _, r := range applied {
+		k, l, err := c.srv.place(int(r.Table), int(r.Rec))
+		if err != nil {
+			return 0, err // cannot happen: the session placed it
+		}
+		r.Rec = int32(l)
+		seq, err := c.srv.cores[k].log(r, tid)
+		if err != nil {
+			return 0, err
+		}
+		top = max(top, seq)
 	}
-	n := len(s.cores)
-	for _, m := range applied {
-		c := s.cores[memdb.ShardOf(m.Rec, n)]
-		if c.walLog == nil {
-			continue
-		}
-		rec := wal.Record{Table: int32(m.Table), Rec: int32(memdb.LocalIndex(m.Rec, n)), Trace: tid}
-		switch m.Kind {
-		case proc.MutWriteFld:
-			rec.Op, rec.Field, rec.Vals = wal.OpWriteFld, int32(m.Field), []uint32{m.Val}
-		case proc.MutAlloc:
-			rec.Op, rec.Aux = wal.OpAlloc, int32(m.Group)
-		case proc.MutFree:
-			rec.Op = wal.OpFree
-		case proc.MutMove:
-			rec.Op, rec.Aux = wal.OpMove, int32(m.Group)
-		default:
-			continue
-		}
-		if _, err := c.walLog.Append(rec); err != nil {
-			c.walFault("append-error", err)
-			return err
-		}
-	}
-	return nil
+	return top, nil
 }
 
 // procInjectOnce is the procedure text injector (Config.ProcInjectPeriod):
@@ -269,16 +258,14 @@ type spanSession struct {
 	sess []*memdb.Client
 }
 
+// locate is the owning core's client and the local index of a global
+// record, placed by the front end's striping decision (Server.place).
 func (ss *spanSession) locate(table, rec int) (*memdb.Client, int, error) {
-	n, recs := len(ss.sess), ss.s.globalRecs
-	if table < 0 || table >= len(recs) {
-		// Bad table: any core produces the identical table bounds error.
-		return ss.sess[0], rec, nil
+	k, l, err := ss.s.place(table, rec)
+	if err != nil {
+		return nil, 0, err
 	}
-	if rec < 0 || rec >= recs[table] {
-		return nil, 0, &memdb.BoundsError{What: "record", Index: rec, Limit: recs[table]}
-	}
-	return ss.sess[memdb.ShardOf(rec, n)], memdb.LocalIndex(rec, n), nil
+	return ss.sess[k], l, nil
 }
 
 // global restates a not-active error with the record's global index; the
@@ -322,21 +309,20 @@ func (ss *spanSession) Move(table, rec, group int) error {
 	return global(cl.Move(table, l, group), table, rec)
 }
 
-// Alloc rotates over the cores like the front end's DBalloc routing; only
-// table exhaustion moves on to the next stripe.
+// Alloc follows the front end's DBalloc routing (Server.allocRotate).
 func (ss *spanSession) Alloc(table, group int) (int, error) {
-	n := len(ss.sess)
-	start := int(ss.s.allocSeq.Add(1)-1) % n
+	var ri int
 	var err error
-	for i := 0; i < n; i++ {
-		k := (start + i) % n
-		var ri int
-		if ri, err = ss.sess[k].Alloc(table, group); err == nil {
-			return memdb.GlobalIndex(ri, k, n), nil
-		}
-		if !errors.Is(err, memdb.ErrNoFreeRecord) {
-			break
-		}
+	if bad := ss.s.allocRotate(table, func(k int) bool {
+		var l int
+		l, err = ss.sess[k].Alloc(table, group)
+		ri = memdb.GlobalIndex(l, k, len(ss.sess))
+		return errors.Is(err, memdb.ErrNoFreeRecord)
+	}); bad != nil {
+		return 0, bad
 	}
-	return 0, err
+	if err != nil {
+		return 0, err
+	}
+	return ri, nil
 }

@@ -22,12 +22,13 @@ func startServingPair(t *testing.T) (primary, standby *Server, addrP, addrS stri
 		if err != nil {
 			t.Fatal(err)
 		}
+		var wals []*wal.Log
 		if withWAL {
 			l, err := wal.Open(wal.Config{Dir: t.TempDir()}, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg.WAL = l
+			wals = []*wal.Log{l}
 		}
 		cfg.ClockTick = 5 * time.Millisecond
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -37,7 +38,7 @@ func startServingPair(t *testing.T) (primary, standby *Server, addrP, addrS stri
 		if cfg.Standby {
 			cfg.AdvertiseAddr = ln.Addr().String()
 		}
-		srv, err := New(db, cfg)
+		srv, err := NewSharded([]*memdb.DB{db}, wals, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,8 +3,9 @@ package server
 // Durability and failover: the server-side half of internal/wal and
 // internal/replica.
 //
-// A primary appends every successful mutating request to its operation log
-// (fsync batched on the clock tick) and serves the log to a polling standby
+// A primary appends every acknowledged mutation — a wire write or a
+// procedure's effect — to its operation log through core.log (fsync
+// batched on the clock tick) and serves the log to a polling standby
 // without taking the turn, from the WAL's tail ring. A standby replays that
 // stream on its own clock, holding the region's turn there exactly as a
 // request does on the primary, and
@@ -69,49 +70,27 @@ func (c *core) walFault(step string, err error) {
 	}
 }
 
-// logMutation appends one successfully executed mutating request to the
-// operation log and returns the assigned log sequence (zero when nothing
-// was logged) — the write-acknowledgement token the client's router uses
-// as its read-your-writes lease floor — or the append's error. Alloc logs
-// the index the region chose (resp.Vals[0]), so replay is deterministic.
-// Turn holder only.
-func (c *core) logMutation(q wire.Request, resp wire.Response, tid uint64) (uint64, error) {
-	if c.walLog == nil || resp.Code != wire.CodeOK || c.standby.Load() {
-		return 0, nil
-	}
-	rec, mutating := walRecordFor(q, resp)
-	if !mutating {
+// log appends one mutation, already applied to the region, to the core's
+// operation log. It is the server's only append: wire writes (record) and
+// procedure effects (handleProcExec) both build their record next to the
+// mutation and log it here. It returns the assigned log sequence — the
+// write-acknowledgement token the client's router uses as its
+// read-your-writes lease floor — or zero when nothing is logged: no log,
+// or a standby, whose log only replication feeds. A failed append is
+// journaled and returned as the "wal append" error the write answers
+// instead of OK, with no token; the region keeps the mutation. Turn holder
+// only.
+func (c *core) log(rec wal.Record, tid uint64) (uint64, error) {
+	if c.walLog == nil || c.standby.Load() {
 		return 0, nil
 	}
 	rec.Trace = tid
 	seq, err := c.walLog.Append(rec)
 	if err != nil {
 		c.walFault("append-error", err)
-		return 0, err
+		return 0, fmt.Errorf("wal append: %v", err)
 	}
 	return seq, nil
-}
-
-// walRecordFor translates a mutating request into its log record; the bool
-// is false for non-mutating ops.
-func walRecordFor(q wire.Request, resp wire.Response) (wal.Record, bool) {
-	switch q.Op {
-	case wire.OpWriteRec:
-		return wal.Record{Op: wal.OpWriteRec, Table: q.Table, Rec: q.Record, Vals: q.Vals}, true
-	case wire.OpWriteFld:
-		return wal.Record{Op: wal.OpWriteFld, Table: q.Table, Rec: q.Record, Field: q.Field, Vals: q.Vals}, true
-	case wire.OpMove:
-		return wal.Record{Op: wal.OpMove, Table: q.Table, Rec: q.Record, Aux: q.Aux}, true
-	case wire.OpAlloc:
-		if len(resp.Vals) != 1 {
-			return wal.Record{}, false
-		}
-		return wal.Record{Op: wal.OpAlloc, Table: q.Table, Rec: int32(resp.Vals[0]), Aux: q.Aux}, true
-	case wire.OpFree:
-		return wal.Record{Op: wal.OpFree, Table: q.Table, Rec: q.Record}, true
-	default:
-		return wal.Record{}, false
-	}
 }
 
 // syncWAL batches pending appends into one fsync and writes a fresh

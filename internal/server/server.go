@@ -67,12 +67,6 @@ type Config struct {
 	// Trace, when set, is the flight recorder the server emits structured
 	// events into; nil creates a private one (read it with TraceEvents).
 	Trace *trace.Recorder
-	// WAL, when set, is the operation log: every successful mutating
-	// request is appended, fsync batched on the clock tick. The
-	// server owns it from here on — Shutdown syncs, checkpoints, and
-	// closes it. Build it with wal.Open after wal.Recover. New only;
-	// NewSharded takes one log per region instead.
-	WAL *wal.Log
 	// Standby starts the server as a hot standby of PrimaryAddr: sessions
 	// are refused (CodeStandby), the database is fed by replication, and
 	// the audits run in shadow mode until promotion.
@@ -248,7 +242,8 @@ func newTelemetry(reg *metrics.Registry) *telemetry {
 //     router keeps the max across cores, so a routed standby read may see a
 //     lease floor from a busier core's space and answer STALE when it is
 //     actually fresh — staleness bounds hold, at the cost of extra primary
-//     fallbacks.
+//     fallbacks. A PROC reply carries, by the same rule, the highest
+//     sequence its logged effects were assigned on any core.
 //   - OpInjectCtl arms every core's data injector at the requested period,
 //     so the aggregate shot rate is N times one core's.
 //
@@ -328,21 +323,20 @@ func (s *Server) newConn(nc net.Conn) *conn {
 // not name one.
 const defaultTraceTail = 256
 
-// New builds a server over one region. The database must not be touched by
-// anyone else while the server runs — the server is its single writer
-// (enable cfg.Guard to have violations fail loudly).
+// New builds a server over one region with no operation log. The database
+// must not be touched by anyone else while the server runs — the server is
+// its single writer (enable cfg.Guard to have violations fail loudly).
 func New(db *memdb.DB, cfg Config) (*Server, error) {
-	var wals []*wal.Log
-	if cfg.WAL != nil {
-		wals, cfg.WAL = []*wal.Log{cfg.WAL}, nil
-	}
-	return NewSharded([]*memdb.DB{db}, wals, cfg)
+	return NewSharded([]*memdb.DB{db}, nil, cfg)
 }
 
 // NewSharded builds a server over the per-core regions (derive them with
-// memdb.ShardSchemas) and optional per-core WALs (nil, or one entry per
-// core, entries may be nil). The metrics registry, the flight recorder and
-// the health plane are shared by the cores; Config.WAL must be nil.
+// memdb.ShardSchemas) and optional per-core operation logs (nil, or one
+// entry per core, entries may be nil). A core with a log appends every
+// acknowledged mutation to it, fsync batched on the clock tick; the server
+// owns the logs from here on — Shutdown syncs, checkpoints, and closes
+// them. Build each with wal.Open after wal.Recover. The metrics registry,
+// the flight recorder and the health plane are shared by the cores.
 func NewSharded(dbs []*memdb.DB, wals []*wal.Log, cfg Config) (*Server, error) {
 	n := len(dbs)
 	if n == 0 {
@@ -355,9 +349,6 @@ func NewSharded(dbs []*memdb.DB, wals []*wal.Log, cfg Config) (*Server, error) {
 	}
 	if wals != nil && len(wals) != n {
 		return nil, fmt.Errorf("server: %d shards but %d WALs", n, len(wals))
-	}
-	if cfg.WAL != nil {
-		return nil, errors.New("server: NewSharded takes per-shard WALs, not Config.WAL")
 	}
 	if cfg.Standby && cfg.PrimaryAddr == "" {
 		return nil, errors.New("server: standby requires a primary address")
@@ -563,15 +554,6 @@ func (s *Server) Addr() net.Addr {
 		return nil
 	}
 	return s.listener.Addr()
-}
-
-// ListenAndServe binds addr and serves until Shutdown.
-func (s *Server) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ln)
 }
 
 // Serve runs the accept loop on ln, returning after Shutdown completes or
@@ -911,49 +893,76 @@ func (s *Server) refuse(q wire.Request, err error) wire.Response {
 // record — and returns the owning core with the request rewritten to its
 // local index. A nil core means the response is the final answer.
 func (s *Server) locate(cn *conn, q wire.Request) (*core, wire.Request, wire.Response) {
-	table, rec := int(q.Table), int(q.Record)
-	var err error
-	switch {
-	case !s.standby.Load() && cn.on[0].sess.Load() == nil:
-		err = wire.ErrNoSession
-	case table < 0 || table >= len(s.globalRecs):
-		err = &memdb.BoundsError{What: "table", Index: table, Limit: len(s.globalRecs)}
-	case rec < 0 || rec >= s.globalRecs[table]:
-		err = &memdb.BoundsError{What: "record", Index: rec, Limit: s.globalRecs[table]}
+	if !s.standby.Load() && cn.on[0].sess.Load() == nil {
+		return nil, q, s.refuse(q, wire.ErrNoSession)
 	}
+	k, local, err := s.place(int(q.Table), int(q.Record))
 	if err != nil {
 		return nil, q, s.refuse(q, err)
 	}
-	n := len(s.cores)
-	q.Record = int32(memdb.LocalIndex(rec, n))
-	return s.cores[memdb.ShardOf(rec, n)], q, wire.Response{}
+	q.Record = int32(local)
+	return s.cores[k], q, wire.Response{}
 }
 
-// alloc routes DBalloc to the cores starting from a rotating cursor, so
-// allocations spread even when one stripe's free list runs dry; only table
-// exhaustion moves to the next core. The winner's local index is translated
-// back to the global record ID.
+// place is the striping decision for one global record: its owning core
+// and local index there, or the bounds error, with global limits, of an
+// address no core owns.
+func (s *Server) place(table, rec int) (k, local int, err error) {
+	if err := s.tableBounds(table); err != nil {
+		return 0, 0, err
+	}
+	if rec < 0 || rec >= s.globalRecs[table] {
+		return 0, 0, &memdb.BoundsError{What: "record", Index: rec, Limit: s.globalRecs[table]}
+	}
+	n := len(s.cores)
+	return memdb.ShardOf(rec, n), memdb.LocalIndex(rec, n), nil
+}
+
+func (s *Server) tableBounds(table int) error {
+	if table < 0 || table >= len(s.globalRecs) {
+		return &memdb.BoundsError{What: "table", Index: table, Limit: len(s.globalRecs)}
+	}
+	return nil
+}
+
+// allocRotate is the DBalloc routing: after the table bounds check it
+// offers the allocation to the cores starting from a rotating cursor, so
+// allocations spread even when one stripe's free list runs dry. try makes
+// core k's attempt and reports whether that stripe's table was exhausted;
+// only then does the next core get one.
+func (s *Server) allocRotate(table int, try func(k int) (exhausted bool)) error {
+	if err := s.tableBounds(table); err != nil {
+		return err
+	}
+	n := len(s.cores)
+	start := int(s.allocSeq.Add(1)-1) % n
+	for i := 0; i < n; i++ {
+		if !try((start + i) % n) {
+			break
+		}
+	}
+	return nil
+}
+
+// alloc routes DBalloc through allocRotate and translates the winner's
+// local index back to the global record ID. When every stripe is
+// exhausted the answer is the last core's ErrNoFreeRecord.
 func (s *Server) alloc(cn *conn, q wire.Request) wire.Response {
 	if cn.on[0].sess.Load() == nil {
 		return s.refuse(q, wire.ErrNoSession)
 	}
-	if table := int(q.Table); table < 0 || table >= len(s.globalRecs) {
-		return s.refuse(q, &memdb.BoundsError{What: "table", Index: table, Limit: len(s.globalRecs)})
-	}
-	n := len(s.cores)
-	start := int(s.allocSeq.Add(1)-1) % n
 	var resp wire.Response
-	for i := 0; i < n; i++ {
-		k := (start + i) % n
+	err := s.allocRotate(int(q.Table), func(k int) bool {
 		resp = s.cores[k].submit(cn, q, (*core).record)
 		if resp.Code == wire.CodeOK && len(resp.Vals) > 0 {
-			resp.Vals[0] = uint32(memdb.GlobalIndex(int(resp.Vals[0]), k, n))
+			resp.Vals[0] = uint32(memdb.GlobalIndex(int(resp.Vals[0]), k, len(s.cores)))
 		}
-		if resp.Code != wire.CodeNoFreeRecord {
-			break
-		}
+		return resp.Code == wire.CodeNoFreeRecord
+	})
+	if err != nil {
+		return s.refuse(q, err)
 	}
-	return resp // or every stripe exhausted: the last core's ErrNoFreeRecord
+	return resp
 }
 
 // fan runs do for q on every core in ascending order and returns the

@@ -42,8 +42,7 @@ func testDBs(t *testing.T, n int) []*memdb.DB {
 
 // newTestServer builds an n-region controller-schema database and serves it
 // on a loopback listener with fast audit pacing and the concurrent-access
-// guard armed. wals is empty (no durability) or one log per region; a
-// one-region caller may pass its log as cfg.WAL instead, as to New. Cleanup
+// guard armed. wals is empty (no durability) or one log per region. Cleanup
 // shuts the server down (t.Error on drain failure).
 func newTestServer(t *testing.T, n int, cfg Config, wals ...*wal.Log) (*Server, string) {
 	t.Helper()
@@ -55,9 +54,6 @@ func newTestServer(t *testing.T, n int, cfg Config, wals ...*wal.Log) (*Server, 
 		cfg.ClockTick = 5 * time.Millisecond
 	}
 	cfg.Guard = true
-	if cfg.WAL != nil {
-		wals, cfg.WAL = []*wal.Log{cfg.WAL}, nil
-	}
 	srv, err := NewSharded(dbs, wals, cfg)
 	if err != nil {
 		t.Fatal(err)

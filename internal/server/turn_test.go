@@ -81,7 +81,7 @@ func TestStalledTurnDrain(t *testing.T) {
 // of, and a client retrying the write would apply it twice.
 func TestTimedOutRequestNotApplied(t *testing.T) {
 	log := openTestWAL(t, t.TempDir(), wal.Config{})
-	srv, addr := newTestServer(t, 1, Config{AuditPeriod: -1, ReplyTimeout: 50 * time.Millisecond, WAL: log})
+	srv, addr := newTestServer(t, 1, Config{AuditPeriod: -1, ReplyTimeout: 50 * time.Millisecond}, log)
 	c0 := srv.cores[0]
 	active := func() int {
 		n := 0

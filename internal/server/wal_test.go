@@ -33,7 +33,8 @@ func newWALDriver(conn *wire.Conn, n int) *walDriver {
 	return &walDriver{conn: conn, n: n, ops: make([][]func(*memdb.DB) error, n)}
 }
 
-// runCycles performs alloc/write/move/free cycles on the resource table.
+// runCycles performs alloc/write/proc/move/free cycles on the resource
+// table; the PROC res_touch rewrites the record's quality.
 // Odd cycles leave their record active so the final state mixes free and
 // active records. All values stay inside the catalog ranges so audits have
 // nothing to repair.
@@ -61,6 +62,14 @@ func (d *walDriver) runCycles(t *testing.T, cycles int) {
 			t.Fatalf("cycle %d: writefld: %v", c, err)
 		}
 		record(func(db *memdb.DB) error { return db.WriteFieldDirect(ti, l, callproc.FldResQuality, q) })
+
+		// A procedure's effect logs on the record's owning region like a
+		// direct write.
+		pq := uint32((c*7)%50 + 1)
+		if _, err := d.conn.ProcExec("res_touch", []uint32{uint32(ri), pq}); err != nil {
+			t.Fatalf("cycle %d: proc res_touch: %v", c, err)
+		}
+		record(func(db *memdb.DB) error { return db.WriteFieldDirect(ti, l, callproc.FldResQuality, pq) })
 
 		ng := (group + 1) % callproc.ResourceBanks
 		if err := d.conn.Move(ti, ri, ng); err != nil {
@@ -220,7 +229,7 @@ func copyWALDir(t *testing.T, dir string) string {
 // so the daemon exits nonzero.
 func TestWALFailureSurfaces(t *testing.T) {
 	_, wals := openTestWALs(t, 1)
-	srv, err := New(testDBs(t, 1)[0], Config{WAL: wals[0]})
+	srv, err := NewSharded(testDBs(t, 1), wals, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,6 +318,36 @@ func TestWALAppendFailureNotAcked(t *testing.T) {
 	}
 }
 
+// TestProcReplyCarriesWriteToken: a PROC whose effects are logged answers
+// with a lease token like any other logged write — the owning core's log
+// position after the procedure's append — so a routed read after it
+// cannot miss the procedure's write.
+func TestProcReplyCarriesWriteToken(t *testing.T) {
+	for _, n := range []int{1, 2} {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			_, wals := openTestWALs(t, n)
+			srv, addr := newTestServer(t, n, Config{}, wals...)
+			conn := dialInit(t, addr)
+			ri, err := conn.Alloc(callproc.TblRes, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := conn.WriteRec(callproc.TblRes, ri, []uint32{1, 2, 3}); err != nil {
+				t.Fatal(err)
+			}
+			before := conn.LastToken()
+			if _, err := conn.ProcExec("res_touch", []uint32{uint32(ri), 42}); err != nil {
+				t.Fatalf("res_touch: %v", err)
+			}
+			owner := srv.cores[memdb.ShardOf(ri, n)].walLog
+			if got, want := conn.LastToken(), owner.LastSeq(); got != want || got <= before {
+				t.Fatalf("token after PROC = %d (before %d), want the owning log's last seq %d",
+					got, before, want)
+			}
+		})
+	}
+}
+
 // TestWALTornTailRecovery snapshots the WAL directory mid-life (the crash
 // image), tears the final record, and recovers: replay must truncate at
 // the torn record and land exactly on the state of every preceding
@@ -316,7 +355,7 @@ func TestWALAppendFailureNotAcked(t *testing.T) {
 func TestWALTornTailRecovery(t *testing.T) {
 	dir := t.TempDir()
 	l := openTestWAL(t, dir, wal.Config{})
-	srv, addr := newTestServer(t, 1, Config{WAL: l, CheckpointCap: -1})
+	srv, addr := newTestServer(t, 1, Config{CheckpointCap: -1}, l)
 	conn := dialInit(t, addr)
 
 	d := newWALDriver(conn, 1)
@@ -378,7 +417,7 @@ func TestWALTornTailRecovery(t *testing.T) {
 // recovery and stalls a standby's applier.
 func TestAllocGroupBoundNotLogged(t *testing.T) {
 	l := openTestWAL(t, t.TempDir(), wal.Config{})
-	_, addr := newTestServer(t, 1, Config{WAL: l})
+	_, addr := newTestServer(t, 1, Config{}, l)
 	conn := dialInit(t, addr)
 
 	_, err := conn.Alloc(callproc.TblProc, -1)
@@ -402,7 +441,7 @@ func TestAllocGroupBoundNotLogged(t *testing.T) {
 // shows) and the replication role.
 func TestStats2SurfacesWALTelemetry(t *testing.T) {
 	dir := t.TempDir()
-	_, addr := newTestServer(t, 1, Config{WAL: openTestWAL(t, dir, wal.Config{})})
+	_, addr := newTestServer(t, 1, Config{}, openTestWAL(t, dir, wal.Config{}))
 	conn := dialInit(t, addr)
 	newWALDriver(conn, 1).runCycles(t, 2)
 

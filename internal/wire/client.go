@@ -83,7 +83,7 @@ func (c *Conn) Call(q Request) (Response, error) {
 
 // noteToken retains the highest write-acknowledgement token seen on this
 // connection; a WAL-backed primary stamps one onto every OK reply of a
-// logged mutation.
+// logged mutation, PROC replies included.
 func (c *Conn) noteToken(r Response) {
 	if t := r.Token(); t > c.token {
 		c.token = t
@@ -302,19 +302,14 @@ func (c *Conn) ReplStatus() (ReplState, error) {
 	return st, nil
 }
 
-// Replicate polls the primary for WAL records after afterSeq. addr is the
-// poller's own serving address, which the primary remembers as its mirror
-// for audit repairs. The returned blob is a batch of CRC-framed WAL records
-// (possibly empty when caught up); lastSeq is the primary's log position.
-// A wire.ErrReplGap error means afterSeq fell off the primary's tail ring
-// and the standby must re-bootstrap with ReplSnap.
-func (c *Conn) Replicate(afterSeq uint64, addr string) (blob []byte, lastSeq uint64, err error) {
-	return c.ReplicateShard(0, afterSeq, addr)
-}
-
-// ReplicateShard is Replicate against one WAL stream of a sharded primary:
-// shard rides the request's otherwise-unused Table field (zero on the wire
-// is shard 0, so unsharded peers interoperate unchanged).
+// ReplicateShard polls one WAL stream of the primary for records after
+// afterSeq. shard rides the request's otherwise-unused Table field (zero on
+// the wire is shard 0, so unsharded peers interoperate unchanged). addr is
+// the poller's own serving address, which the primary remembers as its
+// mirror for audit repairs. The returned blob is a batch of CRC-framed WAL
+// records (possibly empty when caught up); lastSeq is the stream's log
+// position. A wire.ErrReplGap error means afterSeq fell off the primary's
+// tail ring and the standby must re-bootstrap with ReplSnapShard.
 func (c *Conn) ReplicateShard(shard int, afterSeq uint64, addr string) (blob []byte, lastSeq uint64, err error) {
 	lo, hi := SplitU64(afterSeq)
 	r, err := c.call(Request{Op: OpReplicate, Table: int32(shard), Detail: addr, Vals: []uint32{lo, hi}})
@@ -327,16 +322,11 @@ func (c *Conn) ReplicateShard(shard int, afterSeq uint64, addr string) (blob []b
 	return []byte(r.Detail), JoinU64(r.Vals[0], r.Vals[1]), nil
 }
 
-// ReplSnap fetches one chunk of the primary's bootstrap snapshot starting
-// at byte offset off. total is the full snapshot length and seq the WAL
-// position the snapshot captured; both are constant across the chunks of
-// one bootstrap.
-func (c *Conn) ReplSnap(off int) (chunk []byte, total int, seq uint64, err error) {
-	return c.ReplSnapShard(0, off)
-}
-
-// ReplSnapShard is ReplSnap against one shard of a sharded primary; shard
-// rides the request's otherwise-unused Table field.
+// ReplSnapShard fetches one chunk of one shard's bootstrap snapshot
+// starting at byte offset off; shard rides the request's otherwise-unused
+// Table field. total is the full snapshot length and seq the WAL position
+// the snapshot captured; both are constant across the chunks of one
+// bootstrap.
 func (c *Conn) ReplSnapShard(shard, off int) (chunk []byte, total int, seq uint64, err error) {
 	r, err := c.call(Request{Op: OpReplSnap, Table: int32(shard), Record: int32(off)})
 	if err != nil {
@@ -348,21 +338,10 @@ func (c *Conn) ReplSnapShard(shard, off int) (chunk []byte, total int, seq uint6
 	return []byte(r.Detail), int(r.Vals[0]), JoinU64(r.Vals[1], r.Vals[2]), nil
 }
 
-// Promote orders a standby to take over as primary immediately.
-func (c *Conn) Promote() error {
-	_, err := c.call(Request{Op: OpReplPromote})
-	return err
-}
-
-// ReplFetch reads a record directly from a replica for mirror-sourced audit
-// repair: the record's status byte plus every field value.
-func (c *Conn) ReplFetch(table, rec int) (status int, vals []uint32, err error) {
-	return c.ReplFetchShard(0, table, rec)
-}
-
-// ReplFetchShard is ReplFetch addressed to one shard of a sharded standby
-// (the record index is the shard's local index); shard rides the request's
-// otherwise-unused Field field.
+// ReplFetchShard reads a record directly from one shard of a replica for
+// mirror-sourced audit repair: the record's status byte plus every field
+// value. The record index is the shard's local index; shard rides the
+// request's otherwise-unused Field field.
 func (c *Conn) ReplFetchShard(shard, table, rec int) (status int, vals []uint32, err error) {
 	r, err := c.call(Request{Op: OpReplFetch, Table: int32(table), Record: int32(rec), Field: int32(shard)})
 	if err != nil {

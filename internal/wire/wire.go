@@ -524,13 +524,14 @@ const (
 
 // Write-acknowledgement tokens (bounded-staleness leases). A WAL-backed
 // primary stamps every OK response to a logged mutation with the record's
-// log sequence in the Index/Limit pair — those fields only carry
-// BoundsError operands on failure, so they are free on success and old
-// clients ignore them. A router session keeps the highest token it has
-// seen and forwards it as the lease floor in the Vals of routed reads
-// ([lo, hi]); a read-serving standby refuses with CodeStale when its
-// applied sequence is below the floor, which the router turns into a
-// primary fallback (read-your-writes).
+// log sequence in the Index/Limit pair — procedures included: a PROC reply
+// carries the highest sequence its logged effects were assigned, across
+// cores. Those fields only carry BoundsError operands on failure, so they
+// are free on success and old clients ignore them. A router session keeps
+// the highest token it has seen and forwards it as the lease floor in the
+// Vals of routed reads ([lo, hi]); a read-serving standby refuses with
+// CodeStale when its applied sequence is below the floor, which the router
+// turns into a primary fallback (read-your-writes).
 
 // SetToken stamps a write-acknowledgement sequence token onto an OK
 // response. Zero clears it.

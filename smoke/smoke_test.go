@@ -197,7 +197,7 @@ func replica(s *Smoke) {
 // refuse a -shards 2 restart naming the durable count, and serve a
 // verified run from the recovered region. Plain builds then compare
 // pure-write throughput at -shards 4 and 1: >= 2x on >= 4 CPUs, >= 0.5x on
-// fewer, where four executors and the coordinator hop share the cores.
+// fewer, where four cores and the coordinator hop share the cores.
 func shard(s *Smoke) {
 	s.phase(true)
 	wal := s.wal("shards")
