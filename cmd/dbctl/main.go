@@ -165,7 +165,7 @@ func runAudits(db *memdb.DB) []audit.Finding {
 	var findings []audit.Finding
 	rec := audit.Recovery{OnFinding: func(f audit.Finding) { findings = append(findings, f) }}
 	checks := []audit.FullChecker{
-		staticOverPristine(db, rec),
+		audit.NewStaticCheck(db, rec),
 		audit.NewStructuralCheck(db, rec),
 		audit.NewRangeCheck(db, rec),
 	}
@@ -179,18 +179,6 @@ func runAudits(db *memdb.DB) []audit.Finding {
 		c.CheckAll()
 	}
 	return findings
-}
-
-// staticOverPristine builds the static checksum audit with goldens taken
-// from the pristine snapshot already copied into db.
-func staticOverPristine(db *memdb.DB, rec audit.Recovery) audit.FullChecker {
-	// Temporarily reload the region from the pristine snapshot to capture
-	// goldens, then restore the live (possibly corrupted) content.
-	live := append([]byte(nil), db.Raw()...)
-	db.ReloadAll()
-	sc := audit.NewStaticCheck(db, rec)
-	copy(db.Raw(), live)
-	return sc
 }
 
 func loadImage(schema memdb.Schema, path string) (*memdb.DB, error) {

@@ -103,7 +103,6 @@ func run(args []string, out io.Writer, ready chan<- string, stop <-chan struct{}
 	serveReads := fs.Bool("serve-reads", false, "standby: answer routed reads (READ_REC/READ_FLD/STATUS) from the replica for a client-side read router")
 	replPoll := fs.Duration("repl-poll", 100*time.Millisecond, "standby: replication poll interval")
 	replFailLimit := fs.Int("repl-fail-limit", 10, "standby: consecutive poll failures before self-promotion (negative disables)")
-	advertise := fs.String("advertise", "", "standby: address the primary should mirror-fetch from (default: the bound listen address)")
 	cfgRecords := fs.Int("config-records", 16, "schema: configuration records")
 	cfgFields := fs.Int("config-fields", 4, "schema: configuration fields")
 	callRecords := fs.Int("call-records", 24, "schema: records per call table")
@@ -203,15 +202,11 @@ func run(args []string, out io.Writer, ready chan<- string, stop <-chan struct{}
 		}
 	}
 
-	// The listener is bound before the server exists so a standby can
-	// default its advertised mirror address to the real bound endpoint.
+	// The listener is bound before the server exists so a standby names
+	// itself to its primary by the real bound endpoint.
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
-	}
-	advertiseAddr := *advertise
-	if advertiseAddr == "" {
-		advertiseAddr = ln.Addr().String()
 	}
 
 	cfg := server.Config{
@@ -225,7 +220,7 @@ func run(args []string, out io.Writer, ready chan<- string, stop <-chan struct{}
 		Standby:          *replicaOf != "",
 		PrimaryAddr:      *replicaOf,
 		ServeReads:       *serveReads,
-		AdvertiseAddr:    advertiseAddr,
+		AdvertiseAddr:    ln.Addr().String(),
 		ReplPoll:         *replPoll,
 		ReplFailLimit:    *replFailLimit,
 		CheckpointCap:    *walCheckpoint,

@@ -89,10 +89,10 @@ const (
 	ActionTerminate
 	// ActionRelink: logical-group chains rebuilt from record labels.
 	ActionRelink
-	// ActionMirror: field restored from the hot standby's copy — the
-	// "mirrored copy" recovery source the paper assumes; used when the
-	// static image cannot help (dynamic data has no pristine value).
-	ActionMirror
+	// ActionLogRestore: field restored to its newest logged value from
+	// the operation log — an extension of the paper's reset, used when
+	// the static image cannot help (dynamic data has no pristine value).
+	ActionLogRestore
 	// ActionPromote: the fifth escalation level — the standby took over
 	// as primary.
 	ActionPromote
@@ -121,8 +121,8 @@ func (a Action) String() string {
 		return "terminate"
 	case ActionRelink:
 		return "relink"
-	case ActionMirror:
-		return "mirror-restore"
+	case ActionLogRestore:
+		return "log-restore"
 	case ActionPromote:
 		return "promote"
 	case ActionReloadText:

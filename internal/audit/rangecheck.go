@@ -10,7 +10,9 @@ import (
 // a dynamic table, each field whose allowable range is recorded in the
 // system catalog is verified against that range. An out-of-range field is
 // reset to its catalog default and — because the table is dynamic — the
-// record is freed as a preemptive measure to stop error propagation.
+// record is freed as a preemptive measure to stop error propagation. With a
+// Restore hook the field's newest logged value replaces the default, and a
+// fully restored record stays active.
 //
 // The range rules are read from the live on-region catalog, so this audit
 // genuinely loses rules when the catalog itself is damaged; fields with no
@@ -34,13 +36,15 @@ type RangeCheck struct {
 	// audits this way — its region is the primary's replicated state,
 	// and recoveries are deferred to the primary until promotion.
 	DetectOnly bool
-	// Mirror, when set, fetches the replica's copy of a record (all
-	// field values) for mirror-sourced repair. An out-of-range field
-	// whose mirrored value is in range is restored from the mirror
-	// instead of reset to the catalog default, and the record is spared
-	// the preemptive free — the standby's copy is a better truth than
-	// the default. ok=false falls back to the paper's reset path.
-	Mirror func(table, rec int) (vals []uint32, ok bool)
+	// Restore, when set, returns the newest logged value of one field
+	// (the operation log's LastField). An out-of-range field whose logged
+	// value is in range is restored to it instead of reset to the
+	// catalog default, and a record whose every bad field is restored is
+	// spared the preemptive free: dynamic data has no pristine image,
+	// and the log holds the last value a client was acknowledged for.
+	// ok=false, or a logged value itself out of range, takes the paper's
+	// reset path. Never called under DetectOnly.
+	Restore func(table, rec, field int) (v uint32, ok bool)
 }
 
 var _ FullChecker = (*RangeCheck)(nil)
@@ -164,17 +168,8 @@ func (c *RangeCheck) checkRecord(ti, ri, st int, rules []memdb.FieldSpec) []Find
 		}}
 	}
 
-	// When a mirror is available, prefer restoring the replica's copy over
-	// the catalog default: dynamic data has no pristine image, so the
-	// standby is the only source that can recover the actual value.
-	var mirrorVals []uint32
-	haveMirror := false
-	if c.Mirror != nil && !c.DetectOnly {
-		mirrorVals, haveMirror = c.Mirror(ti, ri)
-	}
-
 	var findings []Finding
-	mirrored := 0
+	restored := 0
 	for _, b := range bads {
 		off, err := c.db.TrueRecordOffset(ti, ri)
 		if err != nil {
@@ -182,20 +177,22 @@ func (c *RangeCheck) checkRecord(ti, ri, st int, rules []memdb.FieldSpec) []Find
 		}
 		action, newVal := ActionReset, b.def
 		detail := fmt.Sprintf("value %d outside declared range", b.value)
-		if haveMirror && b.field < len(mirrorVals) {
-			if mv := mirrorVals[b.field]; mv >= b.min && mv <= b.max {
-				action, newVal = ActionMirror, mv
-				detail = fmt.Sprintf("value %d outside declared range, restored %d from mirror", b.value, mv)
-			}
-		}
 		if c.DetectOnly {
 			action = ActionNone
 			detail += " (shadow: recovery deferred)"
-		} else if err := c.db.WriteFieldDirect(ti, ri, b.field, newVal); err != nil {
-			continue
+		} else {
+			if c.Restore != nil {
+				if v, ok := c.Restore(ti, ri, b.field); ok && v >= b.min && v <= b.max {
+					action, newVal = ActionLogRestore, v
+					detail += fmt.Sprintf(", restored %d from the log", v)
+				}
+			}
+			if err := c.db.WriteFieldDirect(ti, ri, b.field, newVal); err != nil {
+				continue
+			}
 		}
-		if action == ActionMirror {
-			mirrored++
+		if action == ActionLogRestore {
+			restored++
 		}
 		f := Finding{
 			Class:  ClassRange,
@@ -211,9 +208,9 @@ func (c *RangeCheck) checkRecord(ti, ri, st int, rules []memdb.FieldSpec) []Find
 		c.recovery.note(f)
 		c.db.NoteAuditError(ti)
 	}
-	// A record fully restored from the mirror holds its true values again;
-	// freeing it would needlessly drop a live call.
-	if c.FreeOnError && !c.DetectOnly && mirrored < len(bads) {
+	// A record fully restored from the log holds its acknowledged values
+	// again; freeing it would needlessly drop a live call.
+	if c.FreeOnError && !c.DetectOnly && restored < len(bads) {
 		off, _ := c.db.TrueRecordOffset(ti, ri)
 		if err := c.db.FreeRecordDirect(ti, ri); err == nil {
 			f := Finding{

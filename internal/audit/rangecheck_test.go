@@ -118,3 +118,88 @@ func TestRangeSweepMatchesPerRecordChecks(t *testing.T) {
 		t.Errorf("findings %v, want %v", keys, wantKeys)
 	}
 }
+
+// TestRangeRestoreHook drives the Restore hook with a fake log. Connection
+// record 0 is written ChannelID 7 and State 3, then its ChannelID (and,
+// in the partial case, its State) is corrupted out of range. A logged
+// in-range value is restored and the record stays active; a logged value
+// out of range, or a miss, resets the field and frees the record; in shadow
+// mode the hook is never asked.
+func TestRangeRestoreHook(t *testing.T) {
+	type logged struct {
+		v  uint32
+		ok bool
+	}
+	cases := []struct {
+		name       string
+		log        map[int]logged // by field; absent is a miss
+		stateBad   bool           // corrupt State as well as ChannelID
+		detectOnly bool
+		wantCalls  int
+		wantActs   []Action
+		wantChan   uint32
+		wantActive bool
+	}{
+		{name: "in-range hit", log: map[int]logged{0: {7, true}}, wantCalls: 1,
+			wantActs: []Action{ActionLogRestore}, wantChan: 7, wantActive: true},
+		{name: "out-of-range hit", log: map[int]logged{0: {40, true}}, wantCalls: 1,
+			wantActs: []Action{ActionReset, ActionFree}, wantChan: 0},
+		{name: "miss", wantCalls: 1,
+			wantActs: []Action{ActionReset, ActionFree}, wantChan: 0},
+		{name: "partial", log: map[int]logged{0: {7, true}}, stateBad: true, wantCalls: 2,
+			wantActs: []Action{ActionLogRestore, ActionReset, ActionFree}, wantChan: 0}, // the free resets it
+		{name: "detect-only", log: map[int]logged{0: {7, true}}, detectOnly: true,
+			wantActs: []Action{ActionNone}, wantChan: 99, wantActive: true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			db := newTestDB(t)
+			c, err := db.Connect()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ri, err := c.Alloc(tblConn, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.WriteRec(tblConn, ri, []uint32{7, 1234, 3}); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.WriteFieldDirect(tblConn, ri, 0, 99); err != nil {
+				t.Fatal(err)
+			}
+			if tc.stateBad {
+				if err := db.WriteFieldDirect(tblConn, ri, 2, 77); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rc := NewRangeCheck(db, Recovery{})
+			rc.DetectOnly = tc.detectOnly
+			calls := 0
+			rc.Restore = func(table, rec, field int) (uint32, bool) {
+				calls++
+				if table != tblConn || rec != ri {
+					t.Errorf("Restore asked for table %d record %d", table, rec)
+				}
+				l := tc.log[field]
+				return l.v, l.ok
+			}
+			var acts []Action
+			for _, f := range rc.CheckTable(tblConn) {
+				acts = append(acts, f.Action)
+			}
+			if !reflect.DeepEqual(acts, tc.wantActs) {
+				t.Errorf("actions %v, want %v", acts, tc.wantActs)
+			}
+			if calls != tc.wantCalls {
+				t.Errorf("Restore called %d times, want %d", calls, tc.wantCalls)
+			}
+			if v, _ := db.ReadFieldDirect(tblConn, ri, 0); v != tc.wantChan {
+				t.Errorf("ChannelID = %d, want %d", v, tc.wantChan)
+			}
+			if st, _ := db.StatusDirect(tblConn, ri); (st == memdb.StatusActive) != tc.wantActive {
+				t.Errorf("status %d, want active=%v", st, tc.wantActive)
+			}
+		})
+	}
+}

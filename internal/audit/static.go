@@ -23,13 +23,16 @@ type StaticCheck struct {
 
 var _ FullChecker = (*StaticCheck)(nil)
 
-// NewStaticCheck captures the golden checksums of every static extent.
-// Call it at startup, while the region is known-good.
+// NewStaticCheck computes the golden checksum of every static extent from
+// permanent storage (db.SnapshotBytes), not from the live region: static
+// data never legally changes, and a live region restored from a checkpoint
+// or a corrupted image may already carry a flip, which a live golden would
+// bless for the life of the process.
 func NewStaticCheck(db *memdb.DB, rec Recovery) *StaticCheck {
 	exts := db.StaticExtents()
 	golden := make([]uint32, len(exts))
 	for i, e := range exts {
-		golden[i] = crc32.ChecksumIEEE(db.Raw()[e.Off : e.Off+e.Len])
+		golden[i] = crc32.ChecksumIEEE(db.SnapshotBytes()[e.Off : e.Off+e.Len])
 	}
 	return &StaticCheck{db: db, recovery: rec, extents: exts, golden: golden}
 }

@@ -25,7 +25,8 @@ type ApplierConfig struct {
 	// default and interoperates with unsharded primaries.
 	Shard int
 	// Advertise is the standby's own serving address, sent with every poll
-	// so the primary's audit knows where its mirror lives. May be empty.
+	// as its peer identity: the primary tells standbys apart by it for
+	// repl.peers and repl.lag, and dials nothing. May be empty.
 	Advertise string
 	// Timeout bounds each wire call to the primary (dial included).
 	// Default 1s.

@@ -100,9 +100,6 @@ func TestShipApply(t *testing.T) {
 	if !bytes.Equal(primary.Raw(), standby.Raw()) {
 		t.Fatal("standby region does not match primary after replay")
 	}
-	if sh.MirrorAddr() != "standby:1" {
-		t.Fatalf("mirror addr = %q", sh.MirrorAddr())
-	}
 	if sh.Lag() != 0 {
 		t.Fatalf("lag = %d after catch-up", sh.Lag())
 	}

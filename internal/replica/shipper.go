@@ -4,11 +4,11 @@
 // replays the batches on its own executor, and promotes itself when the
 // primary stops answering.
 //
-// The paper assumes a fault-tolerant platform beneath the controller —
-// recovery "from a mirrored copy" is one of its escalation sources — and
-// this package supplies that mirror. The division of labor follows the
-// paper's single-writer architecture: everything that touches a database
-// region runs on that node's executor thread (the Applier), while the
+// The paper assumes a fault-tolerant platform beneath the controller, and
+// this package supplies its hot standby: a replayed copy that takes over
+// when the primary is lost. The division of labor follows the paper's
+// single-writer architecture: everything that touches a database region
+// runs on that node's executor thread (the Applier), while the
 // Shipper serves replication reads entirely off the primary's executor,
 // from the thread-safe tail ring, so shipping never steals cycles from
 // call processing (resource isolation, Jiang et al.).
@@ -34,8 +34,8 @@ var ErrGap = errors.New("replica: requested records fell off the primary's tail 
 const DefaultMaxBatch = 24 * 1024
 
 // PeerTTL is how long a standby stays "live" after its last poll. A peer
-// that has not polled within the TTL stops holding back the lag floor and
-// stops being offered as a mirror; it re-registers on its next poll.
+// that has not polled within the TTL stops holding back the lag floor; it
+// re-registers on its next poll.
 const PeerTTL = 5 * time.Second
 
 // peerState is what the shipper remembers about one polling standby.
@@ -45,12 +45,11 @@ type peerState struct {
 }
 
 // Shipper is the primary side: it serves WAL record batches to polling
-// standbys and remembers where each can be reached, so the audit's
-// mirror-sourced recovery knows whom to ask and the health plane can see
-// the slowest live replica. A replica set chains every standby off this
-// one shipper: each poll carries the standby's own position, so per-peer
-// progress falls out of the protocol. Safe from any goroutine —
-// replication reads deliberately bypass the executor.
+// standbys and remembers each one's acknowledged position, so the health
+// plane can see the slowest live replica. A replica set chains every
+// standby off this one shipper: each poll carries the standby's own
+// position, so per-peer progress falls out of the protocol. Safe from any
+// goroutine — replication reads deliberately bypass the executor.
 type Shipper struct {
 	log      *wal.Log
 	maxBatch int
@@ -58,7 +57,7 @@ type Shipper struct {
 	now      func() time.Time
 
 	mu    sync.Mutex
-	peers map[string]*peerState // keyed by advertised addr ("" = anonymous poller)
+	peers map[string]*peerState // keyed by the poller's own address ("" = anonymous poller)
 
 	acked   atomic.Uint64 // highest position acknowledged by any standby
 	batches atomic.Uint64
@@ -78,11 +77,11 @@ func NewShipper(log *wal.Log, maxBatch int) *Shipper {
 func (s *Shipper) SetRing(r *trace.Ring) { s.ring = r }
 
 // Serve answers one standby poll: records after afterSeq, up to the batch
-// cap, as a framed blob. addr, when non-empty, is recorded as the standby's
-// serving address (the audit's mirror). A poll is also an acknowledgement:
-// afterSeq advances that peer's acked watermark monotonically (and the
-// set-wide high-water mark). Returns ErrGap when afterSeq has been evicted
-// from the tail ring.
+// cap, as a framed blob. addr names the polling standby (its own serving
+// address), so each peer's progress is kept apart. A poll is also an
+// acknowledgement: afterSeq advances that peer's acked watermark
+// monotonically (and the set-wide high-water mark). Returns ErrGap when
+// afterSeq has been evicted from the tail ring.
 func (s *Shipper) Serve(afterSeq uint64, addr string) (blob []byte, lastSeq uint64, err error) {
 	s.mu.Lock()
 	p := s.peers[addr]
@@ -111,26 +110,6 @@ func (s *Shipper) Serve(afterSeq uint64, addr string) (blob []byte, lastSeq uint
 		s.ring.Emit(trace.Event{Kind: trace.KindReplShip, Arg: int64(len(blob)), Aux: int64(lastSeq)})
 	}
 	return blob, lastSeq, nil
-}
-
-// MirrorAddr returns the most caught-up live standby's advertised serving
-// address, or "" when no addressable standby has polled within PeerTTL.
-// With one standby this is the PR 4 behavior; with a replica set the audit
-// repairs from the freshest mirror.
-func (s *Shipper) MirrorAddr() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	cutoff := s.now().Add(-PeerTTL)
-	best, bestAcked := "", uint64(0)
-	for addr, p := range s.peers {
-		if addr == "" || p.seen.Before(cutoff) {
-			continue
-		}
-		if best == "" || p.acked > bestAcked {
-			best, bestAcked = addr, p.acked
-		}
-	}
-	return best
 }
 
 // Acked returns the highest log position any standby has acknowledged.

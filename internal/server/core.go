@@ -51,7 +51,7 @@ type core struct {
 	// checks are the audit techniques run by both the periodic element
 	// and forced sweeps; turn holder only after construction. The concrete
 	// checker pointers are retained so promotion can flip them out of
-	// shadow mode and wire the mirror hook.
+	// shadow mode.
 	checks    []audit.FullChecker
 	staticChk *audit.StaticCheck
 	structChk *audit.StructuralCheck
@@ -67,7 +67,6 @@ type core struct {
 	applier    *replica.Applier
 	standby    atomic.Bool
 	replTicker *sim.Ticker
-	mirrorConn *wire.Conn  // turn holder only: cached conn to the standby
 	replRing   *trace.Ring // repl.*/wal.* events (nil without a log or a primary)
 
 	// gauges mirrors single-writer counters into the registry; greg is the
@@ -261,11 +260,12 @@ func newCore(srv *Server, id int, db *memdb.DB, walLog *wal.Log, debt *health.De
 	// Shadow mode: a standby's audits diagnose and journal, but recovery
 	// stays with the primary until promotion.
 	c.setDetectOnly(cfg.Standby)
-	if c.shipper != nil {
-		// Mirror-sourced repair: when the range audit finds a corrupted
-		// dynamic field, the standby's copy is the only source holding the
-		// true value (the static image cannot help).
-		c.rangeChk.Mirror = c.fetchMirror
+	if walLog != nil {
+		// Log-sourced repair: the static image cannot restore dynamic
+		// data, but the log holds each field's newest acknowledged value.
+		// A standby's log is the primary's stream, so a promoted standby
+		// repairs from it the same way.
+		c.rangeChk.Restore = walLog.LastField
 	}
 	c.checks = []audit.FullChecker{c.staticChk, c.structChk, c.rangeChk}
 	for i, ch := range c.checks {
@@ -499,10 +499,6 @@ func (c *core) drainAndStop() {
 	}
 	if c.applier != nil {
 		c.applier.Close()
-	}
-	if c.mirrorConn != nil {
-		c.mirrorConn.Close()
-		c.mirrorConn = nil
 	}
 	if c.walLog != nil {
 		// The final checkpoint captures the swept, certified region, so

@@ -84,9 +84,9 @@ func waitFor(t *testing.T, what string, deadline time.Duration, cond func() bool
 }
 
 // TestFailoverEndToEnd is the subsystem acceptance test: bootstrap + catch-
-// up replication, mirror-sourced audit repair joined to its shot by trace
-// ID, and primary loss ending in standby self-promotion with zero lost
-// fsynced writes.
+// up replication, log-sourced audit repair joined to its shot by trace ID,
+// primary loss ending in standby self-promotion with zero lost fsynced
+// writes, and the promoted standby repairing from its own log.
 func TestFailoverEndToEnd(t *testing.T) {
 	primary, standby, addrP, addrS := startPair(t)
 	connP := dialInit(t, addrP)
@@ -107,63 +107,41 @@ func TestFailoverEndToEnd(t *testing.T) {
 		t.Fatalf("standby Init error = %v, want ErrStandby", err)
 	}
 
-	waitFor(t, "standby catch-up", 5*time.Second, func() bool {
-		st, err := connS.ReplStatus()
-		return err == nil && st.Role == wire.RoleStandby && st.Applied == primary.cores[0].walLog.LastSeq()
-	})
-
-	// The replicated copy holds the client's data: cycle 9 left record
-	// active with quality 9%50+1 = 10.
+	caughtUp := func() {
+		t.Helper()
+		waitFor(t, "standby catch-up", 5*time.Second, func() bool {
+			st, err := connS.ReplStatus()
+			return err == nil && st.Role == wire.RoleStandby && st.Applied == primary.cores[0].walLog.LastSeq()
+		})
+	}
+	caughtUp()
+	// One more acknowledged write once the standby is polling, so it is
+	// shipped as a record into the standby's log, not folded into a
+	// bootstrap snapshot.
 	lastRi := lastActiveRecord(t, connP)
-	goldenQ, err := connP.ReadFld(callproc.TblRes, lastRi, callproc.FldResQuality)
-	if err != nil {
+	const goldenQ = 64
+	if err := connP.WriteFld(callproc.TblRes, lastRi, callproc.FldResQuality, goldenQ); err != nil {
 		t.Fatal(err)
 	}
-	st, vals, err := connS.ReplFetchShard(0, callproc.TblRes, lastRi)
-	if err != nil {
-		t.Fatalf("replfetch: %v", err)
-	}
-	if st != memdb.StatusActive || vals[callproc.FldResQuality] != goldenQ {
-		t.Fatalf("standby copy = status %d vals %v, want active quality %d", st, vals, goldenQ)
+	caughtUp()
+
+	// The replicated copy holds the client's data.
+	sc := standby.cores[0]
+	var st int
+	var v uint32
+	sc.onExecutor(func() {
+		st, _ = sc.db.StatusDirect(callproc.TblRes, lastRi)
+		v, _ = sc.db.ReadFieldDirect(callproc.TblRes, lastRi, callproc.FldResQuality)
+	})
+	if st != memdb.StatusActive || v != goldenQ {
+		t.Fatalf("standby copy = status %d quality %d, want active quality %d", st, v, goldenQ)
 	}
 
 	// Targeted shot: flip the MSB of that record's quality field. The
-	// static image cannot repair dynamic data — only the mirror holds the
-	// true value — so the audit must restore goldenQ from the standby and
-	// spare the record the preemptive free.
-	shotID := make(chan uint64, 1)
-	primary.cores[0].onExecutor(func() {
-		off, err := primary.cores[0].db.TrueRecordOffset(callproc.TblRes, lastRi)
-		if err != nil {
-			shotID <- 0
-			return
-		}
-		fOff := off + memdb.RecordHeaderSize + memdb.FieldSize*callproc.FldResQuality
-		shotID <- primary.cores[0].injectAt(fOff+3, 7)
-	})
-	tid := <-shotID
-	if tid == 0 {
-		t.Fatal("targeted injection failed")
-	}
-
-	waitFor(t, "mirror-restore finding", 5*time.Second, func() bool {
-		for _, ev := range primary.TraceEvents(trace.KindFinding, 0) {
-			if ev.Trace == tid && ev.Code == int64(audit.ActionMirror) {
-				return true
-			}
-		}
-		return false
-	})
-	v, err := connP.ReadFld(callproc.TblRes, lastRi, callproc.FldResQuality)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v != goldenQ {
-		t.Fatalf("after mirror repair quality = %d, want %d", v, goldenQ)
-	}
-	if st, err := connP.Status(callproc.TblRes, lastRi); err != nil || st != memdb.StatusActive {
-		t.Fatalf("record freed despite mirror restore (status %d, err %v)", st, err)
-	}
+	// static image cannot repair dynamic data, but the primary's log holds
+	// the acknowledged value, so the audit restores goldenQ and spares the
+	// record the preemptive free.
+	assertLogRestore(t, primary, connP, lastRi, goldenQ)
 
 	// Every write acknowledged so far is applied on the standby (checked
 	// above), so killing the primary must lose nothing.
@@ -178,7 +156,8 @@ func TestFailoverEndToEnd(t *testing.T) {
 		t.Fatal("promotion not journaled")
 	}
 
-	// The promoted standby serves sessions, with the full replicated state.
+	// The promoted standby serves sessions, with the full replicated state,
+	// and repairs from its own log, which replication filled.
 	connS2 := dialInit(t, addrS)
 	v, err = connS2.ReadFld(callproc.TblRes, lastRi, callproc.FldResQuality)
 	if err != nil {
@@ -186,6 +165,45 @@ func TestFailoverEndToEnd(t *testing.T) {
 	}
 	if v != goldenQ {
 		t.Fatalf("promoted standby quality = %d, want %d (lost write)", v, goldenQ)
+	}
+	assertLogRestore(t, standby, connS2, lastRi, goldenQ)
+}
+
+// assertLogRestore shoots the top bit of Resource record ri's quality on
+// srv's core 0, sweeps through conn, and requires a log-restore finding
+// joined to the shot's trace ID that put back want and left the record
+// active.
+func assertLogRestore(t *testing.T, srv *Server, conn *wire.Conn, ri int, want uint32) {
+	t.Helper()
+	c := srv.cores[0]
+	var tid uint64
+	c.onExecutor(func() {
+		if off, err := qualityMSB(c, ri); err == nil {
+			tid = c.injectAt(off, 7)
+		}
+	})
+	if tid == 0 {
+		t.Fatal("targeted injection failed")
+	}
+	if _, err := conn.Sweep(); err != nil {
+		t.Fatal(err)
+	}
+	found := false
+	for _, ev := range srv.TraceEvents(trace.KindFinding, 0) {
+		found = found || ev.Trace == tid && ev.Code == int64(audit.ActionLogRestore)
+	}
+	if !found {
+		t.Fatal("no log-restore finding joined to the shot")
+	}
+	v, err := conn.ReadFld(callproc.TblRes, ri, callproc.FldResQuality)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v != want {
+		t.Fatalf("after log repair quality = %d, want %d", v, want)
+	}
+	if st, err := conn.Status(callproc.TblRes, ri); err != nil || st != memdb.StatusActive {
+		t.Fatalf("record freed despite log restore (status %d, err %v)", st, err)
 	}
 }
 

@@ -13,33 +13,26 @@ package server
 // deferred. When the standby's polls fail ReplFailLimit times in a row it
 // promotes itself, flipping the audits live and accepting sessions.
 //
-// Audit repairs are deliberately NOT logged: recovery replays valid
-// operations against a clean checkpoint, which reconstructs uncorrupted
-// state without them. The standby can therefore diverge from a primary
-// whose audit freed a record preemptively — a divergence that heals on the
-// next logged alloc of the same slot, and that is exactly what makes the
-// standby useful as a mirror: its copy still holds the true value the
-// primary's corruption destroyed.
+// The log is also the range audit's repair source: every acknowledged
+// write is appended before it is acked, so the tail ring holds each
+// field's newest acknowledged value, and a corrupted dynamic field is
+// restored from it (wal.Log.LastField) before the paper's reset/free is
+// tried. Restores return the region to what the log already says, so they
+// need no record of their own. The paper's reset and free are not logged
+// yet: the standby and a crash image can still hold a record whose primary
+// copy the audit freed, until the next logged alloc of the same slot.
 
 import (
 	"bytes"
 	"errors"
 	"fmt"
-	"net"
-	"time"
 
 	"repro/internal/audit"
-	"repro/internal/memdb"
 	"repro/internal/replica"
 	"repro/internal/trace"
 	"repro/internal/wal"
 	"repro/internal/wire"
 )
-
-// mirrorTimeout bounds the primary's mirror fetch from the standby during
-// audit recovery. Short: an audit sweep must not hold the turn long on a
-// dead mirror.
-const mirrorTimeout = 250 * time.Millisecond
 
 // snapChunk is the bootstrap snapshot chunk size; it leaves headroom under
 // wire.MaxDetail.
@@ -134,10 +127,11 @@ func (c *core) replStep() {
 }
 
 // promote flips a standby into the primary role: replication stops, the
-// audits leave shadow mode, and sessions are accepted. This is the fifth
-// escalation level of the recovery ladder — beyond field reset, record
-// free, extent reload, and full reload, the service itself moves to the
-// mirror. Turn holder only (poll ticker or OpReplPromote).
+// audits leave shadow mode (the range audit then repairs from this node's
+// own log, which replication filled), and sessions are accepted. This is
+// the fifth escalation level of the recovery ladder — beyond field reset,
+// record free, extent reload, and full reload, the service itself moves
+// to the standby. Turn holder only (poll ticker or OpReplPromote).
 func (c *core) promote(reason string) {
 	if !c.standby.CompareAndSwap(true, false) {
 		return
@@ -161,37 +155,6 @@ func (c *core) promote(reason string) {
 	// Role coherence: one core's promotion (self-triggered or requested)
 	// promotes the whole group. The CAS above makes the fan-out converge.
 	c.srv.notePromote(reason)
-}
-
-// fetchMirror reads the standby's copy of a record for mirror-sourced audit
-// repair (audit.RangeCheck.Mirror). Turn holder only; the cached
-// connection is dropped on any error so the next sweep redials.
-func (c *core) fetchMirror(table, rec int) ([]uint32, bool) {
-	if c.shipper == nil || c.standby.Load() {
-		return nil, false
-	}
-	addr := c.shipper.MirrorAddr()
-	if addr == "" {
-		return nil, false
-	}
-	if c.mirrorConn == nil {
-		nc, err := net.DialTimeout("tcp", addr, mirrorTimeout)
-		if err != nil {
-			return nil, false
-		}
-		c.mirrorConn = wire.NewConn(nc)
-		c.mirrorConn.Timeout = mirrorTimeout
-	}
-	st, vals, err := c.mirrorConn.ReplFetchShard(c.id, table, rec)
-	if err != nil {
-		c.mirrorConn.Close()
-		c.mirrorConn = nil
-		return nil, false
-	}
-	if st != memdb.StatusActive {
-		return nil, false
-	}
-	return vals, true
 }
 
 // handleReplicate answers a standby poll without the turn: the shipper
@@ -250,27 +213,6 @@ func (c *core) handleReplSnap(cn *conn, q wire.Request, _ uint64) wire.Response 
 	}
 }
 
-// handleReplFetch reads a record's status and fields directly from the
-// region for the primary's mirror-sourced repair. Turn holder only.
-func (c *core) handleReplFetch(_ *conn, q wire.Request, _ uint64) wire.Response {
-	table, rec := int(q.Table), int(q.Record)
-	st, err := c.db.StatusDirect(table, rec)
-	if err != nil {
-		return fail(q, err)
-	}
-	nf := len(c.db.Schema().Tables[table].Fields)
-	vals := make([]uint32, 1, 1+nf)
-	vals[0] = uint32(st)
-	for fi := 0; fi < nf; fi++ {
-		v, err := c.db.ReadFieldDirect(table, rec, fi)
-		if err != nil {
-			return fail(q, err)
-		}
-		vals = append(vals, v)
-	}
-	return ok(vals...)
-}
-
 // leaseFloor extracts a routed read's lease floor from the request's
 // otherwise-unused value vector (Vals [seq-lo, seq-hi]); zero means the
 // read carries no read-your-writes requirement.
@@ -301,7 +243,7 @@ func (s *Server) standbyAllowed(op wire.Op) bool {
 	switch op {
 	case wire.OpPing, wire.OpSweep, wire.OpStats2, wire.OpTrace,
 		wire.OpHealth, wire.OpReplStatus, wire.OpReplPromote, wire.OpReplSnap,
-		wire.OpReplFetch, wire.OpReplicate:
+		wire.OpReplicate:
 		return true
 	case wire.OpReadRec, wire.OpReadFld, wire.OpStatus:
 		return s.cfg.ServeReads

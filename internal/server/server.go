@@ -73,8 +73,9 @@ type Config struct {
 	Standby bool
 	// PrimaryAddr is the primary this standby polls. Required with Standby.
 	PrimaryAddr string
-	// AdvertiseAddr is this node's own serving address, told to the
-	// primary so its audit can mirror-fetch from here. Standby only.
+	// AdvertiseAddr is this node's own serving address, sent with every
+	// poll as its peer identity: the primary tells standbys apart by it
+	// for repl.peers and repl.lag. Standby only.
 	AdvertiseAddr string
 	// ServeReads lets a standby answer READ_REC/READ_FLD/STATUS itself —
 	// session-less, through the fastlane read view — for a client-side
@@ -805,23 +806,16 @@ func (s *Server) handle(cn *conn, q wire.Request) wire.Response {
 		}
 		return wire.Response{Detail: string(data)}
 
-	case wire.OpReplicate, wire.OpReplSnap, wire.OpReplFetch:
-		// The shard id rides an otherwise-unused word: Table, or Field for
-		// REPL_FETCH, whose Table is a real one.
+	case wire.OpReplicate, wire.OpReplSnap:
+		// The shard id rides the otherwise-unused Table word.
 		k := int(q.Table)
-		if q.Op == wire.OpReplFetch {
-			k = int(q.Field)
-		}
 		if k < 0 || k >= len(s.cores) {
 			return s.refuse(q, fmt.Errorf("%w: %v names shard %d of %d (mismatched -shards?)",
 				wire.ErrBadFrame, q.Op, k, len(s.cores)))
 		}
 		c := s.cores[k]
-		switch q.Op {
-		case wire.OpReplSnap:
+		if q.Op == wire.OpReplSnap {
 			return c.submit(cn, q, (*core).handleReplSnap)
-		case wire.OpReplFetch:
-			return c.submit(cn, q, (*core).handleReplFetch)
 		}
 		// Replication polls never take the turn: the shipper reads the
 		// WAL's thread-safe tail ring, so a standby catching up never

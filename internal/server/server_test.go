@@ -46,7 +46,13 @@ func testDBs(t *testing.T, n int) []*memdb.DB {
 // shuts the server down (t.Error on drain failure).
 func newTestServer(t *testing.T, n int, cfg Config, wals ...*wal.Log) (*Server, string) {
 	t.Helper()
-	dbs := testDBs(t, n)
+	return serveTestDBs(t, testDBs(t, n), cfg, wals...)
+}
+
+// serveTestDBs is newTestServer over regions the caller built (a recovered
+// database, say).
+func serveTestDBs(t *testing.T, dbs []*memdb.DB, cfg Config, wals ...*wal.Log) (*Server, string) {
+	t.Helper()
 	if cfg.AuditPeriod == 0 {
 		cfg.AuditPeriod = 50 * time.Millisecond
 	}

@@ -276,6 +276,38 @@ func (l *Log) Since(afterSeq uint64, maxBytes int) (blob []byte, lastSeq uint64,
 	return blob, lastSeq, true
 }
 
+// LastField returns the newest logged value of field of record rec in
+// table, walking the tail ring from its head back: an OpWriteFld of that
+// field or an OpWriteRec of the record gives it; an OpAlloc or OpFree of
+// the record (a new life with no value yet), or the end of the ring, is a
+// miss. Other records, other fields and OpMove are skipped. Since every
+// acknowledged write is logged before it is acked, a hit is the newest
+// acked value — the range audit's repair source. Safe from any goroutine.
+func (l *Log) LastField(table, rec, field int) (uint32, bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for i := range uint64(len(l.tail)) {
+		r := &l.tail[l.slot(l.head-i)]
+		if int(r.Table) != table || int(r.Rec) != rec {
+			continue
+		}
+		switch r.Op {
+		case OpWriteFld:
+			if int(r.Field) == field && len(r.Vals) == 1 {
+				return r.Vals[0], true
+			}
+		case OpWriteRec:
+			if field >= 0 && field < len(r.Vals) {
+				return r.Vals[field], true
+			}
+			return 0, false
+		case OpAlloc, OpFree:
+			return 0, false
+		}
+	}
+	return 0, false
+}
+
 // Checkpoint syncs the log, captures the state written by snapshot (the
 // executor-thread region serializer), persists it crash-safely
 // (temp + fsync + rename), prunes segments wholly covered by it, and removes

@@ -167,6 +167,74 @@ func TestSinceRacesAppend(t *testing.T) {
 	}
 }
 
+// TestLastField pins the range audit's repair read: the newest logged value
+// of (table 1, record 5, field 2), walked from the ring's head. A write of
+// that field or of the whole record is a hit; an alloc or free of the record
+// ends the walk with a miss, as does the ring's end, whether the write was
+// evicted or a checkpoint install emptied the ring.
+func TestLastField(t *testing.T) {
+	fld := func(table, rec, field int32, v uint32) Record {
+		return Record{Op: OpWriteFld, Table: table, Rec: rec, Field: field, Vals: []uint32{v}}
+	}
+	wrec := func(vals ...uint32) Record { return Record{Op: OpWriteRec, Table: 1, Rec: 5, Vals: vals} }
+	life := func(op Op) Record { return Record{Op: op, Table: 1, Rec: 5} }
+	cases := []struct {
+		name    string
+		tailCap int
+		recs    []Record
+		install bool // install a checkpoint past the head after appending
+		want    uint32
+		ok      bool
+	}{
+		{name: "write-fld", recs: []Record{fld(1, 5, 2, 42)}, want: 42, ok: true},
+		{name: "write-rec", recs: []Record{wrec(7, 8, 9)}, want: 9, ok: true},
+		{name: "newest wins", recs: []Record{wrec(7, 8, 9), fld(1, 5, 2, 42), fld(1, 5, 2, 43)}, want: 43, ok: true},
+		{name: "write-rec after write-fld", recs: []Record{fld(1, 5, 2, 42), wrec(7, 8, 9)}, want: 9, ok: true},
+		{name: "skips others and move", recs: []Record{
+			fld(1, 5, 2, 42), fld(1, 5, 1, 9), fld(1, 6, 2, 10), fld(2, 5, 2, 11),
+			{Op: OpMove, Table: 1, Rec: 5, Aux: 3},
+		}, want: 42, ok: true},
+		{name: "write after alloc", recs: []Record{life(OpAlloc), fld(1, 5, 2, 42)}, want: 42, ok: true},
+		{name: "free stops", recs: []Record{fld(1, 5, 2, 42), life(OpFree)}},
+		{name: "alloc stops", recs: []Record{fld(1, 5, 2, 42), life(OpFree), life(OpAlloc)}},
+		{name: "short write-rec", recs: []Record{fld(1, 5, 2, 42), wrec(7, 8)}},
+		{name: "never written", recs: []Record{fld(1, 6, 2, 42)}},
+		{name: "empty log"},
+		{name: "last slot", tailCap: 4, recs: []Record{
+			fld(1, 5, 2, 42), fld(1, 6, 2, 1), fld(1, 6, 2, 2), fld(1, 6, 2, 3),
+		}, want: 42, ok: true},
+		{name: "wrapped", tailCap: 4, recs: []Record{
+			fld(1, 6, 2, 1), fld(1, 6, 2, 2), fld(1, 5, 2, 42), fld(1, 6, 2, 3), fld(1, 6, 2, 4), fld(1, 6, 2, 5),
+		}, want: 42, ok: true},
+		{name: "evicted", tailCap: 4, recs: []Record{
+			fld(1, 5, 2, 42), fld(1, 6, 2, 1), fld(1, 6, 2, 2), fld(1, 6, 2, 3), fld(1, 6, 2, 4),
+		}},
+		{name: "checkpoint install", recs: []Record{fld(1, 5, 2, 42)}, install: true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			l, err := Open(Config{Dir: t.TempDir(), TailCap: tc.tailCap}, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			for _, r := range tc.recs {
+				if _, err := l.Append(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if tc.install {
+				if err := l.InstallCheckpoint(l.LastSeq()+5, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if v, ok := l.LastField(1, 5, 2); v != tc.want || ok != tc.ok {
+				t.Fatalf("LastField = %d, %v; want %d, %v", v, ok, tc.want, tc.ok)
+			}
+		})
+	}
+}
+
 // TestAppendFullRingAllocs pins Append at zero allocations once the tail
 // ring is full and the encode buffer warm: eviction overwrites a slot.
 func TestAppendFullRingAllocs(t *testing.T) {

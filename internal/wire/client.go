@@ -305,10 +305,10 @@ func (c *Conn) ReplStatus() (ReplState, error) {
 // ReplicateShard polls one WAL stream of the primary for records after
 // afterSeq. shard rides the request's otherwise-unused Table field (zero on
 // the wire is shard 0, so unsharded peers interoperate unchanged). addr is
-// the poller's own serving address, which the primary remembers as its
-// mirror for audit repairs. The returned blob is a batch of CRC-framed WAL
-// records (possibly empty when caught up); lastSeq is the stream's log
-// position. A wire.ErrReplGap error means afterSeq fell off the primary's
+// the poller's own serving address, by which the primary tells its peers
+// apart for repl.peers and repl.lag. The returned blob is a batch of
+// CRC-framed WAL records (possibly empty when caught up); lastSeq is the
+// stream's log position. A wire.ErrReplGap error means afterSeq fell off the primary's
 // tail ring and the standby must re-bootstrap with ReplSnapShard.
 func (c *Conn) ReplicateShard(shard int, afterSeq uint64, addr string) (blob []byte, lastSeq uint64, err error) {
 	lo, hi := SplitU64(afterSeq)
@@ -336,21 +336,6 @@ func (c *Conn) ReplSnapShard(shard, off int) (chunk []byte, total int, seq uint6
 		return nil, 0, 0, fmt.Errorf("%w: ReplSnap reply carries %d values", ErrBadFrame, len(r.Vals))
 	}
 	return []byte(r.Detail), int(r.Vals[0]), JoinU64(r.Vals[1], r.Vals[2]), nil
-}
-
-// ReplFetchShard reads a record directly from one shard of a replica for
-// mirror-sourced audit repair: the record's status byte plus every field
-// value. The record index is the shard's local index; shard rides the
-// request's otherwise-unused Field field.
-func (c *Conn) ReplFetchShard(shard, table, rec int) (status int, vals []uint32, err error) {
-	r, err := c.call(Request{Op: OpReplFetch, Table: int32(table), Record: int32(rec), Field: int32(shard)})
-	if err != nil {
-		return 0, nil, err
-	}
-	if len(r.Vals) < 1 {
-		return 0, nil, fmt.Errorf("%w: ReplFetch reply carries %d values", ErrBadFrame, len(r.Vals))
-	}
-	return int(r.Vals[0]), r.Vals[1:], nil
 }
 
 // ProcExec runs the named server-side procedure with args and returns the

@@ -60,10 +60,10 @@ const (
 	// its primary with OpReplicate; the record stream rides in Detail as
 	// CRC-framed WAL records, so integrity is end-to-end, not per-hop.
 	OpReplStatus  // role + log positions, see ReplStatus
-	OpReplicate   // Vals [after-lo, after-hi], request Detail = standby addr; response Detail = record batch, Vals [last-lo, last-hi]
+	OpReplicate   // Vals [after-lo, after-hi], request Detail = standby addr (its peer identity); response Detail = record batch, Vals [last-lo, last-hi]
 	OpReplSnap    // bootstrap snapshot chunk; Record is the byte offset, response Vals [total, seq-lo, seq-hi], Detail = chunk
 	OpReplPromote // force a standby to take over as primary
-	OpReplFetch   // mirror read for audit repair: returns [status, fields...] of (Table, Record)
+	OpReplFetch   // reserved: the retired standby mirror read; servers answer ErrUnknownOp
 	OpProcExec    // run a registered procedure: Detail = name, Vals = args; returns the emitted values
 	OpProcLoad    // register a procedure: Detail = name + "\n" + source; returns [words, blocks, version]
 	OpProcList    // procedure registry introspection; response Detail carries the JSON inventory
