@@ -2,12 +2,16 @@ GO ?= go
 
 SMOKES = failover-smoke proc-smoke scenario-smoke health-smoke replica-smoke shard-smoke
 
-.PHONY: all build vet test check cover loc fuzz-smoke trace-smoke $(SMOKES) bench bench-smoke bench-quick bench-test clean
+.PHONY: all build fmt vet test check cover loc fuzz-smoke trace-smoke $(SMOKES) bench bench-smoke bench-quick bench-test clean
 
 all: check
 
 build:
 	$(GO) build ./...
+
+# Fails, listing the files, when any Go file differs from gofmt's output.
+fmt:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 # The nested bench/ module imports internal packages (memdb.View among
 # them), so vetting it here catches an internal API break locally.
@@ -19,9 +23,10 @@ vet:
 test:
 	$(GO) test -race ./...
 
-# The CI gate: compile everything, vet (the bench/ module included), full
-# test suite under the race detector (includes the server end-to-end tests).
-check: build vet test
+# The CI gate: gofmt-clean sources, compile everything, vet (the bench/
+# module included), full test suite under the race detector (includes the
+# server end-to-end tests).
+check: fmt build vet test
 
 # Coverage over every package, with the per-function summary and an HTML
 # report left in cover.out / cover.html.

@@ -11,8 +11,8 @@ import (
 // system catalog is verified against that range. An out-of-range field is
 // reset to its catalog default and — because the table is dynamic — the
 // record is freed as a preemptive measure to stop error propagation. With a
-// Restore hook the field's newest logged value replaces the default, and a
-// fully restored record stays active.
+// Restore hook a record whose every bad field has an in-range logged value
+// gets those values back instead and stays active.
 //
 // The range rules are read from the live on-region catalog, so this audit
 // genuinely loses rules when the catalog itself is damaged; fields with no
@@ -37,13 +37,14 @@ type RangeCheck struct {
 	// and recoveries are deferred to the primary until promotion.
 	DetectOnly bool
 	// Restore, when set, returns the newest logged value of one field
-	// (the operation log's LastField). An out-of-range field whose logged
-	// value is in range is restored to it instead of reset to the
-	// catalog default, and a record whose every bad field is restored is
-	// spared the preemptive free: dynamic data has no pristine image,
-	// and the log holds the last value a client was acknowledged for.
-	// ok=false, or a logged value itself out of range, takes the paper's
-	// reset path. Never called under DetectOnly.
+	// (the operation log's LastField); it is asked once per bad field. A
+	// record whose every bad field has an in-range logged value is
+	// restored to those values and spared the preemptive free: dynamic
+	// data has no pristine image, and the log holds the last value a
+	// client was acknowledged for. Otherwise, with FreeOnError, every bad
+	// field takes the paper's reset and the record is freed; without it,
+	// each field with an in-range logged value is restored and the rest
+	// are reset. Never called under DetectOnly.
 	Restore func(table, rec, field int) (v uint32, ok bool)
 }
 
@@ -142,6 +143,8 @@ func (c *RangeCheck) checkRecord(ti, ri, st int, rules []memdb.FieldSpec) []Find
 		value    uint32
 		def      uint32
 		min, max uint32
+		logged   uint32 // the field's in-range logged value, when restorable
+		restore  bool
 	}
 	var bads []bad
 	for fi, spec := range rules {
@@ -168,8 +171,22 @@ func (c *RangeCheck) checkRecord(ti, ri, st int, rules []memdb.FieldSpec) []Find
 		}}
 	}
 
+	restorable := 0
+	if c.Restore != nil && !c.DetectOnly {
+		for i := range bads {
+			b := &bads[i]
+			if v, ok := c.Restore(ti, ri, b.field); ok && v >= b.min && v <= b.max {
+				b.logged, b.restore = v, true
+				restorable++
+			}
+		}
+	}
+	// The preemptive free resets every field, so with FreeOnError a record
+	// is restored from the log only when all its bad fields are: a partial
+	// restore would be undone by the free that follows.
+	free := c.FreeOnError && !c.DetectOnly && restorable < len(bads)
+
 	var findings []Finding
-	restored := 0
 	for _, b := range bads {
 		off, err := c.db.TrueRecordOffset(ti, ri)
 		if err != nil {
@@ -181,18 +198,13 @@ func (c *RangeCheck) checkRecord(ti, ri, st int, rules []memdb.FieldSpec) []Find
 			action = ActionNone
 			detail += " (shadow: recovery deferred)"
 		} else {
-			if c.Restore != nil {
-				if v, ok := c.Restore(ti, ri, b.field); ok && v >= b.min && v <= b.max {
-					action, newVal = ActionLogRestore, v
-					detail += fmt.Sprintf(", restored %d from the log", v)
-				}
+			if b.restore && !free {
+				action, newVal = ActionLogRestore, b.logged
+				detail += fmt.Sprintf(", restored %d from the log", b.logged)
 			}
 			if err := c.db.WriteFieldDirect(ti, ri, b.field, newVal); err != nil {
 				continue
 			}
-		}
-		if action == ActionLogRestore {
-			restored++
 		}
 		f := Finding{
 			Class:  ClassRange,
@@ -210,7 +222,7 @@ func (c *RangeCheck) checkRecord(ti, ri, st int, rules []memdb.FieldSpec) []Find
 	}
 	// A record fully restored from the log holds its acknowledged values
 	// again; freeing it would needlessly drop a live call.
-	if c.FreeOnError && !c.DetectOnly && restored < len(bads) {
+	if free {
 		off, _ := c.db.TrueRecordOffset(ti, ri)
 		if err := c.db.FreeRecordDirect(ti, ri); err == nil {
 			f := Finding{

@@ -147,7 +147,7 @@ func TestRangeRestoreHook(t *testing.T) {
 		{name: "miss", wantCalls: 1,
 			wantActs: []Action{ActionReset, ActionFree}, wantChan: 0},
 		{name: "partial", log: map[int]logged{0: {7, true}}, stateBad: true, wantCalls: 2,
-			wantActs: []Action{ActionLogRestore, ActionReset, ActionFree}, wantChan: 0}, // the free resets it
+			wantActs: []Action{ActionReset, ActionReset, ActionFree}, wantChan: 0},
 		{name: "detect-only", log: map[int]logged{0: {7, true}}, detectOnly: true,
 			wantActs: []Action{ActionNone}, wantChan: 99, wantActive: true},
 	}

@@ -28,9 +28,10 @@ type Tracer struct {
 	Role func() string
 }
 
-// NewTracer builds an audit tracer emitting into rec's "audit" ring.
-func NewTracer(rec *trace.Recorder, ringSize int) *Tracer {
-	return &Tracer{ring: rec.Ring("audit", ringSize)}
+// NewTracer builds an audit tracer emitting into rec's "audit" ring of
+// trace.DefaultRingSize events.
+func NewTracer(rec *trace.Recorder) *Tracer {
+	return &Tracer{ring: rec.Ring("audit", trace.DefaultRingSize)}
 }
 
 // Ring returns the ring the tracer emits into, for co-located events

@@ -16,7 +16,7 @@ func (f fakeChecker) CheckAll() []Finding            { return f.findings }
 
 func TestTracerNoteEmitsFindingAndRecovery(t *testing.T) {
 	rec := trace.New()
-	tr := NewTracer(rec, 0)
+	tr := NewTracer(rec)
 	tr.Resolve = func(Finding) uint64 { return 42 }
 
 	tr.Note(Finding{Class: ClassRange, Action: ActionReset, Table: 2, Offset: 64, Detail: "oob"})
@@ -58,7 +58,7 @@ func TestTracerNoteEmitsFindingAndRecovery(t *testing.T) {
 // in merged journals.
 func TestTracerRolePrefixesFindingDetail(t *testing.T) {
 	rec := trace.New()
-	tr := NewTracer(rec, 0)
+	tr := NewTracer(rec)
 	role := "standby-serving"
 	tr.Role = func() string { return role }
 
@@ -84,7 +84,7 @@ func TestTracerRolePrefixesFindingDetail(t *testing.T) {
 // sweep-counting technique's CheckAll counts a sweep.
 func TestInstrumentBracketsPasses(t *testing.T) {
 	rec := trace.New()
-	tr := NewTracer(rec, 0)
+	tr := NewTracer(rec)
 	reg := metrics.NewRegistry()
 	tel := NewTelemetry(reg)
 	fake := fakeChecker{findings: []Finding{{Class: ClassStatic}, {Class: ClassRange}}}

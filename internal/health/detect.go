@@ -16,6 +16,15 @@ const detCacheTTL = 50 * time.Millisecond
 // to; an older shot has left the core's coverage window.
 const windowShots = 64
 
+// DetectBound is the open-shot age past which a shot counts as an overrun,
+// and the bound of the server's detect-p99 and detect-watermark objectives:
+// an injected fault should be found and repaired within ten 200 ms audit
+// periods.
+const DetectBound = 2 * time.Second
+
+// detectWindow is the detection-latency sample window.
+const detectWindow = 60 * time.Second
+
 // defaultMaxSamples is the join-latency ring capacity.
 const defaultMaxSamples = 512
 
@@ -29,9 +38,6 @@ const defaultMaxSamples = 512
 // of data. All methods are safe from any goroutine and hold one mutex
 // briefly; none waits for anything else while holding it.
 type Detector struct {
-	window time.Duration // latency sample window
-	bound  time.Duration // open-shot age past which a shot is an overrun
-
 	mu   sync.Mutex
 	wins [][]ledgerShot // per-core coverage window, oldest first
 	// lostAt is the shot time of the oldest shot that left a window
@@ -64,14 +70,9 @@ type detSample struct {
 	at, lat time.Duration
 }
 
-// NewDetector builds a ledger. window is the latency sample window, bound
-// the open-shot overrun threshold.
-func NewDetector(window, bound time.Duration) *Detector {
-	return &Detector{
-		window:  window,
-		bound:   bound,
-		samples: make([]detSample, defaultMaxSamples),
-	}
+// NewDetector builds an empty ledger.
+func NewDetector() *Detector {
+	return &Detector{samples: make([]detSample, defaultMaxSamples)}
 }
 
 // Shot records injection id at region offset off on core, at recorder time
@@ -123,7 +124,7 @@ func (d *Detector) Resolve(core int, covers func(off int) bool, now time.Duratio
 			sh.caught = true
 			d.caught++
 			lat := max(now-sh.at, 0)
-			if lat > d.bound && !sh.overrun {
+			if lat > DetectBound && !sh.overrun {
 				d.overruns++
 			}
 			d.samples[d.next] = detSample{at: now, lat: lat}
@@ -194,7 +195,7 @@ func (d *Detector) Snapshot(now time.Duration) DetectionStats {
 			}
 			age := now - sh.at
 			s.OldestOpen = max(s.OldestOpen, age)
-			if age > d.bound && !sh.overrun {
+			if age > DetectBound && !sh.overrun {
 				sh.overrun = true
 				d.overruns++
 			}
@@ -205,7 +206,7 @@ func (d *Detector) Snapshot(now time.Duration) DetectionStats {
 	}
 	kept := d.lost[:0]
 	for _, at := range d.lost {
-		if now-at > d.bound {
+		if now-at > DetectBound {
 			d.overruns++
 		} else {
 			kept = append(kept, at)
@@ -220,7 +221,7 @@ func (d *Detector) Snapshot(now time.Duration) DetectionStats {
 	}
 	lats := make([]time.Duration, 0, n)
 	for i := 0; i < n; i++ {
-		if sm := d.samples[i]; now-sm.at <= d.window {
+		if sm := d.samples[i]; now-sm.at <= detectWindow {
 			lats = append(lats, sm.lat)
 		}
 	}

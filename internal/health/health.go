@@ -87,104 +87,10 @@ func ParseState(name string) (State, bool) {
 	return OK, false
 }
 
-// SLO declares the service-level objectives the plane evaluates and the
-// evaluator's windowing. Zero values take the documented defaults, so
-// `health.SLO{}` is a complete, sane declaration.
-type SLO struct {
-	// DetectP99 bounds the windowed detection-latency p99 AND the open-
-	// shot age watermark: an injected fault should be found and repaired
-	// within this long. Default 2s (ten 200ms audit periods).
-	DetectP99 time.Duration
-	// DetectWindow is the detection-latency sample window. Default 60s.
-	DetectWindow time.Duration
-	// MaxShedRate bounds request sheds per second. Default 1.
-	MaxShedRate float64
-	// MaxReplLag bounds the standby's replication lag in WAL records.
-	// Default 512. Only evaluated when replication is wired.
-	MaxReplLag float64
-	// MaxHeartbeatMissPerMin bounds audit heartbeat misses per minute.
-	// Default 1.
-	MaxHeartbeatMissPerMin float64
-	// MaxAuditBehind bounds how many periodic sweeps the audit scheduler
-	// may run behind its own cadence. Default 3.
-	MaxAuditBehind float64
-
-	// Budget is the fraction of evaluation samples allowed to violate an
-	// objective before its error budget burns at rate 1. Default 0.1.
-	Budget float64
-	// ShortWindow / LongWindow are the burn-rate windows. Defaults 10s
-	// and 60s.
-	ShortWindow time.Duration
-	LongWindow  time.Duration
-	// EvalPeriod is the minimum spacing between evaluation samples.
-	// Default 250ms.
-	EvalPeriod time.Duration
-	// DegradeBurn and CritBurn are the burn-rate thresholds: DEGRADED
-	// when the short window burns >= DegradeBurn; CRITICAL when the
-	// short window burns >= CritBurn while the long window also burns
-	// >= DegradeBurn. Defaults 1 and 2.
-	DegradeBurn float64
-	CritBurn    float64
-	// RecoverStreak is how many consecutive cleaner evaluations a state
-	// needs before stepping one level toward OK (degrading is always
-	// immediate). Default 4.
-	RecoverStreak int
-	// MinSamples is how many samples a burn window needs before it
-	// reports a nonzero burn, so a single early violation cannot page.
-	// Default 8.
-	MinSamples int
-}
-
-func (s *SLO) applyDefaults() {
-	if s.DetectP99 <= 0 {
-		s.DetectP99 = 2 * time.Second
-	}
-	if s.DetectWindow <= 0 {
-		s.DetectWindow = 60 * time.Second
-	}
-	if s.MaxShedRate <= 0 {
-		s.MaxShedRate = 1
-	}
-	if s.MaxReplLag <= 0 {
-		s.MaxReplLag = 512
-	}
-	if s.MaxHeartbeatMissPerMin <= 0 {
-		s.MaxHeartbeatMissPerMin = 1
-	}
-	if s.MaxAuditBehind <= 0 {
-		s.MaxAuditBehind = 3
-	}
-	if s.Budget <= 0 {
-		s.Budget = 0.1
-	}
-	if s.ShortWindow <= 0 {
-		s.ShortWindow = 10 * time.Second
-	}
-	if s.LongWindow <= 0 {
-		s.LongWindow = 60 * time.Second
-	}
-	if s.EvalPeriod <= 0 {
-		s.EvalPeriod = 250 * time.Millisecond
-	}
-	if s.DegradeBurn <= 0 {
-		s.DegradeBurn = 1
-	}
-	if s.CritBurn <= 0 {
-		s.CritBurn = 2
-	}
-	if s.RecoverStreak <= 0 {
-		s.RecoverStreak = 4
-	}
-	if s.MinSamples <= 0 {
-		s.MinSamples = 8
-	}
-}
-
 // Plane bundles the detector, the SLO evaluator, and (when auditing is
 // armed) the debt meter behind one construction point and one Status
 // document.
 type Plane struct {
-	slo  SLO
 	now  func() time.Duration
 	det  *Detector
 	eval *Evaluator
@@ -192,21 +98,11 @@ type Plane struct {
 }
 
 // NewPlane builds a health plane on the given clock (normally the trace
-// recorder's, so detection latencies share the journal's timebase).
-// Defaults are applied to slo first; the caller declares objectives with
-// AddObjective.
-func NewPlane(slo SLO, now func() time.Duration) *Plane {
-	slo.applyDefaults()
-	return &Plane{
-		slo:  slo,
-		now:  now,
-		det:  NewDetector(slo.DetectWindow, slo.DetectP99),
-		eval: NewEvaluator(slo, now),
-	}
+// recorder's, so detection latencies share the journal's timebase). The
+// caller declares objectives with AddObjective.
+func NewPlane(now func() time.Duration) *Plane {
+	return &Plane{now: now, det: NewDetector(), eval: NewEvaluator(now)}
 }
-
-// SLO returns the declaration with defaults applied.
-func (p *Plane) SLO() SLO { return p.slo }
 
 // Detect exposes the shot ledger.
 func (p *Plane) Detect() *Detector { return p.det }
@@ -221,9 +117,9 @@ func (p *Plane) Debt() *DebtMeter { return p.debt }
 // Tick/Status; wire all objectives before the server starts evaluating.
 func (p *Plane) AddObjective(o Objective) { p.eval.Add(o) }
 
-// Tick runs an SLO evaluation if at least EvalPeriod has elapsed since
-// the last one. Safe from any goroutine; the server drives it from the
-// executor clock.
+// Tick runs an SLO evaluation if at least the evaluation period has
+// elapsed since the last one. Safe from any goroutine; the server drives
+// it from the executor clock.
 func (p *Plane) Tick() { p.eval.Tick() }
 
 // State returns the overall health state (max over subsystems) from the

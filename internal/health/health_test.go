@@ -14,7 +14,7 @@ import (
 func at(off int) func(int) bool { return func(o int) bool { return o == off } }
 
 func TestDetectorJoinAndWatermark(t *testing.T) {
-	d := NewDetector(time.Minute, 2*time.Second)
+	d := NewDetector()
 	// Three shots; two caught at 100ms and 300ms, one left open.
 	d.Shot(0, 1, 10, 1*time.Second)
 	d.Shot(0, 2, 20, 1*time.Second)
@@ -84,7 +84,7 @@ func TestDetectorJoinAndWatermark(t *testing.T) {
 // no later finding can catch it, its age keeps the watermark up, and it
 // overruns the bound exactly once.
 func TestDetectorEvictsAtCap(t *testing.T) {
-	d := NewDetector(time.Minute, time.Second)
+	d := NewDetector()
 	for i := 0; i < windowShots; i++ {
 		d.Shot(0, uint64(i+1), i, time.Duration(i)*time.Millisecond)
 	}
@@ -110,7 +110,7 @@ func TestDetectorEvictsAtCap(t *testing.T) {
 		t.Fatalf("oldest = %v, want 300ms (the evicted shot 1)", s.OldestOpen)
 	}
 	// Past the bound every open shot overruns once, the evicted one too.
-	if s = d.Snapshot(2 * time.Second); s.Overruns != shots-1 {
+	if s = d.Snapshot(DetectBound + 500*time.Millisecond); s.Overruns != shots-1 {
 		t.Fatalf("overruns = %d, want %d", s.Overruns, shots-1)
 	}
 	if s = d.Snapshot(3 * time.Second); s.Overruns != shots-1 || s.OldestOpen != 3*time.Second {
@@ -177,7 +177,9 @@ func TestDebtMeterSchedule(t *testing.T) {
 // (the repo's `make test` does).
 func TestConcurrentHealthReads(t *testing.T) {
 	rec := trace.New()
-	p := NewPlane(SLO{EvalPeriod: time.Millisecond, MinSamples: 1}, rec.Now)
+	p := NewPlane(rec.Now)
+	p.eval.win.period = time.Millisecond
+	p.eval.win.minSamples = 1
 	debt := NewDebtMeter(time.Millisecond)
 	p.SetDebt(debt)
 	p.AddObjective(Objective{
@@ -248,7 +250,7 @@ func TestConcurrentHealthReads(t *testing.T) {
 
 func TestStatusRoundTripAndText(t *testing.T) {
 	rec := trace.New()
-	p := NewPlane(SLO{}, rec.Now)
+	p := NewPlane(rec.Now)
 	debt := NewDebtMeter(200 * time.Millisecond)
 	p.SetDebt(debt)
 	p.AddObjective(Objective{

@@ -6,8 +6,43 @@ import (
 	"time"
 )
 
-// Objective is one declarative SLO: a measured value, the bound it must
-// stay within, and the error budget its violations burn.
+// The evaluator's windowing.
+const (
+	// errorBudget is the fraction of evaluation samples allowed to violate
+	// an objective before its error budget burns at rate 1.
+	errorBudget = 0.1
+	// shortWindow and longWindow are the burn-rate windows.
+	shortWindow = 10 * time.Second
+	longWindow  = 60 * time.Second
+	// evalPeriod is the minimum spacing between evaluation samples.
+	evalPeriod = 250 * time.Millisecond
+	// degradeBurn and critBurn are the burn-rate thresholds: DEGRADED when
+	// the short window burns >= degradeBurn; CRITICAL when the short
+	// window burns >= critBurn while the long window also burns >=
+	// degradeBurn.
+	degradeBurn = 1
+	critBurn    = 2
+	// recoverStreak is how many consecutive cleaner evaluations a state
+	// needs before stepping one level toward OK (degrading is always
+	// immediate).
+	recoverStreak = 4
+	// minSamples is how many samples a burn window needs before it reports
+	// a nonzero burn, so a single early violation cannot page.
+	minSamples = 8
+)
+
+// windowing is the evaluator's sampling and burn-rate windowing. NewEvaluator
+// sets it from the constants above; the package's tests swap in shorter
+// windows before declaring objectives.
+type windowing struct {
+	period, short, long time.Duration
+	budget              float64
+	recoverStreak       int
+	minSamples          int
+}
+
+// Objective is one declarative SLO: a measured value and the bound it must
+// stay within.
 type Objective struct {
 	// Name identifies the objective ("detect-p99", "shed-rate", ...).
 	Name string
@@ -20,8 +55,6 @@ type Objective struct {
 	Value func(now time.Duration) float64
 	// Bound is the SLO threshold: a sample with Value > Bound violates.
 	Bound float64
-	// Budget overrides the SLO-wide violation budget when positive.
-	Budget float64
 }
 
 // evalSample is one windowed evaluation outcome.
@@ -50,7 +83,7 @@ type objState struct {
 // budget burn rates and a per-subsystem OK/DEGRADED/CRITICAL state
 // machine with hysteresis. All methods are safe from any goroutine.
 type Evaluator struct {
-	slo     SLO
+	win     windowing
 	now     func() time.Duration
 	overall atomic.Int32
 
@@ -62,19 +95,22 @@ type Evaluator struct {
 	ticked   bool
 }
 
-// NewEvaluator builds an evaluator on the given clock. slo must already
-// have defaults applied (NewPlane does this).
-func NewEvaluator(slo SLO, now func() time.Duration) *Evaluator {
-	return &Evaluator{slo: slo, now: now, subState: make(map[string]*atomic.Int32, 4)}
+// NewEvaluator builds an evaluator on the given clock.
+func NewEvaluator(now func() time.Duration) *Evaluator {
+	return &Evaluator{
+		win: windowing{
+			period: evalPeriod, short: shortWindow, long: longWindow,
+			budget: errorBudget, recoverStreak: recoverStreak, minSamples: minSamples,
+		},
+		now:      now,
+		subState: make(map[string]*atomic.Int32, 4),
+	}
 }
 
 // Add declares an objective. Wire all objectives before evaluation
 // starts.
 func (e *Evaluator) Add(o Objective) {
-	if o.Budget <= 0 {
-		o.Budget = e.slo.Budget
-	}
-	ringCap := int(e.slo.LongWindow/e.slo.EvalPeriod) + 8
+	ringCap := int(e.win.long/e.win.period) + 8
 	if ringCap < 16 {
 		ringCap = 16
 	}
@@ -90,13 +126,13 @@ func (e *Evaluator) Add(o Objective) {
 	}
 }
 
-// Tick evaluates every objective once, if at least EvalPeriod has passed
-// since the previous evaluation.
+// Tick evaluates every objective once, if at least the evaluation period
+// has passed since the previous evaluation.
 func (e *Evaluator) Tick() {
 	now := e.now()
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.ticked && now-e.lastTick < e.slo.EvalPeriod {
+	if e.ticked && now-e.lastTick < e.win.period {
 		return
 	}
 	e.tickLocked(now)
@@ -120,18 +156,18 @@ func (e *Evaluator) tickLocked(now time.Duration) {
 			s.next = 0
 			s.filled = true
 		}
-		s.shortBurn = s.burn(now, e.slo.ShortWindow, e.slo.MinSamples)
-		s.longBurn = s.burn(now, e.slo.LongWindow, e.slo.MinSamples)
+		s.shortBurn = s.burn(now, e.win.short, &e.win)
+		s.longBurn = s.burn(now, e.win.long, &e.win)
 
 		raw := OK
-		if s.shortBurn >= e.slo.DegradeBurn {
+		if s.shortBurn >= degradeBurn {
 			raw = Degraded
 		}
-		if s.shortBurn >= e.slo.CritBurn && s.longBurn >= e.slo.DegradeBurn {
+		if s.shortBurn >= critBurn && s.longBurn >= degradeBurn {
 			raw = Critical
 		}
 		// Hysteresis: degrade immediately, recover one level at a time
-		// only after RecoverStreak consecutive cleaner evaluations. A
+		// only after recoverStreak consecutive cleaner evaluations. A
 		// value flapping across its bound keeps resetting the streak and
 		// the state holds.
 		if raw >= s.state {
@@ -139,7 +175,7 @@ func (e *Evaluator) tickLocked(now time.Duration) {
 			s.streak = 0
 		} else {
 			s.streak++
-			if s.streak >= e.slo.RecoverStreak {
+			if s.streak >= e.win.recoverStreak {
 				s.state--
 				s.streak = 0
 			}
@@ -159,10 +195,10 @@ func (e *Evaluator) tickLocked(now time.Duration) {
 }
 
 // burn computes the error-budget burn rate over the window ending now:
-// the violating fraction of in-window samples divided by the objective's
-// budget. Fewer than minSamples in-window samples report zero, so one
-// early violation cannot page before the window has meaning.
-func (s *objState) burn(now, window time.Duration, minSamples int) float64 {
+// the violating fraction of in-window samples divided by the error budget.
+// Fewer than the minimum in-window samples report zero, so one early
+// violation cannot page before the window has meaning.
+func (s *objState) burn(now, window time.Duration, w *windowing) float64 {
 	n := s.next
 	if s.filled {
 		n = len(s.ring)
@@ -176,10 +212,10 @@ func (s *objState) burn(now, window time.Duration, minSamples int) float64 {
 			}
 		}
 	}
-	if total < minSamples {
+	if total < w.minSamples {
 		return 0
 	}
-	return float64(bad) / float64(total) / s.o.Budget
+	return float64(bad) / float64(total) / w.budget
 }
 
 // State returns the overall state from the latest evaluation. Lock-free.
@@ -210,7 +246,7 @@ func (e *Evaluator) snapshot() []Subsystem {
 	now := e.now()
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if !e.ticked || now-e.lastTick >= e.slo.EvalPeriod {
+	if !e.ticked || now-e.lastTick >= e.win.period {
 		e.tickLocked(now)
 	}
 	out := make([]Subsystem, 0, len(e.subs))

@@ -13,22 +13,16 @@ func (c *testClock) advance(d time.Duration) {
 	c.at += d
 }
 
-// testSLO gives deterministic windows: 1s eval period, 4s short window,
-// 8s long window, no minimum-sample gate, recover after 3 clean ticks.
-func testSLO() SLO {
-	s := SLO{
-		EvalPeriod:    time.Second,
-		ShortWindow:   4 * time.Second,
-		LongWindow:    8 * time.Second,
-		DegradeBurn:   1,
-		CritBurn:      2,
-		RecoverStreak: 3,
-		MinSamples:    1,
-		Budget:        0.5,
+// testEvaluator builds an evaluator on clk with deterministic windows: 1s
+// eval period, 4s short window, 8s long window, budget 0.5, no
+// minimum-sample gate, recover after 3 clean ticks.
+func testEvaluator(clk *testClock) *Evaluator {
+	e := NewEvaluator(clk.now)
+	e.win = windowing{
+		period: time.Second, short: 4 * time.Second, long: 8 * time.Second,
+		budget: 0.5, recoverStreak: 3, minSamples: 1,
 	}
-	s.applyDefaults()
-	s.MinSamples = 1 // applyDefaults would leave 1, set explicitly for clarity
-	return s
+	return e
 }
 
 // step advances one eval period and ticks.
@@ -95,7 +89,7 @@ func TestEvaluatorBurnAndHysteresis(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			clk := &testClock{}
 			var v float64
-			e := NewEvaluator(testSLO(), clk.now)
+			e := testEvaluator(clk)
 			e.Add(Objective{
 				Name:      "probe",
 				Subsystem: "test",
@@ -118,9 +112,8 @@ func TestEvaluatorBurnAndHysteresis(t *testing.T) {
 
 func TestEvaluatorMinSamplesGate(t *testing.T) {
 	clk := &testClock{}
-	slo := testSLO()
-	slo.MinSamples = 4
-	e := NewEvaluator(slo, clk.now)
+	e := testEvaluator(clk)
+	e.win.minSamples = 4
 	e.Add(Objective{
 		Name: "probe", Subsystem: "test", Bound: 10,
 		Value: func(time.Duration) float64 { return 100 },
@@ -141,7 +134,7 @@ func TestEvaluatorMinSamplesGate(t *testing.T) {
 
 func TestEvaluatorWorstSubsystemWins(t *testing.T) {
 	clk := &testClock{}
-	e := NewEvaluator(testSLO(), clk.now)
+	e := testEvaluator(clk)
 	bad := 0.0
 	e.Add(Objective{Name: "a", Subsystem: "serving", Bound: 10,
 		Value: func(time.Duration) float64 { return 0 }})

@@ -194,7 +194,7 @@ func (c Campaign) oneRun(run int, seed int64) (Outcome, bool, error) {
 	var shotID uint64
 	if c.Trace != nil {
 		injRing = c.Trace.Ring("inject", 0)
-		auditTracer = audit.NewTracer(c.Trace, 0)
+		auditTracer = audit.NewTracer(c.Trace)
 		shotID = c.Trace.NextTrace()
 		auditTracer.Resolve = func(audit.Finding) uint64 { return shotID }
 	}

@@ -375,7 +375,8 @@ func (db *DB) ReadFieldDirect(ti, ri, fi int) (uint32, error) {
 }
 
 // WriteFieldDirect writes field fi of record ri in table ti (audit recovery
-// path: resetting a field to its default).
+// resetting a field to its default, or log replay) and bumps the record's
+// shadow version, so an in-flight audit of the record invalidates.
 func (db *DB) WriteFieldDirect(ti, ri, fi int, v uint32) error {
 	off, err := db.TrueRecordOffset(ti, ri)
 	if err != nil {
@@ -386,6 +387,7 @@ func (db *DB) WriteFieldDirect(ti, ri, fi int, v uint32) error {
 	}
 	defer db.mutate()()
 	putU32(db.region, off+RecordHeaderSize+FieldSize*fi, v)
+	db.shadow.records[ti][ri].Version++
 	return nil
 }
 

@@ -138,8 +138,12 @@ func TestRewriteHeaderRepairsIdentity(t *testing.T) {
 
 func TestDirectFieldAccess(t *testing.T) {
 	db := mustDB(t)
+	ver := db.Version(tblProc, 2)
 	if err := db.WriteFieldDirect(tblProc, 2, 1, 42); err != nil {
 		t.Fatalf("WriteFieldDirect: %v", err)
+	}
+	if got := db.Version(tblProc, 2); got != ver+1 {
+		t.Fatalf("version after WriteFieldDirect = %d, want %d", got, ver+1)
 	}
 	v, err := db.ReadFieldDirect(tblProc, 2, 1)
 	if err != nil || v != 42 {

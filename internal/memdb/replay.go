@@ -87,13 +87,3 @@ func (db *DB) MoveDirect(ti, ri, newGroup int) error {
 	db.shadow.noteWrite(ti, ri, 0, db.now())
 	return nil
 }
-
-// TouchVersion bumps the shadow version of record ri in table ti, marking an
-// out-of-band mutation so in-flight audits of the record invalidate. The
-// replica applier calls it after WriteFieldDirect, which (being an audit
-// recovery primitive) deliberately does not bump versions itself.
-func (db *DB) TouchVersion(ti, ri int) {
-	if db.shadow.valid(ti, ri) {
-		db.shadow.records[ti][ri].Version++
-	}
-}

@@ -114,15 +114,10 @@ type Engine struct {
 	// Ring, when set, receives the PECOS violation events (trace-joined to
 	// the request that ran the procedure).
 	Ring *trace.Ring
-	// StepBudget overrides DefaultStepBudget when positive.
-	StepBudget uint64
-	// MemWords/MaxStack size each execution's VM (vm.DefaultConfig when
-	// zero).
-	MemWords int
-	MaxStack int
 }
 
-// NewEngine builds an engine with default sizing.
+// NewEngine builds an engine. Each execution runs on a vm.DefaultConfig VM
+// for at most DefaultStepBudget steps.
 func NewEngine() *Engine { return &Engine{} }
 
 // Exec runs p against sess with the given arguments. tid correlates the
@@ -171,8 +166,7 @@ func (e *Engine) Exec(p *Procedure, sess Session, args []uint32, tid uint64) Res
 		return vm.TrapNone
 	}
 
-	cfg := vm.Config{MemWords: e.MemWords, MaxStack: e.MaxStack}
-	m, err := vm.New(p.text, 1, cfg, bridge)
+	m, err := vm.New(p.text, 1, vm.DefaultConfig(), bridge)
 	if err != nil {
 		p.Faults++
 		return Result{Status: StatusFault, Reason: "vm: " + err.Error()}
@@ -182,11 +176,7 @@ func (e *Engine) Exec(p *Procedure, sess Session, args []uint32, tid uint64) Res
 	rt.TraceID = tid
 	m.OnTrap = rt.OnTrap
 
-	budget := e.StepBudget
-	if budget == 0 {
-		budget = DefaultStepBudget
-	}
-	steps := m.Run(budget)
+	steps := m.Run(DefaultStepBudget)
 	t := m.Thread(0)
 	switch {
 	case rt.Detections > 0:

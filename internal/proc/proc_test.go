@@ -242,9 +242,7 @@ spin:
 	if _, err := r.Load("spinner", src); err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	e := NewEngine()
-	e.StepBudget = 200
-	res := e.Exec(r.Get("spinner"), sess, nil, 1)
+	res := NewEngine().Exec(r.Get("spinner"), sess, nil, 1)
 	if res.Status != StatusFault {
 		t.Fatalf("status = %v, want fault (hang)", res.Status)
 	}

@@ -35,7 +35,6 @@ func driveOps(t *testing.T, db *memdb.DB, l *wal.Log, n int) {
 			if err := db.WriteFieldDirect(ti, ri, callproc.FldResQuality, v); err != nil {
 				t.Fatalf("writefld %d: %v", i, err)
 			}
-			db.TouchVersion(ti, ri)
 			if _, err := l.Append(wal.Record{Op: wal.OpWriteFld, Table: int32(ti), Rec: int32(ri),
 				Field: int32(callproc.FldResQuality), Vals: []uint32{v}}); err != nil {
 				t.Fatalf("append: %v", err)
@@ -79,7 +78,7 @@ func TestShipApply(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh := NewShipper(l, 0)
+	sh := NewShipper(l)
 	ap := NewApplier(standby, nil, 0, ApplierConfig{Primary: "unused"})
 
 	for {
@@ -121,7 +120,7 @@ func TestShipperGap(t *testing.T) {
 	defer l.Close()
 	driveOps(t, primary, l, 40)
 
-	sh := NewShipper(l, 0)
+	sh := NewShipper(l)
 	if _, _, err := sh.Serve(0, ""); !errors.Is(err, ErrGap) {
 		t.Fatalf("expected ErrGap, got %v", err)
 	}

@@ -29,9 +29,9 @@ import (
 // tail ring; the standby must re-bootstrap from a snapshot.
 var ErrGap = errors.New("replica: requested records fell off the primary's tail ring")
 
-// DefaultMaxBatch bounds one replication batch. It leaves headroom under
+// maxBatch bounds one replication batch in bytes. It leaves headroom under
 // wire.MaxDetail so a batch always fits one response frame.
-const DefaultMaxBatch = 24 * 1024
+const maxBatch = 24 * 1024
 
 // PeerTTL is how long a standby stays "live" after its last poll. A peer
 // that has not polled within the TTL stops holding back the lag floor; it
@@ -51,10 +51,9 @@ type peerState struct {
 // position, so per-peer progress falls out of the protocol. Safe from any
 // goroutine — replication reads deliberately bypass the executor.
 type Shipper struct {
-	log      *wal.Log
-	maxBatch int
-	ring     *trace.Ring // may be nil
-	now      func() time.Time
+	log  *wal.Log
+	ring *trace.Ring // may be nil
+	now  func() time.Time
 
 	mu    sync.Mutex
 	peers map[string]*peerState // keyed by the poller's own address ("" = anonymous poller)
@@ -64,13 +63,9 @@ type Shipper struct {
 	bytes   atomic.Uint64
 }
 
-// NewShipper builds a shipper over the primary's log. maxBatch <= 0 uses
-// DefaultMaxBatch.
-func NewShipper(log *wal.Log, maxBatch int) *Shipper {
-	if maxBatch <= 0 {
-		maxBatch = DefaultMaxBatch
-	}
-	return &Shipper{log: log, maxBatch: maxBatch, now: time.Now, peers: make(map[string]*peerState)}
+// NewShipper builds a shipper over the primary's log.
+func NewShipper(log *wal.Log) *Shipper {
+	return &Shipper{log: log, now: time.Now, peers: make(map[string]*peerState)}
 }
 
 // SetRing directs ship events into a trace ring.
@@ -100,7 +95,7 @@ func (s *Shipper) Serve(afterSeq uint64, addr string) (blob []byte, lastSeq uint
 			break
 		}
 	}
-	blob, lastSeq, ok := s.log.Since(afterSeq, s.maxBatch)
+	blob, lastSeq, ok := s.log.Since(afterSeq, maxBatch)
 	if !ok {
 		return nil, lastSeq, ErrGap
 	}

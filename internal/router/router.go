@@ -52,18 +52,16 @@ type Config struct {
 	Addrs []string
 	// ProbeInterval is the health/staleness probe cadence. Default 250ms.
 	ProbeInterval time.Duration
-	// Timeout bounds each routed call and each probe. Default 5s.
-	Timeout time.Duration
 }
 
 func (c *Config) applyDefaults() {
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = 250 * time.Millisecond
 	}
-	if c.Timeout <= 0 {
-		c.Timeout = 5 * time.Second
-	}
 }
+
+// callTimeout bounds each routed call and each probe.
+const callTimeout = 5 * time.Second
 
 // target is the router's view of one node, refreshed by the probe loop.
 // All fields past addr are atomics: sessions read them on every routed
@@ -168,13 +166,13 @@ func (rt *Router) sweep() {
 // probeTarget refreshes one target's health snapshot.
 func (rt *Router) probeTarget(t *target) {
 	rt.probes.Add(1)
-	nc, err := net.DialTimeout("tcp", t.addr, rt.cfg.Timeout)
+	nc, err := net.DialTimeout("tcp", t.addr, callTimeout)
 	if err != nil {
 		t.healthy.Store(false)
 		return
 	}
 	c := wire.NewConn(nc)
-	c.Timeout = rt.cfg.Timeout
+	c.Timeout = callTimeout
 	st, err := c.ReplStatus()
 	c.Close()
 	if err != nil {

@@ -78,7 +78,7 @@ func (s *Session) connectPrimary() error {
 	if err != nil {
 		return fmt.Errorf("router: dial primary %s: %w", addr, err)
 	}
-	c.Timeout = s.rt.cfg.Timeout
+	c.Timeout = callTimeout
 	if _, err := c.Init(); err != nil {
 		c.Close()
 		return fmt.Errorf("router: open session on %s: %w", addr, err)
@@ -155,7 +155,7 @@ func (s *Session) replicaConn(t *target) (*wire.Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.Timeout = s.rt.cfg.Timeout
+	c.Timeout = callTimeout
 	s.replicas[t.addr] = c
 	return c, nil
 }
@@ -239,15 +239,6 @@ func (s *Session) Call(q wire.Request) (wire.Response, error) {
 	return s.primaryCall(q)
 }
 
-// ReadRec reads all fields of a record, routed across the replica set.
-func (s *Session) ReadRec(table, rec int) ([]uint32, error) {
-	r, err := s.read(wire.Request{Op: wire.OpReadRec, Table: int32(table), Record: int32(rec)})
-	if err != nil {
-		return nil, err
-	}
-	return r.Vals, nil
-}
-
 // ReadFld reads one field, routed across the replica set.
 func (s *Session) ReadFld(table, rec, field int) (uint32, error) {
 	r, err := s.read(wire.Request{Op: wire.OpReadFld, Table: int32(table), Record: int32(rec), Field: int32(field)})
@@ -258,18 +249,6 @@ func (s *Session) ReadFld(table, rec, field int) (uint32, error) {
 		return 0, fmt.Errorf("%w: DBread_fld reply carries %d values", wire.ErrBadFrame, len(r.Vals))
 	}
 	return r.Vals[0], nil
-}
-
-// Status reads a record's status byte, routed across the replica set.
-func (s *Session) Status(table, rec int) (int, error) {
-	r, err := s.read(wire.Request{Op: wire.OpStatus, Table: int32(table), Record: int32(rec)})
-	if err != nil {
-		return 0, err
-	}
-	if len(r.Vals) != 1 {
-		return 0, fmt.Errorf("%w: DBstatus reply carries %d values", wire.ErrBadFrame, len(r.Vals))
-	}
-	return int(r.Vals[0]), nil
 }
 
 // WriteRec writes all fields of a record on the primary.
@@ -287,12 +266,6 @@ func (s *Session) WriteFld(table, rec, field int, v uint32) error {
 	return err
 }
 
-// Move reassigns a record to another logical group on the primary.
-func (s *Session) Move(table, rec, group int) error {
-	_, err := s.primaryCall(wire.Request{Op: wire.OpMove, Table: int32(table), Record: int32(rec), Aux: int32(group)})
-	return err
-}
-
 // Alloc claims a free record on the primary and returns its index.
 func (s *Session) Alloc(table, group int) (int, error) {
 	r, err := s.primaryCall(wire.Request{Op: wire.OpAlloc, Table: int32(table), Aux: int32(group)})
@@ -303,32 +276,4 @@ func (s *Session) Alloc(table, group int) (int, error) {
 		return 0, fmt.Errorf("%w: DBalloc reply carries %d values", wire.ErrBadFrame, len(r.Vals))
 	}
 	return int(r.Vals[0]), nil
-}
-
-// Free releases a record on the primary.
-func (s *Session) Free(table, rec int) error {
-	_, err := s.primaryCall(wire.Request{Op: wire.OpFree, Table: int32(table), Record: int32(rec)})
-	return err
-}
-
-// Begin opens a transaction lock on table, on the primary.
-func (s *Session) Begin(table int) error {
-	_, err := s.primaryCall(wire.Request{Op: wire.OpBegin, Table: int32(table)})
-	return err
-}
-
-// Commit releases the session's transaction locks on the primary.
-func (s *Session) Commit() error {
-	_, err := s.primaryCall(wire.Request{Op: wire.OpCommit})
-	return err
-}
-
-// ProcExec runs a registered procedure on the primary (procedures mutate;
-// they are never routed).
-func (s *Session) ProcExec(name string, args []uint32) ([]uint32, error) {
-	r, err := s.primaryCall(wire.Request{Op: wire.OpProcExec, Detail: name, Vals: args})
-	if err != nil {
-		return nil, err
-	}
-	return r.Vals, nil
 }

@@ -199,7 +199,7 @@ func newCore(srv *Server, id int, db *memdb.DB, walLog *wal.Log, debt *health.De
 		progRecoveries: c.greg.Gauge("audit.progress.recoveries"),
 		perSweeps:      c.greg.Gauge("audit.triggers.periodic"),
 	}
-	c.auditTracer = audit.NewTracer(srv.rec, trace.DefaultRingSize)
+	c.auditTracer = audit.NewTracer(srv.rec)
 	c.auditTracer.Resolve = c.resolveShot
 	// Shadow-audit attribution: a finding journaled on a standby is
 	// DetectOnly evidence from the replica's copy, not the primary's — the
@@ -228,7 +228,7 @@ func newCore(srv *Server, id int, db *memdb.DB, walLog *wal.Log, debt *health.De
 	// log — a promoted standby ships to the next standby with no rebuild.
 	c.standby.Store(cfg.Standby)
 	if walLog != nil {
-		c.shipper = replica.NewShipper(walLog, 0)
+		c.shipper = replica.NewShipper(walLog)
 	}
 	if cfg.Standby {
 		startSeq := uint64(0)

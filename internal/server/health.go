@@ -6,6 +6,15 @@ import (
 	"repro/internal/health"
 )
 
+// The served objectives' bounds. detect-p99 and detect-watermark are bound
+// by health.DetectBound, the detector's own overrun threshold.
+const (
+	maxShedRate            = 1   // request sheds per second
+	maxAuditBehind         = 3   // periodic sweeps behind the audit scheduler's cadence
+	maxHeartbeatMissPerMin = 1   // audit heartbeat misses per minute
+	maxReplLag             = 512 // WAL records of replication lag
+)
+
 // buildHealthPlane assembles the health & SLO plane: the shot ledger every
 // core's injector records into and its audit findings resolve against, the
 // audit-debt meter every core's periodic element reports into, and the SLO
@@ -13,11 +22,9 @@ import (
 // objective reading the cores in aggregate. Called once from NewSharded,
 // before any core's clock starts, so every objective is declared before
 // the first evaluation and the ledger exists before the first shot. The
-// gauges ride STATS2. Every objective takes its documented default bound
-// (the zero health.SLO).
+// gauges ride STATS2.
 func (s *Server) buildHealthPlane(debt *health.DebtMeter) {
-	p := health.NewPlane(health.SLO{}, s.rec.Now)
-	slo := p.SLO()
+	p := health.NewPlane(s.rec.Now)
 	sum := func(per func(*core) uint64) func() float64 {
 		return func() float64 {
 			var t uint64
@@ -30,7 +37,7 @@ func (s *Server) buildHealthPlane(debt *health.DebtMeter) {
 
 	// serving: request sheds per second at the cores' bounded admission.
 	p.AddObjective(health.Objective{
-		Name: "shed-rate", Subsystem: "serving", Bound: slo.MaxShedRate,
+		Name: "shed-rate", Subsystem: "serving", Bound: maxShedRate,
 		Value: health.Rate(sum(func(c *core) uint64 { return c.reqDrops().Dropped }), time.Second),
 	})
 
@@ -39,14 +46,14 @@ func (s *Server) buildHealthPlane(debt *health.DebtMeter) {
 	det := p.Detect()
 	p.AddObjective(health.Objective{
 		Name: "detect-p99", Subsystem: "audit",
-		Bound: float64(slo.DetectP99.Milliseconds()),
+		Bound: float64(health.DetectBound.Milliseconds()),
 		Value: func(now time.Duration) float64 {
 			return float64(det.Snapshot(now).P99.Milliseconds())
 		},
 	})
 	p.AddObjective(health.Objective{
 		Name: "detect-watermark", Subsystem: "audit",
-		Bound: float64(slo.DetectP99.Milliseconds()),
+		Bound: float64(health.DetectBound.Milliseconds()),
 		Value: func(now time.Duration) float64 {
 			return float64(det.Snapshot(now).OldestOpen.Milliseconds())
 		},
@@ -54,11 +61,11 @@ func (s *Server) buildHealthPlane(debt *health.DebtMeter) {
 	if debt != nil {
 		p.SetDebt(debt)
 		p.AddObjective(health.Objective{
-			Name: "audit-behind", Subsystem: "audit", Bound: slo.MaxAuditBehind,
+			Name: "audit-behind", Subsystem: "audit", Bound: maxAuditBehind,
 			Value: func(time.Duration) float64 { return float64(debt.Behind()) },
 		})
 		p.AddObjective(health.Objective{
-			Name: "heartbeat-miss", Subsystem: "audit", Bound: slo.MaxHeartbeatMissPerMin,
+			Name: "heartbeat-miss", Subsystem: "audit", Bound: maxHeartbeatMissPerMin,
 			Value: health.Rate(sum(func(c *core) uint64 { return c.hbMisses.Load() }), time.Minute),
 		})
 	}
@@ -66,7 +73,7 @@ func (s *Server) buildHealthPlane(debt *health.DebtMeter) {
 	// replication: only when this node participates in replication at all.
 	if c := s.cores[0]; c.shipper != nil || c.applier != nil {
 		p.AddObjective(health.Objective{
-			Name: "repl-lag", Subsystem: "replication", Bound: slo.MaxReplLag,
+			Name: "repl-lag", Subsystem: "replication", Bound: maxReplLag,
 			Value: func(time.Duration) float64 { return float64(s.replLag()) },
 		})
 	}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -196,5 +197,37 @@ func TestLedgerExactPastRingWrap(t *testing.T) {
 				t.Fatalf("TRACE returned %d shot events, want fewer than %d", len(evs), total)
 			}
 		})
+	}
+}
+
+// TestServedObjectiveBounds pins the bound of every objective a WAL-backed,
+// audited server evaluates, as the HEALTH document carries them.
+func TestServedObjectiveBounds(t *testing.T) {
+	_, wals := openTestWALs(t, 1)
+	_, addr := newTestServer(t, 1, Config{}, wals...)
+	doc, err := dialInit(t, addr).Health()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := health.ParseStatus(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]float64{}
+	for _, sub := range st.Subsystems {
+		for _, o := range sub.Objectives {
+			got[sub.Name+"/"+o.Name] = o.Bound
+		}
+	}
+	want := map[string]float64{
+		"serving/shed-rate":      1,
+		"audit/detect-p99":       2000,
+		"audit/detect-watermark": 2000,
+		"audit/audit-behind":     3,
+		"audit/heartbeat-miss":   1,
+		"replication/repl-lag":   512,
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("objective bounds = %v, want %v", got, want)
 	}
 }

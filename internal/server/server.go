@@ -143,8 +143,8 @@ func (c *Config) applyDefaults() {
 }
 
 // Fixed serving parameters. Request frames are bounded by wire.MaxFrame,
-// trace rings hold trace.DefaultRingSize events, and the health plane takes
-// every documented default of health.SLO.
+// trace rings hold trace.DefaultRingSize events, and the health plane's
+// objective bounds are the constants in health.go.
 const (
 	// auditQueueDepth bounds the DB→audit notification queue.
 	auditQueueDepth = 4096

@@ -142,11 +142,7 @@ func Apply(db *memdb.DB, r Record) error {
 		if len(r.Vals) != 1 {
 			return fmt.Errorf("wal: write-fld carries %d values", len(r.Vals))
 		}
-		if err := db.WriteFieldDirect(ti, ri, int(r.Field), r.Vals[0]); err != nil {
-			return err
-		}
-		db.TouchVersion(ti, ri)
-		return nil
+		return db.WriteFieldDirect(ti, ri, int(r.Field), r.Vals[0])
 	case OpMove:
 		return db.MoveDirect(ti, ri, int(r.Aux))
 	case OpAlloc:
