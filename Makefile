@@ -40,11 +40,14 @@ cover:
 loc:
 	@find . -name '*.go' ! -name '*_test.go' -not -path './bench/*' -not -path './.*' | xargs cat | wc -l
 
-# Short fuzzing passes: the wire codec (framing safety) and the WAL record
-# decoder (recovery must reject, never crash on, arbitrary log bytes).
+# Short fuzzing passes: the wire codec (framing safety), the WAL record
+# decoder (recovery must reject, never crash on, arbitrary log bytes) and
+# the snapshot decoder (a checkpoint or REPL_SNAP body it refuses leaves
+# the region unchanged).
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzCodec -fuzztime=30s ./internal/wire
 	$(GO) test -fuzz=FuzzWALDecode -fuzztime=15s ./internal/wal
+	$(GO) test -fuzz=FuzzRestoreFrom -fuzztime=15s ./internal/memdb
 
 # Flight-recorder smoke: a small traced injection campaign must produce a
 # non-empty journal that round-trips through the JSON codec (reproduce

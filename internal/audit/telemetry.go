@@ -14,8 +14,8 @@ import (
 // overhead that must stay bounded.
 //
 // All update paths are atomic counters/histograms, so findings may be
-// noted from any goroutine (in this repository they arrive on the server's
-// executor thread).
+// noted from any goroutine (in this repository the server's turn holder
+// notes them).
 type Telemetry struct {
 	reg *metrics.Registry
 

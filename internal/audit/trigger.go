@@ -24,7 +24,7 @@ const (
 
 // DebtSink receives the periodic element's schedule accounting: sweep
 // start/end and per-checker element completion. Implementations must be
-// safe to call from the executor thread; the health plane's DebtMeter is
+// safe to call from the turn holder; the health plane's DebtMeter is
 // the production sink.
 type DebtSink interface {
 	// SweepStart marks a sweep beginning with n checker elements due.

@@ -8,8 +8,8 @@ import "repro/internal/sim"
 // window: the flip persists until the registry reloads the pristine image,
 // which is exactly the detection→recovery loop under test.
 //
-// Not safe for concurrent use with the text's executor; the server drives
-// it from the executor thread between procedure executions.
+// Not safe for concurrent use with the text's execution; the server drives
+// it from the turn holder between procedure executions.
 type TextFlipper struct {
 	rng *sim.RNG
 	// Shots counts the flips applied.

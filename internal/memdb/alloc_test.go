@@ -102,7 +102,7 @@ func TestAllocFirstFit(t *testing.T) {
 			case k < 82:
 				_ = db.FreeRecordDirect(ti, ri)
 			case k < 86:
-				_ = db.AllocDirect(ti, ri, group)
+				_ = db.Replay(OpAlloc, ti, ri, 0, group, nil)
 			case k < 90:
 				db.Raw()[status] = byte(rng.Intn(2))
 			case k < 92:
@@ -131,8 +131,8 @@ func TestAllocFirstFit(t *testing.T) {
 }
 
 // TestAllocGroupsReplay pins DBalloc's group bound to replay's: every
-// Alloc the API accepts must replay through AllocDirect to the same
-// region, and every group AllocDirect refuses the API must refuse too, or
+// Alloc the API accepts must replay through DB.Replay to the same region,
+// and every group Replay refuses the API must refuse too, or
 // an acknowledged, logged allocation is lost at recovery.
 func TestAllocGroupsReplay(t *testing.T) {
 	for ti, spec := range chainedSchema().Tables {
@@ -140,7 +140,7 @@ func TestAllocGroupsReplay(t *testing.T) {
 			live, c := chainedDB(t)
 			replica, _ := chainedDB(t)
 			ri, err := c.Alloc(ti, group)
-			rerr := replica.AllocDirect(ti, 0, group)
+			rerr := replica.Replay(OpAlloc, ti, 0, 0, group, nil)
 			switch {
 			case err == nil && rerr != nil:
 				t.Errorf("%s: Alloc accepted group %d that replay refuses: %v", spec.Name, group, rerr)

@@ -76,31 +76,33 @@ func (c *Client) Commit() error {
 // InTxn reports whether the client holds a transaction lock on table.
 func (c *Client) InTxn(table int) bool { return c.txn[table] }
 
-// lockFor acquires table's lock for the duration of one operation, and
-// returns the matching unlock. Under an open transaction the lock is
-// already held and must not be dropped by the per-op path.
-func (c *Client) lockFor(table int) (unlock func(), err error) {
-	if err := c.db.acquire(table, c.pid); err != nil {
-		return nil, err
+// admit is the admission every lock-taking call runs after its guard: it
+// refuses a closed client, then takes table's lock. Once admit succeeds
+// the caller defers c.settle, so a call is charged only when it took the
+// lock.
+func (c *Client) admit(table int) error {
+	if c.closed {
+		return ErrClosed
 	}
-	if c.txn[table] {
-		return func() {}, nil
+	return c.db.acquire(table, c.pid)
+}
+
+// settle ends an admitted call: it charges op, then releases table's lock
+// unless an open transaction holds it.
+func (c *Client) settle(op Op, table, rec int) {
+	c.db.charge(op, c.pid, table, rec)
+	if !c.txn[table] {
+		c.db.release(table, c.pid)
 	}
-	return func() { c.db.release(table, c.pid) }, nil
 }
 
 // ReadRec reads all fields of record rec in table (DBread_rec).
 func (c *Client) ReadRec(table, rec int) ([]uint32, error) {
 	defer c.db.guardEnter("DBread_rec")()
-	if c.closed {
-		return nil, ErrClosed
-	}
-	unlock, err := c.lockFor(table)
-	if err != nil {
+	if err := c.admit(table); err != nil {
 		return nil, err
 	}
-	defer unlock()
-	defer c.db.charge(OpReadRec, c.pid, table, rec)
+	defer c.settle(OpReadRec, table, rec)
 	td, off, err := c.locate(table, rec)
 	if err != nil {
 		return nil, err
@@ -116,15 +118,10 @@ func (c *Client) ReadRec(table, rec int) ([]uint32, error) {
 // ReadFld reads one field of a record (DBread_fld).
 func (c *Client) ReadFld(table, rec, field int) (uint32, error) {
 	defer c.db.guardEnter("DBread_fld")()
-	if c.closed {
-		return 0, ErrClosed
-	}
-	unlock, err := c.lockFor(table)
-	if err != nil {
+	if err := c.admit(table); err != nil {
 		return 0, err
 	}
-	defer unlock()
-	defer c.db.charge(OpReadFld, c.pid, table, rec)
+	defer c.settle(OpReadFld, table, rec)
 	td, off, err := c.locate(table, rec)
 	if err != nil {
 		return 0, err
@@ -140,15 +137,10 @@ func (c *Client) ReadFld(table, rec, field int) (uint32, error) {
 func (c *Client) WriteRec(table, rec int, vals []uint32) error {
 	defer c.db.guardEnter("DBwrite_rec")()
 	defer c.db.clientMutate()()
-	if c.closed {
-		return ErrClosed
-	}
-	unlock, err := c.lockFor(table)
-	if err != nil {
+	if err := c.admit(table); err != nil {
 		return err
 	}
-	defer unlock()
-	defer c.db.charge(OpWriteRec, c.pid, table, rec)
+	defer c.settle(OpWriteRec, table, rec)
 	td, off, err := c.locateMut(table, rec)
 	if err != nil {
 		return err
@@ -156,13 +148,11 @@ func (c *Client) WriteRec(table, rec int, vals []uint32) error {
 	if len(vals) != td.NumFields {
 		return fmt.Errorf("memdb: WriteRec got %d values for %d fields", len(vals), td.NumFields)
 	}
-	if c.db.region[off+1] != StatusActive {
-		return fmt.Errorf("table %d record %d: %w", table, rec, ErrNotActive)
+	if err := c.db.checkActive(table, rec, off); err != nil {
+		return err
 	}
-	for fi, v := range vals {
-		putU32(c.db.region, off+RecordHeaderSize+FieldSize*fi, v)
-	}
-	c.db.shadow.noteWrite(table, rec, c.pid, c.db.now())
+	c.db.putFields(off, 0, vals...)
+	c.db.stamp(table, rec, c.pid)
 	return nil
 }
 
@@ -170,15 +160,10 @@ func (c *Client) WriteRec(table, rec int, vals []uint32) error {
 func (c *Client) WriteFld(table, rec, field int, v uint32) error {
 	defer c.db.guardEnter("DBwrite_fld")()
 	defer c.db.clientMutate()()
-	if c.closed {
-		return ErrClosed
-	}
-	unlock, err := c.lockFor(table)
-	if err != nil {
+	if err := c.admit(table); err != nil {
 		return err
 	}
-	defer unlock()
-	defer c.db.charge(OpWriteFld, c.pid, table, rec)
+	defer c.settle(OpWriteFld, table, rec)
 	td, off, err := c.locateMut(table, rec)
 	if err != nil {
 		return err
@@ -186,11 +171,11 @@ func (c *Client) WriteFld(table, rec, field int, v uint32) error {
 	if field < 0 || field >= td.NumFields {
 		return &BoundsError{What: "field", Index: field, Limit: td.NumFields}
 	}
-	if c.db.region[off+1] != StatusActive {
-		return fmt.Errorf("table %d record %d: %w", table, rec, ErrNotActive)
+	if err := c.db.checkActive(table, rec, off); err != nil {
+		return err
 	}
-	putU32(c.db.region, off+RecordHeaderSize+FieldSize*field, v)
-	c.db.shadow.noteWrite(table, rec, c.pid, c.db.now())
+	c.db.putFields(off, field, v)
+	c.db.stamp(table, rec, c.pid)
 	return nil
 }
 
@@ -198,37 +183,24 @@ func (c *Client) WriteFld(table, rec, field int, v uint32) error {
 func (c *Client) Move(table, rec, newGroup int) error {
 	defer c.db.guardEnter("DBmove")()
 	defer c.db.clientMutate()()
-	if c.closed {
-		return ErrClosed
-	}
-	unlock, err := c.lockFor(table)
-	if err != nil {
+	if err := c.admit(table); err != nil {
 		return err
 	}
-	defer unlock()
-	defer c.db.charge(OpMove, c.pid, table, rec)
+	defer c.settle(OpMove, table, rec)
 	_, off, err := c.locateMut(table, rec)
 	if err != nil {
 		return err
 	}
-	if c.db.region[off+1] != StatusActive {
-		return fmt.Errorf("table %d record %d: %w", table, rec, ErrNotActive)
+	if err := c.db.checkActive(table, rec, off); err != nil {
+		return err
 	}
 	if err := c.db.checkGroup(table, newGroup); err != nil {
 		return err
 	}
-	if c.db.groupCount(table) > 0 {
-		// DBmove relinks the record between logical-group chains.
-		if err := c.db.unlinkFromGroup(table, rec); err != nil {
-			return err
-		}
-		if err := c.db.linkIntoGroup(table, rec, newGroup); err != nil {
-			return err
-		}
-	} else {
-		putU16(c.db.region, off+4, uint16(newGroup))
+	if err := c.db.activate(table, rec, off, newGroup); err != nil {
+		return err
 	}
-	c.db.shadow.noteWrite(table, rec, c.pid, c.db.now())
+	c.db.stamp(table, rec, c.pid)
 	return nil
 }
 
@@ -245,15 +217,10 @@ func (c *Client) Move(table, rec, newGroup int) error {
 func (c *Client) Alloc(table, group int) (int, error) {
 	defer c.db.guardEnter("DBalloc")()
 	defer c.db.clientMutate()()
-	if c.closed {
-		return 0, ErrClosed
-	}
-	unlock, err := c.lockFor(table)
-	if err != nil {
+	if err := c.admit(table); err != nil {
 		return 0, err
 	}
-	defer unlock()
-	defer c.db.charge(OpAlloc, c.pid, table, -1)
+	defer c.settle(OpAlloc, table, -1)
 	db := c.db
 	td, err := readTableDesc(db.region, table)
 	if err != nil {
@@ -274,18 +241,13 @@ func (c *Client) Alloc(table, group int) (int, error) {
 		db.allocFloor[table] = ri
 		return 0, fmt.Errorf("table %d: %w", table, ErrNoFreeRecord)
 	}
-	db.region[off+1] = StatusActive
-	if db.groupCount(table) > 0 {
-		if err := db.linkIntoGroup(table, ri, group); err != nil {
-			db.region[off+1] = StatusFree
-			db.allocFloor[table] = ri
-			return 0, err
-		}
-	} else {
-		putU16(db.region, off+4, uint16(group))
+	if err := db.activate(table, ri, off, group); err != nil {
+		db.region[off+1] = StatusFree
+		db.allocFloor[table] = ri
+		return 0, err
 	}
 	db.allocFloor[table] = ri + 1
-	db.shadow.noteWrite(table, ri, c.pid, db.now())
+	db.stamp(table, ri, c.pid)
 	return ri, nil
 }
 
@@ -293,34 +255,18 @@ func (c *Client) Alloc(table, group int) (int, error) {
 func (c *Client) Free(table, rec int) error {
 	defer c.db.guardEnter("DBfree")()
 	defer c.db.clientMutate()()
-	if c.closed {
-		return ErrClosed
-	}
-	unlock, err := c.lockFor(table)
-	if err != nil {
+	if err := c.admit(table); err != nil {
 		return err
 	}
-	defer unlock()
-	defer c.db.charge(OpFree, c.pid, table, rec)
+	defer c.settle(OpFree, table, rec)
 	td, off, err := c.locateMut(table, rec)
 	if err != nil {
 		return err
 	}
-	if c.db.groupCount(table) > 0 && c.db.region[off+1] == StatusActive {
-		if err := c.db.unlinkFromGroup(table, rec); err != nil {
-			return err
-		}
+	if err := c.db.freeAt(table, rec, off, &td); err != nil {
+		return err
 	}
-	formatHeader(c.db.region, off, table, rec)
-	c.db.allocFloor[table] = min(c.db.allocFloor[table], rec)
-	for fi := 0; fi < td.NumFields; fi++ {
-		fd, err := readFieldDesc(c.db.region, td, fi)
-		if err != nil {
-			return err
-		}
-		putU32(c.db.region, off+RecordHeaderSize+FieldSize*fi, fd.Default)
-	}
-	c.db.shadow.noteWrite(table, rec, c.pid, c.db.now())
+	c.db.stamp(table, rec, c.pid)
 	return nil
 }
 

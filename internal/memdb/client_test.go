@@ -358,3 +358,31 @@ func TestClientByPID(t *testing.T) {
 		t.Fatal("ClientByPID returned a closed client")
 	}
 }
+
+// TestClientCallsDoNotAllocate pins the served write path's admission: a
+// lock-taking call takes and releases its table lock without building a
+// closure, so with the concurrency guard off none of these calls allocates.
+// Both tables of chainedSchema run, so DBalloc, DBmove and DBfree cover the
+// chained and the plain group paths.
+func TestClientCallsDoNotAllocate(t *testing.T) {
+	db, c := chainedDB(t)
+	for ti, spec := range db.Schema().Tables {
+		ri, err := c.Alloc(ti, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vals := make([]uint32, len(spec.Fields))
+		for name, call := range map[string]func(){
+			"WriteRec":   func() { _ = c.WriteRec(ti, ri, vals) },
+			"WriteFld":   func() { _ = c.WriteFld(ti, ri, 0, 7) },
+			"Move":       func() { _ = c.Move(ti, ri, 2) },
+			"Alloc+Free": func() { r, _ := c.Alloc(ti, 3); _ = c.Free(ti, r) },
+			"ReadFld":    func() { _, _ = c.ReadFld(ti, ri, 0) },
+			"Status":     func() { _, _ = c.Status(ti, ri) },
+		} {
+			if n := testing.AllocsPerRun(100, call); n != 0 {
+				t.Errorf("%s: %s allocates %v per call, want 0", spec.Name, name, n)
+			}
+		}
+	}
+}

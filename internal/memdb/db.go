@@ -28,7 +28,7 @@ type lockState struct {
 // disk snapshot, lock table, shadow metadata, and the optional audit hook.
 //
 // DB has one owner goroutine: every Client call, mutation and audit runs on
-// it (the simulation event loop, or a server core's executor), matching the
+// it (the simulation event loop, or a server core's turn holder), matching the
 // single shared memory region of the target controller. Other goroutines
 // may only read, through a View (see view.go).
 type DB struct {
@@ -375,49 +375,17 @@ func (db *DB) ReadFieldDirect(ti, ri, fi int) (uint32, error) {
 }
 
 // WriteFieldDirect writes field fi of record ri in table ti (audit recovery
-// resetting a field to its default, or log replay) and bumps the record's
-// shadow version, so an in-flight audit of the record invalidates.
+// resetting or restoring a field) and stamps the repair, which bumps the
+// record's shadow version, so an in-flight audit of the record invalidates.
 func (db *DB) WriteFieldDirect(ti, ri, fi int, v uint32) error {
-	off, err := db.TrueRecordOffset(ti, ri)
-	if err != nil {
-		return err
-	}
-	if fi < 0 || fi >= len(db.schema.Tables[ti].Fields) {
-		return &BoundsError{What: "field", Index: fi, Limit: len(db.schema.Tables[ti].Fields)}
-	}
-	defer db.mutate()()
-	putU32(db.region, off+RecordHeaderSize+FieldSize*fi, v)
-	db.shadow.records[ti][ri].Version++
-	return nil
+	return db.apply(OpWriteFld, ti, ri, fi, 0, []uint32{v}, repairPID)
 }
 
 // FreeRecordDirect frees record ri of table ti (audit recovery: freeing a
 // zombie record drops at most one active call, which the environment
-// tolerates).
+// tolerates) and stamps the repair.
 func (db *DB) FreeRecordDirect(ti, ri int) error {
-	defer db.mutate()()
-	return db.freeRecordLocked(ti, ri)
-}
-
-// freeRecordLocked is FreeRecordDirect's body, factored out so callers that
-// already hold the region write lock (RebuildGroups) can reuse it without
-// re-entering the non-reentrant mutate bracket.
-func (db *DB) freeRecordLocked(ti, ri int) error {
-	off, err := db.TrueRecordOffset(ti, ri)
-	if err != nil {
-		return err
-	}
-	if db.groupCount(ti) > 0 && db.region[off+1] == StatusActive {
-		if err := db.unlinkFromGroup(ti, ri); err != nil {
-			return err
-		}
-	}
-	formatHeader(db.region, off, ti, ri)
-	for fi, f := range db.schema.Tables[ti].Fields {
-		putU32(db.region, off+RecordHeaderSize+FieldSize*fi, f.Default)
-	}
-	db.shadow.records[ti][ri].Version++
-	return nil
+	return db.apply(OpFree, ti, ri, 0, 0, nil, repairPID)
 }
 
 // StatusDirect reports the status byte of record ri in table ti.

@@ -262,9 +262,10 @@ func (db *DB) RebuildGroups(ti int) (int, error) {
 		}
 		g := decodeHeader(db.region, off).GroupID
 		if g < 0 || g >= groups {
-			if err := db.freeRecordLocked(ti, ri); err != nil {
+			if err := db.freeAt(ti, ri, off, nil); err != nil {
 				return relinked, err
 			}
+			db.stamp(ti, ri, repairPID)
 			continue
 		}
 		if err := db.linkIntoGroup(ti, ri, g); err != nil {

@@ -7,7 +7,7 @@ import (
 
 // Concurrent-access detector. DB is documented as not safe for concurrent
 // use: every access must be serialized — on the simulation event loop, or
-// on the network server's single-writer executor. A violation of that
+// by the network server core's turn holder. A violation of that
 // contract does not fail fast on its own; it silently corrupts the shared
 // region, exactly the class of damage the audits exist to catch, except
 // self-inflicted. The guard makes violations fail loudly instead: when
@@ -77,7 +77,7 @@ func (db *DB) guardEnter(op string) func() {
 
 // SetClock replaces the virtual-time source after construction. The network
 // server binds an already-built database (often loaded from an image) to
-// its executor's clock this way; nil is ignored.
+// its core's clock this way; nil is ignored.
 func (db *DB) SetClock(now func() time.Duration) {
 	if now != nil {
 		db.now = now

@@ -7,7 +7,7 @@ import "repro/internal/metrics"
 // thread, so they cannot be read directly from a metrics snapshot taken on
 // another goroutine. The bridge resolves that with a publish step: the
 // owner thread calls RefreshMetrics at its own cadence (the network
-// server's executor does it on every clock tick), copying the counters
+// server's turn holder does it on every clock tick), copying the counters
 // into atomic gauges that any snapshot may then read race-free.
 
 // tableGauges is the published per-table activity state feeding the same

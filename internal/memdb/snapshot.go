@@ -10,8 +10,8 @@ import (
 // Live-state snapshots. image.go persists and restores the pristine seed
 // image only; checkpoints and replica bootstrap need the *current* region —
 // active calls included — captured consistently. Because DB is single-writer,
-// consistency is free as long as the snapshot is taken on the executor
-// thread, which guardEnter enforces when the concurrency check is armed.
+// consistency is free as long as the region's single writer takes the
+// snapshot, which guardEnter enforces when the concurrency check is armed.
 //
 // Snapshot format: magic "MDBS" u32 | layout CRC u32 | length u32 | region.
 // The layout CRC fingerprints the schema (CRC32 of the pristine catalog
@@ -30,7 +30,7 @@ func (db *DB) LayoutCRC() uint32 {
 }
 
 // SnapshotInto serializes the current region — live state, not the pristine
-// seed — to w. Must be called on the executor thread; the concurrency guard
+// seed — to w. Must be called by the region's single writer; the concurrency guard
 // treats it like any other API entry.
 func (db *DB) SnapshotInto(w io.Writer) error {
 	defer db.guardEnter("SnapshotInto")()
@@ -51,8 +51,8 @@ func (db *DB) SnapshotInto(w io.Writer) error {
 // by SnapshotInto on a database of the identical schema. The pristine seed
 // snapshot is left untouched, so static-extent reload recovery keeps its
 // ground truth. Every shadow record version is bumped, invalidating any
-// in-flight audit of pre-restore state. Must be called on the executor
-// thread. On error the region is unchanged.
+// in-flight audit of pre-restore state. Must be called by the region's
+// single writer. On error the region is unchanged.
 func (db *DB) RestoreFrom(r io.Reader) error {
 	defer db.guardEnter("RestoreFrom")()
 	var hdr [snapHeaderSize]byte

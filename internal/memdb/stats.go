@@ -59,16 +59,33 @@ func (sh *shadow) noteRead(table, rec, pid int, now time.Duration) {
 	sh.tables[table].Reads++
 }
 
-func (sh *shadow) noteWrite(table, rec, pid int, now time.Duration) {
-	if !sh.valid(table, rec) {
+// The PIDs a stamp carries besides a Client's, whose PIDs start at 1.
+const (
+	replayPID = 0  // a replayed write: an access by no live session
+	repairPID = -1 // an audit repair: no access at all
+)
+
+// stamp records one mutation of record ri of table ti in its shadow
+// metadata; every record mutation goes through it. It bumps the record's
+// version, so an audit of the record in flight invalidates its result
+// (§4.3). A write, from a Client (pid) or replayed (replayPID), also counts
+// an access: LastPID, LastAccess, and the record's and the table's Writes.
+// An audit repair (repairPID) counts none: the semantic audit still sees
+// the record's last client and its age.
+func (db *DB) stamp(ti, ri, pid int) {
+	sh := db.shadow
+	if !sh.valid(ti, ri) {
 		return
 	}
-	m := &sh.records[table][rec]
-	m.LastPID = pid
-	m.LastAccess = now
-	m.Writes++
+	m := &sh.records[ti][ri]
 	m.Version++
-	sh.tables[table].Writes++
+	if pid == repairPID {
+		return
+	}
+	m.LastPID = pid
+	m.LastAccess = db.now()
+	m.Writes++
+	sh.tables[ti].Writes++
 }
 
 func (sh *shadow) valid(table, rec int) bool {

@@ -11,8 +11,8 @@ package memdb
 //     Client mutators), which holds the region write lock for the whole
 //     mutation.
 //   - A View read holds the region read lock while it copies, so it never
-//     observes a mutation (API write, audit repair, reload, replication
-//     apply) half done — no torn reads across the fields of one record.
+//     observes a mutation (API write, audit repair, reload, log replay)
+//     half done — no torn reads across the fields of one record.
 //
 // Deliberate trade-offs, documented in DESIGN.md: View reads use the
 // schema's true layout (immune to on-region catalog corruption), skip the
@@ -27,10 +27,10 @@ import "repro/internal/metrics"
 // non-reentrant.
 //
 // mutate is the one chokepoint every region writer outside the Client API
-// goes through (FlipBit, the reloads, header and link repairs, the *Direct
-// accessors, log replay, RestoreFrom, RebuildGroups), so it also marks the
-// free floors stale: any of them may free a record below a floor, and a
-// writer added later is safe by default.
+// goes through (FlipBit, the reloads, header and link repairs, Replay and
+// the repairs that share its body, RestoreFrom, RebuildGroups), so it also
+// marks the free floors stale: any of them may free a record below a
+// floor, and a writer added later is safe by default.
 func (db *DB) mutate() func() {
 	db.regionMu.Lock()
 	db.floorValid = false
@@ -122,7 +122,7 @@ func (v *View) Status(table, rec int) (int, error) {
 
 // FoldViewReads drains the per-table fast-lane read counts into the shadow
 // activity stats so the prioritized audit trigger (§4.4.1) still sees read
-// frequency for tables served mostly off the executor. Owner-thread only;
+// frequency for tables served mostly off the turn. Owner-thread only;
 // RefreshMetrics calls it before publishing table gauges.
 func (db *DB) FoldViewReads() {
 	for i := range db.viewReads {

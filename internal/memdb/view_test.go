@@ -103,8 +103,8 @@ func TestFoldViewReads(t *testing.T) {
 }
 
 // TestReadViewStress hammers View reads from several goroutines while a
-// single writer runs API mutations, audit repairs, reloads, and replication
-// applies against the same records — the full set of region mutators the
+// single writer runs API mutations, audit repairs, reloads, and log
+// replays against the same records — the full set of region mutators the
 // mutate bracket covers. Every committed state keeps a record's fields
 // equal, so any unequal triple is a torn read, and every read is in bounds,
 // so any reader error fails the test. Run under -race this also proves the
@@ -136,6 +136,7 @@ func TestReadViewStress(t *testing.T) {
 	go func() { // single writer: API ops + audit repairs + replays
 		defer writerWg.Done()
 		ext, _ := db.TableExtent(table)
+		last := 0 // the record the last Alloc claimed
 		for i := 0; ; i++ {
 			select {
 			case <-done:
@@ -144,22 +145,32 @@ func TestReadViewStress(t *testing.T) {
 			}
 			ri := i % nRecs
 			x := uint32(i)
-			switch i % 8 {
+			switch i % 13 {
 			case 0:
-				_, _ = cl.Alloc(table, i%2)
+				last, _ = cl.Alloc(table, i%2)
 			case 1:
-				_ = cl.WriteRec(table, ri, []uint32{x, x, x})
+				_ = cl.Move(table, last, i%2)
 			case 2:
-				_ = db.WriteRecDirect(table, ri, []uint32{x, x, x})
+				_ = cl.WriteRec(table, ri, []uint32{x, x, x})
 			case 3:
-				_ = db.ReloadExtent(ext.Off, ext.Len)
+				_ = db.Replay(OpWriteRec, table, ri, 0, 0, []uint32{x, x, x})
 			case 4:
-				_ = db.RewriteHeader(table, ri)
-			case 5:
-				_ = db.FreeRecordDirect(table, ri)
+				_ = db.Replay(OpAlloc, table, ri, 0, i%2, nil)
+			case 5: // the record step 4 activated
+				_ = db.Replay(OpMove, table, (i-1)%nRecs, 0, i%2, nil)
 			case 6:
-				db.ReloadAll()
+				_ = db.ReloadExtent(ext.Off, ext.Len)
 			case 7:
+				_ = db.RewriteHeader(table, ri)
+			case 8:
+				_ = cl.Free(table, ri)
+			case 9:
+				_ = db.FreeRecordDirect(table, ri)
+			case 10:
+				_ = db.Replay(OpFree, table, ri, 0, 0, nil)
+			case 11:
+				db.ReloadAll()
+			case 12:
 				_, _ = db.RebuildGroups(table)
 			}
 		}

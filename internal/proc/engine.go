@@ -96,7 +96,7 @@ const maxEmit = 1024
 // the five calls the stage issues. *memdb.Client satisfies it, which is
 // the direct single-database path; the sharded server substitutes an
 // adapter that routes each call to the shard owning the record while
-// every shard executor is parked at the procedure barrier.
+// every shard's turn is held at the procedure barrier.
 type Session interface {
 	ReadFld(table, rec, field int) (uint32, error)
 	WriteFld(table, rec, field int, val uint32) error
@@ -108,8 +108,8 @@ type Session interface {
 var _ Session = (*memdb.Client)(nil)
 
 // Engine executes registered procedures against a live database session.
-// One engine serves every procedure; it is executor-thread-only, like the
-// session clients it drives.
+// One engine serves every procedure; only the turn holder uses it, like
+// the session clients it drives.
 type Engine struct {
 	// Ring, when set, receives the PECOS violation events (trace-joined to
 	// the request that ran the procedure).
@@ -122,7 +122,7 @@ func NewEngine() *Engine { return &Engine{} }
 
 // Exec runs p against sess with the given arguments. tid correlates the
 // execution's trace events with the originating request. The procedure's
-// own counters are updated here (executor thread).
+// own counters are updated here (by the turn holder).
 //
 // Mutation discipline: writes, frees, and moves are staged and applied only
 // after a clean halt, so an aborted procedure commits nothing. Reads see

@@ -32,7 +32,7 @@ import (
 const MaxNameLen = 64
 
 // Procedure is one registered, instrumented program. The counters are
-// plain fields because the registry lives on the server's executor thread,
+// plain fields because only the server's turn holder touches the registry,
 // the same single-writer discipline as memdb.DB itself.
 type Procedure struct {
 	Name    string
@@ -155,7 +155,7 @@ func (p *Procedure) CriticalWord() (uint32, bool) {
 }
 
 // Registry holds the named procedures. Not safe for concurrent use — it is
-// owned by the server's executor thread, exactly like the database region.
+// owned by the server's turn holder, exactly like the database region.
 type Registry struct {
 	procs map[string]*Procedure
 	order []string

@@ -50,8 +50,8 @@ func (c *ApplierConfig) applyDefaults() {
 // replays them against the standby's database — and, when the standby keeps
 // its own log, appends them there so the primary's sequence numbering
 // survives a standby restart. Every method except the atomic accessors must
-// run on the standby's executor thread; the Applier is the region's single
-// writer during replication exactly as the executor is during serving.
+// run on the standby core's turn holder; the Applier is the region's single
+// writer during replication exactly as the turn holder is during serving.
 type Applier struct {
 	db  *memdb.DB
 	log *wal.Log // may be nil: standby without local durability
@@ -102,7 +102,7 @@ func (a *Applier) Lag() uint64 {
 // arrived, bootstrap from a snapshot when the log position has gapped.
 // It reports promote=true once the consecutive-failure streak reaches
 // the configured limit — the standby has lost its primary and should
-// take over. Executor thread only.
+// take over. Turn holder only.
 func (a *Applier) Step() (promote bool) {
 	if err := a.step(); err != nil {
 		n := a.failures.Add(1)
@@ -233,7 +233,7 @@ func (a *Applier) dropConn() {
 	}
 }
 
-// Close releases the connection to the primary. Executor thread only.
+// Close releases the connection to the primary. Turn holder only.
 func (a *Applier) Close() { a.dropConn() }
 
 // BindMetrics publishes the applier's gauges into reg.

@@ -17,43 +17,28 @@ func testSchema() memdb.Schema {
 // driveOps applies a deterministic mutation mix to db, logging each op.
 func driveOps(t *testing.T, db *memdb.DB, l *wal.Log, n int) {
 	t.Helper()
-	ti := callproc.TblRes
+	ti := int32(callproc.TblRes)
 	for i := 0; i < n; i++ {
 		// Each group of four ops hits one record: alloc, write, move, free.
-		ri := (i / 4) % 8
-		group := i % callproc.ResourceBanks
+		ri := int32((i / 4) % 8)
+		group := int32(i % callproc.ResourceBanks)
+		var r wal.Record
 		switch i % 4 {
 		case 0:
-			if err := db.AllocDirect(ti, ri, group); err != nil {
-				t.Fatalf("alloc %d: %v", i, err)
-			}
-			if _, err := l.Append(wal.Record{Op: wal.OpAlloc, Table: int32(ti), Rec: int32(ri), Aux: int32(group)}); err != nil {
-				t.Fatalf("append: %v", err)
-			}
+			r = wal.Record{Op: wal.OpAlloc, Table: ti, Rec: ri, Aux: group}
 		case 1:
-			v := uint32(i%50 + 1)
-			if err := db.WriteFieldDirect(ti, ri, callproc.FldResQuality, v); err != nil {
-				t.Fatalf("writefld %d: %v", i, err)
-			}
-			if _, err := l.Append(wal.Record{Op: wal.OpWriteFld, Table: int32(ti), Rec: int32(ri),
-				Field: int32(callproc.FldResQuality), Vals: []uint32{v}}); err != nil {
-				t.Fatalf("append: %v", err)
-			}
+			r = wal.Record{Op: wal.OpWriteFld, Table: ti, Rec: ri,
+				Field: int32(callproc.FldResQuality), Vals: []uint32{uint32(i%50 + 1)}}
 		case 2:
-			ng := (group + 1) % callproc.ResourceBanks
-			if err := db.MoveDirect(ti, ri, ng); err != nil {
-				t.Fatalf("move %d: %v", i, err)
-			}
-			if _, err := l.Append(wal.Record{Op: wal.OpMove, Table: int32(ti), Rec: int32(ri), Aux: int32(ng)}); err != nil {
-				t.Fatalf("append: %v", err)
-			}
+			r = wal.Record{Op: wal.OpMove, Table: ti, Rec: ri, Aux: (group + 1) % callproc.ResourceBanks}
 		default:
-			if err := db.FreeRecordDirect(ti, ri); err != nil {
-				t.Fatalf("free %d: %v", i, err)
-			}
-			if _, err := l.Append(wal.Record{Op: wal.OpFree, Table: int32(ti), Rec: int32(ri)}); err != nil {
-				t.Fatalf("append: %v", err)
-			}
+			r = wal.Record{Op: wal.OpFree, Table: ti, Rec: ri}
+		}
+		if err := wal.Apply(db, r); err != nil {
+			t.Fatalf("%v %d: %v", r.Op, i, err)
+		}
+		if _, err := l.Append(r); err != nil {
+			t.Fatalf("append: %v", err)
 		}
 	}
 }

@@ -1,15 +1,15 @@
 // Package replica implements hot-standby replication over the WAL: a
 // primary-side Shipper serving batches of framed log records from the
 // in-memory tail ring, and a standby-side Applier that polls the primary,
-// replays the batches on its own executor, and promotes itself when the
+// replays the batches as its region's single writer, and promotes itself when the
 // primary stops answering.
 //
 // The paper assumes a fault-tolerant platform beneath the controller, and
 // this package supplies its hot standby: a replayed copy that takes over
 // when the primary is lost. The division of labor follows the paper's
 // single-writer architecture: everything that touches a database region
-// runs on that node's executor thread (the Applier), while the
-// Shipper serves replication reads entirely off the primary's executor,
+// runs as that node's single writer (the Applier), while the
+// Shipper serves replication reads entirely off the primary's turn,
 // from the thread-safe tail ring, so shipping never steals cycles from
 // call processing (resource isolation, Jiang et al.).
 package replica
@@ -49,7 +49,7 @@ type peerState struct {
 // plane can see the slowest live replica. A replica set chains every
 // standby off this one shipper: each poll carries the standby's own
 // position, so per-peer progress falls out of the protocol. Safe from any
-// goroutine — replication reads deliberately bypass the executor.
+// goroutine — replication reads deliberately bypass the turn.
 type Shipper struct {
 	log  *wal.Log
 	ring *trace.Ring // may be nil

@@ -20,7 +20,7 @@ import (
 
 // walDriver runs a deterministic mutating workload through a wire
 // connection against an n-region server and records, for every acknowledged
-// mutation, the equivalent direct operation on the owning region in that
+// mutation, its replay (memdb.DB.Replay) on the owning region in that
 // region's stream order — the replay oracle each recovered region is
 // compared against byte for byte.
 type walDriver struct {
@@ -49,19 +49,21 @@ func (d *walDriver) runCycles(t *testing.T, cycles int) {
 		}
 		k, l := memdb.ShardOf(ri, d.n), memdb.LocalIndex(ri, d.n)
 		record := func(op func(*memdb.DB) error) { d.ops[k] = append(d.ops[k], op) }
-		record(func(db *memdb.DB) error { return db.AllocDirect(ti, l, group) })
+		record(func(db *memdb.DB) error { return db.Replay(memdb.OpAlloc, ti, l, 0, group, nil) })
 
 		vals := []uint32{uint32(c % 10), uint32(c % 3), uint32(c % 101)}
 		if err := d.conn.WriteRec(ti, ri, vals); err != nil {
 			t.Fatalf("cycle %d: writerec: %v", c, err)
 		}
-		record(func(db *memdb.DB) error { return db.WriteRecDirect(ti, l, vals) })
+		record(func(db *memdb.DB) error { return db.Replay(memdb.OpWriteRec, ti, l, 0, 0, vals) })
 
 		q := uint32(c%50 + 1)
 		if err := d.conn.WriteFld(ti, ri, callproc.FldResQuality, q); err != nil {
 			t.Fatalf("cycle %d: writefld: %v", c, err)
 		}
-		record(func(db *memdb.DB) error { return db.WriteFieldDirect(ti, l, callproc.FldResQuality, q) })
+		record(func(db *memdb.DB) error {
+			return db.Replay(memdb.OpWriteFld, ti, l, callproc.FldResQuality, 0, []uint32{q})
+		})
 
 		// A procedure's effect logs on the record's owning region like a
 		// direct write.
@@ -69,19 +71,21 @@ func (d *walDriver) runCycles(t *testing.T, cycles int) {
 		if _, err := d.conn.ProcExec("res_touch", []uint32{uint32(ri), pq}); err != nil {
 			t.Fatalf("cycle %d: proc res_touch: %v", c, err)
 		}
-		record(func(db *memdb.DB) error { return db.WriteFieldDirect(ti, l, callproc.FldResQuality, pq) })
+		record(func(db *memdb.DB) error {
+			return db.Replay(memdb.OpWriteFld, ti, l, callproc.FldResQuality, 0, []uint32{pq})
+		})
 
 		ng := (group + 1) % callproc.ResourceBanks
 		if err := d.conn.Move(ti, ri, ng); err != nil {
 			t.Fatalf("cycle %d: move: %v", c, err)
 		}
-		record(func(db *memdb.DB) error { return db.MoveDirect(ti, l, ng) })
+		record(func(db *memdb.DB) error { return db.Replay(memdb.OpMove, ti, l, 0, ng, nil) })
 
 		if c%2 == 0 {
 			if err := d.conn.Free(ti, ri); err != nil {
 				t.Fatalf("cycle %d: free: %v", c, err)
 			}
-			record(func(db *memdb.DB) error { return db.FreeRecordDirect(ti, l) })
+			record(func(db *memdb.DB) error { return db.Replay(memdb.OpFree, ti, l, 0, 0, nil) })
 		}
 	}
 }

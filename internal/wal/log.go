@@ -59,7 +59,7 @@ func (c *Config) fill() {
 }
 
 // Log is the append side of the WAL. Append, Sync, Checkpoint, and Close are
-// single-writer calls (the server's executor); Since, the seq accessors, and
+// single-writer calls (the server core's turn holder); Since, the seq accessors, and
 // the metrics callbacks are safe from any goroutine — replication reads the
 // tail ring under its own mutex and never touches the file, so shipping the
 // log cannot stall the serving path.
@@ -74,7 +74,7 @@ func (c *Config) fill() {
 type Log struct {
 	cfg Config
 
-	// Executor-owned write state.
+	// The single writer's state.
 	f       *os.File
 	bw      *bufio.Writer
 	segSize int
@@ -142,7 +142,7 @@ func (l *Log) openSegment(firstSeq uint64) error {
 // Append writes one record to the log buffer and tail ring, assigning the
 // next sequence number when r.Seq is zero. A non-zero r.Seq (replica apply
 // preserving the primary's numbering) must be exactly lastSeq+1. The record
-// is not durable until the next Sync. Executor thread only.
+// is not durable until the next Sync. Turn holder only.
 func (l *Log) Append(r Record) (uint64, error) {
 	if l.closed {
 		return 0, fmt.Errorf("wal: log closed")
@@ -212,8 +212,8 @@ func (l *Log) flushSync() error {
 }
 
 // Sync flushes buffered records and fsyncs the segment. The server calls it
-// on the executor clock tick, batching every append since the previous tick
-// into one fsync. Executor thread only.
+// on the core's clock tick, batching every append since the previous tick
+// into one fsync. Turn holder only.
 func (l *Log) Sync() error {
 	if l.closed {
 		return fmt.Errorf("wal: log closed")
@@ -309,9 +309,9 @@ func (l *Log) LastField(table, rec, field int) (uint32, bool) {
 }
 
 // Checkpoint syncs the log, captures the state written by snapshot (the
-// executor-thread region serializer), persists it crash-safely
+// region serializer, run by the turn holder), persists it crash-safely
 // (temp + fsync + rename), prunes segments wholly covered by it, and removes
-// older checkpoints. Executor thread only.
+// older checkpoints. Turn holder only.
 //
 // Checkpoint file format: u32 magic | u64 seq | u32 body-len | body |
 // u32 crc32(seq … body).
@@ -328,7 +328,7 @@ func (l *Log) Checkpoint(snapshot func(w io.Writer) error) error {
 
 // InstallCheckpoint persists body as the checkpoint for seq. The replica
 // applier uses it directly after bootstrapping from a shipped snapshot,
-// where body arrived off the wire and seq is the primary's. Executor thread
+// where body arrived off the wire and seq is the primary's. Turn holder
 // only. lastSeq advances to seq if behind (a fresh standby log), and the
 // tail ring empties: it holds no records between its old head and seq.
 func (l *Log) InstallCheckpoint(seq uint64, body []byte) error {

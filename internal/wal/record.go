@@ -1,6 +1,6 @@
 // Package wal implements the durability layer: an append-only operation log
 // of mutating database operations with CRC32-framed, length-prefixed
-// records, segment rotation, batched fsync driven by the server's executor
+// records, segment rotation, batched fsync driven by the server core's
 // clock, checkpoints of the live region, and a replayer that rebuilds a
 // memdb.DB from the last checkpoint plus the log tail, truncating at the
 // first torn or corrupt record.

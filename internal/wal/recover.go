@@ -129,27 +129,27 @@ func readCheckpoint(path string) (body []byte, seq uint64, err error) {
 	return body, seq, nil
 }
 
-// Apply replays one record against db using the direct mutators. Audit
-// repairs are deliberately never logged: replay from a clean checkpoint
-// plus valid client operations reconstructs uncorrupted state, which is the
-// whole point of recovering from the log rather than copying the region.
+// replayOps maps each logged op to the memdb operation it repeats. The
+// log's own numbering is its on-disk format and does not follow memdb's.
+var replayOps = [opMax]memdb.Op{
+	OpWriteRec: memdb.OpWriteRec,
+	OpWriteFld: memdb.OpWriteFld,
+	OpMove:     memdb.OpMove,
+	OpAlloc:    memdb.OpAlloc,
+	OpFree:     memdb.OpFree,
+}
+
+// Apply replays one record against db through memdb's one replay entry,
+// DB.Replay. Audit repairs are deliberately never logged: replay from a
+// clean checkpoint plus valid client operations reconstructs uncorrupted
+// state, which is the whole point of recovering from the log rather than
+// copying the region.
 func Apply(db *memdb.DB, r Record) error {
-	ti, ri := int(r.Table), int(r.Rec)
-	switch r.Op {
-	case OpWriteRec:
-		return db.WriteRecDirect(ti, ri, r.Vals)
-	case OpWriteFld:
-		if len(r.Vals) != 1 {
-			return fmt.Errorf("wal: write-fld carries %d values", len(r.Vals))
-		}
-		return db.WriteFieldDirect(ti, ri, int(r.Field), r.Vals[0])
-	case OpMove:
-		return db.MoveDirect(ti, ri, int(r.Aux))
-	case OpAlloc:
-		return db.AllocDirect(ti, ri, int(r.Aux))
-	case OpFree:
-		return db.FreeRecordDirect(ti, ri)
-	default:
+	if r.Op < 1 || r.Op >= opMax {
 		return fmt.Errorf("wal: unknown op %d", r.Op)
 	}
+	if r.Op == OpWriteFld && len(r.Vals) != 1 {
+		return fmt.Errorf("wal: write-fld carries %d values", len(r.Vals))
+	}
+	return db.Replay(replayOps[r.Op], int(r.Table), int(r.Rec), int(r.Field), int(r.Aux), r.Vals)
 }

@@ -357,3 +357,69 @@ func TestInstallCheckpointStandbyNumbering(t *testing.T) {
 		t.Fatalf("standby recovery: %+v", res)
 	}
 }
+
+// TestReplayStampsLikeTheClient pins replay's shadow metadata to the API's:
+// every logged mutation replayed through Apply counts one access and bumps
+// one version, exactly as the Client call it repeats, so a standby's or a
+// recovered server's write counters (memdb.table.*.writes) match the
+// primary's.
+func TestReplayStampsLikeTheClient(t *testing.T) {
+	schema := testSchema()
+	live, err := memdb.New(schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := live.Connect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const ti = callproc.TblRes
+	var recs []Record
+	logged := func(err error, r Record) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%v: %v", r.Op, err)
+		}
+		recs = append(recs, r)
+	}
+	touched := map[int]bool{}
+	for k := 0; k < 2; k++ {
+		ri, err := c.Alloc(ti, k)
+		logged(err, Record{Op: OpAlloc, Table: ti, Rec: int32(ri), Aux: int32(k)})
+		touched[ri] = true
+		vals := []uint32{uint32(k), 1, 50}
+		logged(c.WriteRec(ti, ri, vals), Record{Op: OpWriteRec, Table: ti, Rec: int32(ri), Vals: vals})
+		for v := uint32(1); v <= 5; v++ {
+			logged(c.WriteFld(ti, ri, callproc.FldResQuality, v),
+				Record{Op: OpWriteFld, Table: ti, Rec: int32(ri), Field: callproc.FldResQuality, Vals: []uint32{v}})
+		}
+		logged(c.Move(ti, ri, k+2), Record{Op: OpMove, Table: ti, Rec: int32(ri), Aux: int32(k + 2)})
+		if k == 1 {
+			logged(c.Free(ti, ri), Record{Op: OpFree, Table: ti, Rec: int32(ri)})
+		}
+	}
+
+	replica, err := memdb.New(schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		if err := Apply(replica, r); err != nil {
+			t.Fatalf("apply %v: %v", r.Op, err)
+		}
+	}
+	if !bytes.Equal(replica.Raw(), live.Raw()) {
+		t.Fatal("replayed region differs from the live region")
+	}
+	if got, want := replica.TableStats(ti).Writes, live.TableStats(ti).Writes; got != want {
+		t.Errorf("table writes: replayed %d, live %d", got, want)
+	}
+	for ri := range touched {
+		got, _ := replica.Meta(ti, ri)
+		want, _ := live.Meta(ti, ri)
+		if got.Writes != want.Writes || got.Version != want.Version {
+			t.Errorf("record %d: replayed writes %d version %d, live writes %d version %d",
+				ri, got.Writes, got.Version, want.Writes, want.Version)
+		}
+	}
+}
